@@ -115,8 +115,8 @@ def _iter_target_names(model, targets: TargetSet, plan) -> list[str]:
             else:
                 hot = sorted(plan.hot[layer])
             for e in hot:
-                if e >= cfg.n_experts:
-                    raise ConfigError(f"plan expert index {e} >= n_experts {cfg.n_experts}")
+                if not 0 <= e < cfg.n_experts:
+                    raise ConfigError(f"plan expert index {e} not in [0, {cfg.n_experts})")
                 names.append(f"layer{layer}.expert{e}.w_up")
                 names.append(f"layer{layer}.expert{e}.w_down")
             # shared experts are always active, so they are always adapted
@@ -181,13 +181,3 @@ def set_trainability(model, scheme: Scheme):
                 raise ConfigError(f"lori_s adapter on {target} has no mask")
             reg.set_mask(b_name, pair.mask)
     return reg
-
-
-def detach_adapters(model) -> None:
-    """Drop all adapter objects and their registry entries."""
-    for target in list(model.adapters):
-        for suffix in ("A", "B", "M"):
-            name = f"{target}.adapter.{suffix}"
-            if name in model.registry:
-                model.registry.remove(name)
-    model.adapters.clear()

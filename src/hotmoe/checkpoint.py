@@ -12,6 +12,7 @@ Round-trips are bit-exact by construction: bytes in, identical bytes out.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,10 @@ def _shape_tag(shape: tuple[int, ...]) -> str:
 def _parse_shape(tag: str) -> tuple[int, ...]:
     if tag == "0d":
         return ()
-    return tuple(int(d) for d in tag.split("x"))
+    shape = tuple(int(d) for d in tag.split("x"))
+    if min(shape) < 0:
+        raise ValueError(f"negative dimension in shape {tag!r}")
+    return shape
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
@@ -57,30 +61,37 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise IoError(f"checkpoint not found: {path}")
     blob = path.read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0 or blob[:nl].decode("utf-8") != _MAGIC:
-        raise IoError(f"bad checkpoint magic in {path}")
-    pos = nl + 1
-    nl = blob.find(b"\n", pos)
-    count_line = blob[pos:nl].decode("utf-8")
-    if not count_line.startswith("ntensors "):
-        raise IoError(f"bad checkpoint header in {path}")
-    ntensors = int(count_line.split(" ", 1)[1])
-    pos = nl + 1
-    records: list[tuple[str, tuple[int, ...], int]] = []
-    for _ in range(ntensors):
-        nl = blob.find(b"\n", pos)
-        name, dtype_tag, shape_tag, off = blob[pos:nl].decode("utf-8").split(" ")
-        if dtype_tag != "f64":
-            raise IoError(f"unsupported dtype tag {dtype_tag} in {path}")
-        records.append((name, _parse_shape(shape_tag), int(off)))
+    # every ValueError below (bad UTF-8, a non-integer field, a record
+    # without four fields) is a malformed file
+    try:
+        nl = blob.find(b"\n")
+        if nl < 0 or blob[:nl].decode("utf-8") != _MAGIC:
+            raise IoError(f"bad checkpoint magic in {path}")
         pos = nl + 1
+        nl = blob.find(b"\n", pos)
+        count_line = blob[pos:nl].decode("utf-8")
+        if not count_line.startswith("ntensors "):
+            raise IoError(f"bad checkpoint header in {path}")
+        ntensors = int(count_line.split(" ", 1)[1])
+        pos = nl + 1
+        records: list[tuple[str, tuple[int, ...], int]] = []
+        for _ in range(ntensors):
+            nl = blob.find(b"\n", pos)
+            name, dtype_tag, shape_tag, off = blob[pos:nl].decode("utf-8").split(" ")
+            if dtype_tag != "f64":
+                raise IoError(f"unsupported dtype tag {dtype_tag} in {path}")
+            records.append((name, _parse_shape(shape_tag), int(off)))
+            pos = nl + 1
+    except ValueError as e:
+        raise IoError(f"malformed checkpoint manifest in {path}: {e}") from e
     if blob[pos:pos + 1] != b"\n":
         raise IoError(f"missing manifest terminator in {path}")
     payload = blob[pos + 1:]
     out: dict[str, np.ndarray] = {}
     for name, shape, off in records:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
+        if off < 0 or off + 8 * n > len(payload):
+            raise IoError(f"checkpoint payload in {path} too short for {name}")
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=off)
         out[name] = arr.astype(np.float64).reshape(shape)
     return out

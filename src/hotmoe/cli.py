@@ -22,17 +22,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import adapter_flops, count_params, exec_counters
-from .adapters import Scheme, TargetSet, attach, set_trainability
+from .accounting import adapter_flops, exec_counters
 from .checkpoint import load_checkpoint
 from .config import FullConfig, apply_overrides, load_config, write_resolved
 from .errors import ConfigError, HotmoeError, IoError, NumericalError
 from .gradcheck import finite_diff_check
 from .model import MoEModel, RoutingTrace, pretrain_base
 from . import tensor as T
-from .pipeline import (RunConfig, ablate, build_plan, clone_model,
-                       cross_task_matrix, finetune, masks_from_donor,
-                       run_end_to_end, run_warmup, write_rows_csv)
+from .pipeline import (ablate, build_plan, cross_task_matrix, finetune,
+                       lori_s_masks, run_end_to_end, run_warmup, write_rows_csv)
 from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
                        load_heatmap, load_plan, save_plan)
 from .tasks import make_task
@@ -90,6 +88,14 @@ def _target_split(full):
     return make_task(spec, full.model.max_seq)
 
 
+def _pretrain(full, out):
+    p = full.pretrain
+    return pretrain_base(full.model, full.task.specs(), p.steps, p.seed,
+                         out_dir=out, batch_size=p.batch_size, lr=p.lr,
+                         competence_acc=p.until_acc or None,
+                         check_every=p.check_every)
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -98,11 +104,7 @@ def cmd_pretrain(args) -> int:
     if args.out_dir is None:
         raise ConfigError("pretrain needs --out-dir for the checkpoint")
     out = _prep_out(args, full, applied)
-    p = full.pretrain
-    result = pretrain_base(full.model, full.task.specs(), p.steps, p.seed,
-                           out_dir=out, batch_size=p.batch_size, lr=p.lr,
-                           competence_acc=p.until_acc or None,
-                           check_every=p.check_every)
+    result = _pretrain(full, out)
     rows = [{"step": i, "loss": loss} for i, loss in enumerate(result.losses)]
     if rows:
         write_rows_csv(out / "losses.csv", rows)
@@ -126,7 +128,6 @@ def cmd_profile(args) -> int:
     if args.forward_only:
         run = replace(run, warmup_forward_only=True)
     res = run_warmup(full.model, state, train, run)
-    res.profile.check_conservation(full.model.k_route)
     if out is not None:
         export_heatmap(res.profile, out / "heatmap.csv")
     print(f"profile task={full.task.target} subset={res.subset_size} "
@@ -165,11 +166,7 @@ def cmd_finetune(args) -> int:
     evals = {s.kind: make_task(s, full.model.max_seq)[1]
              for s in full.task.specs()}
     plan = _plan_from_args(args, full)
-    masks = None
-    if full.run.scheme == "lori_s":
-        donor, _ = finetune(full.model, state, train, {}, plan,
-                            replace(full.run, scheme="lori_d"))
-        masks = masks_from_donor(donor, full.run.rho)
+    masks = lori_s_masks(full.model, state, train, plan, full.run)
     _, report = finetune(full.model, state, train, evals, plan, full.run,
                          masks=masks, out_dir=out)
     print(report.format())
@@ -182,10 +179,7 @@ def cmd_run(args) -> int:
     if args.base is not None:
         state = load_checkpoint(args.base)
     else:
-        p = full.pretrain
-        result = pretrain_base(full.model, full.task.specs(), p.steps, p.seed,
-                               out_dir=out, batch_size=p.batch_size, lr=p.lr)
-        state = result.model.registry.state_arrays()
+        state = _pretrain(full, out).model.registry.state_arrays()
     res = run_end_to_end(full.model, full.task.specs(), full.task.target,
                          state, full.run, out_dir=out)
     if out is not None and res.warmup is not None:
@@ -251,28 +245,21 @@ def cmd_flops(args) -> int:
     out = _prep_out(args, full, applied)
     state = _load_base(args, full)
     plan = _plan_from_args(args, full)
-    model = clone_model(full.model, state)
-    scheme = Scheme(full.run.scheme, full.run.rho)
-    masks = None
-    if scheme.name == "lori_s":
-        donor = clone_model(full.model, state)
-        attach(donor, full.run.target_set(), plan, Scheme("lori_d"),
-               r=full.run.rank, alpha=full.run.alpha, seed=full.run.seed)
-        masks = masks_from_donor(donor, full.run.rho)
-    attach(model, full.run.target_set(), plan, scheme, r=full.run.rank,
-           alpha=full.run.alpha, seed=full.run.seed, masks=masks)
-    set_trainability(model, scheme)
-    _, test = _target_split(full)
+    train, test = _target_split(full)
+    run = replace(full.run, epochs=0)
+    model, _ = finetune(full.model, state, train, {}, plan, run,
+                        masks=lori_s_masks(full.model, state, train, plan, run))
     traces = []
     with T.no_grad():
         for lo in range(0, len(test), full.run.batch_size):
             res = model.forward(test.tokens[lo:lo + full.run.batch_size],
                                 want_trace=True)
             traces.append(res.trace)
-    rep = adapter_flops(RoutingTrace.merge(traces), model)
+    merged = RoutingTrace.merge(traces)
+    rep = adapter_flops(merged, model)
     print(rep.format())
     if plan is not None:
-        ctr = exec_counters(RoutingTrace.merge(traces), plan)
+        ctr = exec_counters(merged, plan)
         print(f"flops hit_rate={ctr.hit_rate!r}")
     if out is not None:
         rows = [{"forward": rep.forward_flops, "train": rep.train_flops,
@@ -314,22 +301,15 @@ def cmd_report(args) -> int:
     k = full.run.plan_k
     plan = PlacementPlan(hot=[list(range(k))] * cfg.n_layers, k=k,
                          strategy="layer_hot")
+    base = MoEModel(cfg, seed=0).registry.state_arrays()
+    train, _ = _target_split(full)
     rows = []
     for scheme_name in ("lora", "lori_d", "lori_s"):
         for placement, experts, p in (("all", "all", None), (f"plan_k{k}", "plan", plan)):
-            model = MoEModel(cfg, seed=0)
-            targets = TargetSet(full.run.attention, full.run.gate, experts)
-            masks = None
-            if scheme_name == "lori_s":
-                donor = MoEModel(cfg, seed=0)
-                attach(donor, targets, p, Scheme("lori_d"), r=full.run.rank,
-                       alpha=full.run.alpha, seed=full.run.seed)
-                masks = masks_from_donor(donor, full.run.rho)
-            scheme = Scheme(scheme_name, full.run.rho)
-            attach(model, targets, p, scheme, r=full.run.rank,
-                   alpha=full.run.alpha, seed=full.run.seed, masks=masks)
-            set_trainability(model, scheme)
-            rep = count_params(model)
+            run = replace(full.run, scheme=scheme_name, experts=experts, epochs=0)
+            _, ft = finetune(cfg, base, train, {}, p, run,
+                             masks=lori_s_masks(cfg, base, train, p, run))
+            rep = ft.params
             rows.append({"scheme": scheme_name, "placement": placement,
                          "trainable": rep.trainable, "fraction": rep.fraction,
                          **{f"target_{t}": n for t, n in sorted(rep.per_target.items())}})

@@ -17,9 +17,7 @@ from pathlib import Path
 from .errors import ConfigError, IoError
 from .model import ModelConfig
 from .pipeline import RunConfig
-from .tasks import TaskSpec
-
-TASK_KINDS = ("mod_add", "transduce", "refusal")
+from .tasks import TASK_KINDS, TaskSpec
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .adapters import adapted_forward
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .optim import Adam, AdamConfig
+from .profiler import ActivationProfile, record
 from .registry import ParamRegistry
 from .tasks import (PAD, Batch, Dataset, TaskSpec, evaluate, iter_batches,
                     make_task)
@@ -329,21 +330,6 @@ def forward_backward(model: MoEModel, batch: Batch, **loss_kw) -> LossResult:
     return result
 
 
-def param_group(name: str) -> str:
-    """Coarse parameter grouping used by gradcheck reporting."""
-    if name.endswith(".adapter.A"):
-        return "adapter_A"
-    if name.endswith(".adapter.B"):
-        return "adapter_B"
-    if ".attn." in name:
-        return "attention"
-    if ".router." in name:
-        return "router"
-    if ".expert" in name or ".shared" in name:
-        return "expert"
-    return "embed_head"
-
-
 # -- pretraining ----------------------------------------------------------------
 
 
@@ -377,22 +363,17 @@ def profile_counts(model: MoEModel, dataset: Dataset,
                    batch_size: int = 64) -> tuple[np.ndarray, int]:
     """Forward-only activation counts (n_layers, n_experts) plus tokens seen.
 
-    PAD positions are excluded: padding routes to whatever the balancer
-    left room in, so counting it dilutes the task signal in proportion to
-    how ragged the task's rows are.
+    PAD positions are excluded by `record`: padding routes to whatever the
+    balancer left room in, so counting it dilutes the task signal in
+    proportion to how ragged the task's rows are.
     """
     c = model.config
-    counts = np.zeros((c.n_layers, c.n_experts), dtype=np.int64)
-    tokens_seen = 0
+    profile = ActivationProfile.empty(c.n_layers, c.n_experts)
     with T.no_grad():
         for lo in range(0, len(dataset), batch_size):
             out = model.forward(dataset.tokens[lo:lo + batch_size], want_trace=True)
-            keep = out.trace.tokens != PAD
-            for l, lt in enumerate(out.trace.layers):
-                counts[l] += np.bincount(lt.indices[keep].reshape(-1),
-                                         minlength=c.n_experts)
-            tokens_seen += int(keep.sum())
-    return counts, tokens_seen
+            record(profile, out.trace)
+    return profile.counts, profile.tokens_seen
 
 
 def pretrain_base(config: ModelConfig, mixture: list[TaskSpec], steps: int,

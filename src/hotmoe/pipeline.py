@@ -24,8 +24,7 @@ from .accounting import (FlopsReport, ParamReport, adapter_flops, count_params,
                          exec_counters)
 from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
 from .errors import ConfigError, InvariantViolation, IoError, NumericalError
-from .model import (ModelConfig, MoEModel, RoutingTrace, forward_backward,
-                    pretrain_base)
+from .model import ModelConfig, MoEModel, RoutingTrace, forward_backward
 from .optim import Adam, AdamConfig
 from .profiler import (ActivationProfile, PlacementPlan, coverage, jaccard,
                        record, save_plan, select)
@@ -245,6 +244,22 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
     return model, report
 
 
+def lori_s_masks(cfg: ModelConfig, base_state: dict[str, np.ndarray],
+                 train: Dataset, plan: PlacementPlan | None,
+                 run: RunConfig) -> dict[str, np.ndarray] | None:
+    """The B masks a lori_s run trains under; None for every other scheme.
+
+    A lori_d donor is fine-tuned with the same run settings, and the top-rho
+    magnitudes of its B tensors fix each mask. With run.epochs == 0 the
+    donor is untrained, which is enough wherever only mask sizes matter.
+    """
+    if run.scheme != "lori_s":
+        return None
+    donor, _ = finetune(cfg, base_state, train, {}, plan,
+                        replace(run, scheme="lori_d"))
+    return masks_from_donor(donor, run.rho)
+
+
 # -- orchestration ---------------------------------------------------------------
 
 
@@ -275,11 +290,7 @@ def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
         warmup = run_warmup(cfg, base_state, train, run)
         plan = build_plan(warmup.profile, run.plan_k, run.strategy,
                           seed=run.seed if run.strategy == "random" else None)
-    masks = None
-    if run.scheme == "lori_s":
-        donor_run = replace(run, scheme="lori_d")
-        donor, _ = finetune(cfg, base_state, train, {}, plan, donor_run)
-        masks = masks_from_donor(donor, run.rho)
+    masks = lori_s_masks(cfg, base_state, train, plan, run)
     model, report = finetune(cfg, base_state, train, evals, plan, run,
                              masks=masks, out_dir=out_dir)
     if out_dir is not None and plan is not None:
@@ -409,7 +420,8 @@ def _summarize(rows: list[dict]) -> list[dict]:
     return out
 
 
-def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
+def _columns(rows: list[dict]) -> list[str]:
+    """Every key of every row, in first-seen order."""
     if not rows:
         raise ConfigError("no rows to write")
     cols: list[str] = []
@@ -417,6 +429,11 @@ def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
         for key in row:
             if key not in cols:
                 cols.append(key)
+    return cols
+
+
+def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
+    cols = _columns(rows)
     try:
         with open(path, "w", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=cols, restval="")
@@ -428,13 +445,7 @@ def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
 
 
 def write_rows_markdown(path: str | Path, rows: list[dict]) -> None:
-    if not rows:
-        raise ConfigError("no rows to write")
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
+    cols = _columns(rows)
     lines = ["| " + " | ".join(cols) + " |",
              "| " + " | ".join("---" for _ in cols) + " |"]
     for row in rows:
@@ -493,13 +504,3 @@ def cross_task_matrix(cfg: ModelConfig, specs: list[TaskSpec],
         write_rows_csv(out_dir / "cross_task.csv", rows)
     return {"acc": acc, "plans": plans, "plan_jaccard": plan_j}
 
-
-# -- convenience -----------------------------------------------------------------
-
-
-def pretrain_and_state(cfg: ModelConfig, specs: list[TaskSpec], steps: int,
-                       seed: int, out_dir: str | Path | None = None,
-                       lr: float = 1e-3) -> tuple[dict[str, np.ndarray], dict]:
-    """Pretrain a base model on the mixture; return its state and profiles."""
-    result = pretrain_base(cfg, specs, steps, seed, out_dir=out_dir, lr=lr)
-    return result.model.registry.state_arrays(), result.profiles

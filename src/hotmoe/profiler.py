@@ -120,13 +120,6 @@ def select(profile: ActivationProfile, k: int, strategy: str,
     return PlacementPlan(hot=hot, k=k, strategy=strategy, seed=seed)
 
 
-# context from production-scale measurements of 10%-sample warm-up plans
-# against full-data plans; desk-scale runs land in the same regime but
-# these are documentation, not assertions
-FULL_SCALE_JACCARD_10PCT = 0.778
-FULL_SCALE_COVERAGE_10PCT = 87.5
-
-
 def jaccard(plan_a: PlacementPlan, plan_b: PlacementPlan) -> tuple[list[float], float]:
     if len(plan_a.hot) != len(plan_b.hot):
         raise ConfigError("plans cover different layer counts")
@@ -177,17 +170,21 @@ def load_heatmap(path: str | Path,
     if not path.exists():
         raise IoError(f"heatmap not found: {path}")
     cells: dict[tuple[int, int], int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _HEATMAP_HEADER:
-            raise ConfigError(f"unexpected heatmap header in {path}")
-        for row in reader:
-            cells[(int(row[0]), int(row[1]))] = int(row[2])
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != _HEATMAP_HEADER:
+                raise ConfigError(f"unexpected heatmap header in {path}")
+            for row in reader:
+                cells[(int(row[0]), int(row[1]))] = int(row[2])
+    except (ValueError, IndexError, csv.Error) as exc:
+        raise ConfigError(f"malformed heatmap row in {path}: {exc}") from exc
     if not cells:
         return ActivationProfile.empty(0, 0, source=str(path))
     n_layers = max(l for l, _ in cells) + 1
     n_experts = max(e for _, e in cells) + 1
+    if min(min(cell) for cell in cells) < 0 or len(cells) != n_layers * n_experts:
+        raise ConfigError(f"heatmap cells in {path} do not fill a layer x expert grid")
     counts = np.zeros((n_layers, n_experts), dtype=np.int64)
     for (l, e), c in cells.items():
         counts[l, e] = c
@@ -215,15 +212,16 @@ def load_plan(path: str | Path) -> PlacementPlan:
     path = Path(path)
     if not path.exists():
         raise IoError(f"plan not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise ConfigError(f"empty plan file: {path}")
-    fields = dict(part.split("=", 1) for part in lines[0].split())
     try:
+        lines = path.read_text().splitlines()
+        if not lines:
+            raise ConfigError(f"empty plan file: {path}")
+        fields = dict(part.split("=", 1) for part in lines[0].split())
         k = int(fields["k"])
         strategy = fields["strategy"]
         seed = None if fields["seed"] == "none" else int(fields["seed"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad plan header in {path}: {lines[0]!r}") from exc
-    hot = [[int(e) for e in line.split(",")] for line in lines[1:] if line.strip()]
-    return PlacementPlan(hot=hot, k=k, strategy=strategy, seed=seed)
+        hot = [[int(e) for e in line.split(",")] for line in lines[1:] if line.strip()]
+        # a row of the wrong size or with a repeated expert is a bad file here
+        return PlacementPlan(hot=hot, k=k, strategy=strategy, seed=seed)
+    except (KeyError, ValueError, InvariantViolation) as exc:
+        raise ConfigError(f"malformed plan file {path}: {exc!r}") from exc

@@ -56,11 +56,6 @@ class ParamRegistry:
     def trainable_items(self) -> Iterator[tuple[str, ParamEntry]]:
         return ((n, e) for n, e in self._entries.items() if e.trainable)
 
-    def remove(self, name: str) -> None:
-        if name not in self._entries:
-            raise InvariantViolation(f"cannot remove unknown parameter: {name}")
-        del self._entries[name]
-
     def set_trainable(self, name: str, flag: bool) -> None:
         entry = self._entries[name]
         entry.trainable = flag

@@ -20,17 +20,14 @@ disjoint by construction and verified by hashing.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
 
-VOCAB = 32
 N_DATA = 26
 SEP = 26
 REFUSE = 27
@@ -267,54 +264,3 @@ def evaluate(logits_fn: Callable[[np.ndarray], np.ndarray], dataset: Dataset,
             total += int(rows.sum())
     return hits / total if total else 0.0
 
-
-# -- CSV cache ----------------------------------------------------------------
-
-_CSV_HEADER = ["index", "tokens", "targets", "loss_mask"]
-
-
-def save_dataset_csv(path: str | Path, dataset: Dataset) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for i in range(len(dataset)):
-            writer.writerow([
-                i,
-                " ".join(map(str, dataset.tokens[i])),
-                " ".join(map(str, dataset.targets[i])),
-                " ".join(str(int(b)) for b in dataset.loss_mask[i]),
-            ])
-
-
-def load_dataset_csv(path: str | Path) -> Dataset:
-    path = Path(path)
-    tokens, targets, masks = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise ConfigError(f"unexpected dataset CSV header in {path}")
-        for row in reader:
-            tokens.append([int(x) for x in row[1].split()])
-            targets.append([int(x) for x in row[2].split()])
-            masks.append([bool(int(x)) for x in row[3].split()])
-    return Dataset(np.array(tokens, dtype=np.int64),
-                   np.array(targets, dtype=np.int64),
-                   np.array(masks, dtype=bool))
-
-
-def ensure_cached(path: str | Path, dataset: Dataset) -> Dataset:
-    """Write-once cache; on hit, verify the regeneration is bit-identical."""
-    path = Path(path)
-    if path.exists():
-        cached = load_dataset_csv(path)
-        same = (cached.tokens.tobytes() == dataset.tokens.tobytes()
-                and cached.targets.tobytes() == dataset.targets.tobytes()
-                and cached.loss_mask.tobytes() == dataset.loss_mask.tobytes())
-        if not same:
-            raise InvariantViolation(f"dataset cache at {path} diverges from regeneration")
-        return cached
-    save_dataset_csv(path, dataset)
-    return dataset

@@ -13,8 +13,7 @@ import pytest
 
 from hotmoe import tensor as T
 from hotmoe.adapters import (AdapterPair, Scheme, TargetSet, adapted_forward,
-                             attach, build_mask, detach_adapters,
-                             set_trainability)
+                             attach, build_mask, set_trainability)
 from hotmoe.errors import ConfigError, InvariantViolation
 from hotmoe.model import ModelConfig, MoEModel
 from hotmoe.profiler import PlacementPlan
@@ -171,10 +170,12 @@ class TestAttach:
         with pytest.raises(ConfigError):
             attach(model, TargetSet(True, True, "plan"), None, Scheme("lora"),
                    4, 8.0, 0)
-        bad = PlacementPlan(hot=[[0, 1, 2, 99]] * 4, k=4, strategy="layer_hot")
-        with pytest.raises(ConfigError):
-            attach(model, TargetSet(False, False, "plan"), bad, Scheme("lora"),
-                   4, 8.0, 0)
+        for index in (99, -1):
+            bad = PlacementPlan(hot=[[0, 1, 2, index]] * 4, k=4,
+                                strategy="layer_hot")
+            with pytest.raises(ConfigError):
+                attach(model, TargetSet(False, False, "plan"), bad,
+                       Scheme("lora"), 4, 8.0, 0)
 
     def test_double_attach_rejected(self):
         model = MoEModel(ModelConfig(), seed=0)
@@ -266,13 +267,3 @@ class TestZeroInitEquivalence:
             got = model.forward(tokens).logits.data.tobytes()
             assert got == want, f"zero-init drift for targets {targets}"
 
-
-class TestDetach:
-    def test_detach_restores_registry(self):
-        model = MoEModel(ModelConfig(), seed=0)
-        names_before = set(model.registry.names())
-        attach(model, TargetSet(True, True, "all"), None, Scheme("lora"), 4, 8.0, 2)
-        assert len(model.adapters) > 0
-        detach_adapters(model)
-        assert set(model.registry.names()) == names_before
-        assert model.adapters == {}

@@ -71,15 +71,20 @@ def test_plan_round_trip(base_dir, tmp_path):
     assert plan.k == 2 and plan.strategy == "layer_hot"
 
 
-def _finetune(base_dir, tmp_path, tag, extra=()):
-    prof = tmp_path / f"prof_{tag}"
+def _plan(base_dir, prof):
+    """Profile the base and select a plan into prof; returns the plan path."""
     main(["profile", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
           "--out-dir", str(prof)])
     main(["plan", "--config", CFG, "--profile", str(prof / "heatmap.csv"),
           "--out-dir", str(prof)])
+    return prof / "plan.csv"
+
+
+def _finetune(base_dir, tmp_path, tag, extra=()):
+    plan = _plan(base_dir, tmp_path / f"prof_{tag}")
     out = tmp_path / f"ft_{tag}"
     code = main(["finetune", "--config", CFG, "--base",
-                 str(base_dir / "base.ckpt"), "--plan", str(prof / "plan.csv"),
+                 str(base_dir / "base.ckpt"), "--plan", str(plan),
                  "--out-dir", str(out), *extra])
     assert code == 0
     return out
@@ -115,6 +120,18 @@ def test_run_pretrains_when_no_base(tmp_path, capsys):
     assert "task=mod_add" in outl
 
 
+def test_run_pretrains_like_pretrain(tmp_path):
+    # run without --base must honour the competence stop exactly as
+    # pretrain does; at these settings training stops at step 5 of 60
+    stop = ["--set", "pretrain.until_acc=0.01", "--set", "pretrain.check_every=5"]
+    assert main(["pretrain", "--config", CFG, *stop,
+                 "--out-dir", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", CFG, *stop, "--set", "run.epochs=1",
+                 "--out-dir", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "base.ckpt").read_bytes()
+            == (tmp_path / "b" / "base.ckpt").read_bytes())
+
+
 def test_ablate_rejects_unknown_axis(base_dir, capsys):
     code = main(["ablate", "--config", CFG, "--base",
                  str(base_dir / "base.ckpt"), "--axes", "dropout"])
@@ -134,20 +151,30 @@ def test_ablate_plan_k_axis(base_dir, tmp_path):
 
 
 def test_flops_line_and_csv(base_dir, tmp_path, capsys):
-    prof = tmp_path / "prof"
-    main(["profile", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
-          "--out-dir", str(prof)])
-    main(["plan", "--config", CFG, "--profile", str(prof / "heatmap.csv"),
-          "--out-dir", str(prof)])
+    plan = _plan(base_dir, tmp_path / "prof")
     capsys.readouterr()
     code = main(["flops", "--config", CFG, "--base",
-                 str(base_dir / "base.ckpt"), "--plan", str(prof / "plan.csv"),
+                 str(base_dir / "base.ckpt"), "--plan", str(plan),
                  "--out-dir", str(tmp_path)])
     assert code == 0
     outl = capsys.readouterr().out
     assert "forward=" in outl and "hit_rate=" in outl
     head = (tmp_path / "flops.csv").read_text().splitlines()[0]
     assert head == "forward,train,reduction_pct,expert_reduction_pct,tokens"
+
+
+def test_flops_lori_s_matches_lora(base_dir, tmp_path, capsys):
+    # adapter FLOPs do not depend on lori_s's mask
+    plan = _plan(base_dir, tmp_path / "prof")
+    printed = {}
+    for scheme in ("lora", "lori_s"):
+        capsys.readouterr()
+        assert main(["flops", "--config", CFG, "--base",
+                     str(base_dir / "base.ckpt"), "--plan", str(plan),
+                     "--set", f"run.scheme={scheme}"]) == 0
+        printed[scheme] = capsys.readouterr().out
+    assert "forward=" in printed["lora"]
+    assert printed["lori_s"] == printed["lora"]
 
 
 def test_gradcheck_passes_and_prints(capsys):
@@ -180,3 +207,24 @@ def test_missing_checkpoint_is_io_error(capsys):
     code = main(["profile", "--config", CFG, "--base", "/does/not/exist.ckpt"])
     assert code == 1
     assert "category=IoError" in capsys.readouterr().err
+
+
+def _one_error_line(err: str, category: str) -> None:
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error category={category} message=")
+
+
+def test_truncated_checkpoint_exits_1(base_dir, tmp_path, capsys):
+    bad = tmp_path / "cut.ckpt"
+    bad.write_bytes((base_dir / "base.ckpt").read_bytes()[:-100])
+    assert main(["profile", "--config", CFG, "--base", str(bad)]) == 1
+    _one_error_line(capsys.readouterr().err, "IoError")
+
+
+def test_malformed_heatmap_exits_2(tmp_path, capsys):
+    bad = tmp_path / "heatmap.csv"
+    bad.write_text("layer,expert,count,ratio\n0,0,many,0.5\n")
+    assert main(["plan", "--config", CFG, "--profile", str(bad)]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")

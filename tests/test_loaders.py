@@ -1,0 +1,141 @@
+"""Malformed artifacts map to the error taxonomy, never to a raw exception.
+
+Each loader reads bytes derived from a valid artifact by truncation, byte
+overwrites or one replaced line. It must either load them or raise its
+own error class: IoError for checkpoints, ConfigError for plans and
+heatmaps. Any other exception would escape the CLI as a traceback.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hotmoe.checkpoint import load_checkpoint, save_checkpoint
+from hotmoe.errors import ConfigError, IoError
+from hotmoe.profiler import (ActivationProfile, PlacementPlan, export_heatmap,
+                             load_heatmap, load_plan, save_plan)
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _overwrite(blob: bytes, edits) -> bytes:
+    out = bytearray(blob)
+    for pos, value in edits:
+        out[pos] = value
+    return bytes(out)
+
+
+def _replace_line(lines: list[bytes], at: int, text: str) -> bytes:
+    return b"\n".join(lines[:at] + [text.encode("utf-8")] + lines[at + 1:])
+
+
+def corrupted(blob: bytes):
+    """Strategy: blob truncated, with a few bytes overwritten, or one line replaced."""
+    lines = blob.split(b"\n")
+    positions = st.integers(0, len(blob) - 1)
+    return st.one_of(
+        positions.map(lambda i: blob[:i]),
+        st.lists(st.tuples(positions, st.integers(0, 255)), min_size=1,
+                 max_size=4).map(lambda edits: _overwrite(blob, edits)),
+        st.tuples(st.integers(0, len(lines) - 1), st.text(max_size=40)).map(
+            lambda t: _replace_line(lines, *t)),
+    )
+
+
+def _checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3),
+                           "b": np.ones(4), "s": np.array(2.5)})
+    return path
+
+
+def _plan(tmp_path):
+    path = tmp_path / "plan.csv"
+    save_plan(PlacementPlan(hot=[[0, 2], [1, 3]], k=2, strategy="layer_hot"), path)
+    return path
+
+
+def _heatmap(tmp_path):
+    path = tmp_path / "heatmap.csv"
+    export_heatmap(ActivationProfile(np.arange(8).reshape(2, 4)), path)
+    return path
+
+
+def _rewrite(path, old: bytes, new: bytes):
+    blob = path.read_bytes()
+    assert old in blob
+    path.write_bytes(blob.replace(old, new, 1))
+
+
+class TestReproducedFaults:
+    def test_checkpoint_truncated_payload(self, tmp_path):
+        path = _checkpoint(tmp_path)
+        path.write_bytes(path.read_bytes()[:-9])
+        with pytest.raises(IoError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old,new", [(b"w f64 2x3 0\n", b"w f64 2x3\n"),
+                                         (b"ntensors 3", b"ntensors two"),
+                                         (b"w f64 2x3 0", b"w f64 -1x6 0")])
+    def test_checkpoint_bad_manifest(self, tmp_path, old, new):
+        path = _checkpoint(tmp_path)
+        _rewrite(path, old, new)
+        with pytest.raises(IoError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old,new", [(b"0,2", b"0,x"),
+                                         (b"k=2", b"k2")])
+    def test_plan_bad_cell_or_header_token(self, tmp_path, old, new):
+        path = _plan(tmp_path)
+        _rewrite(path, old, new)
+        with pytest.raises(ConfigError):
+            load_plan(path)
+
+    @pytest.mark.parametrize("old,new", [(b"0,1,1,", b"0,1,one,"),
+                                         (b"0,1,1,", b"0,"),
+                                         (None, b""),
+                                         (b"1,3,7,", b"-1,3,7,"),
+                                         (b"1,3,7,", b"1000000,3,7,")])
+    def test_heatmap_malformed(self, tmp_path, old, new):
+        path = _heatmap(tmp_path)
+        if old is None:
+            path.write_bytes(new)
+        else:
+            _rewrite(path, old, new)
+        with pytest.raises(ConfigError):
+            load_heatmap(path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_checkpoint_fuzz(tmp_path, data):
+    path = _checkpoint(tmp_path)
+    path.write_bytes(data.draw(corrupted(path.read_bytes())))
+    try:
+        load_checkpoint(path)
+    except IoError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_plan_fuzz(tmp_path, data):
+    path = _plan(tmp_path)
+    path.write_bytes(data.draw(corrupted(path.read_bytes())))
+    try:
+        load_plan(path)
+    except ConfigError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_heatmap_fuzz(tmp_path, data):
+    path = _heatmap(tmp_path)
+    path.write_bytes(data.draw(corrupted(path.read_bytes())))
+    try:
+        load_heatmap(path)
+    except ConfigError:
+        pass

@@ -13,7 +13,7 @@ from hotmoe import tensor as T
 from hotmoe.errors import ConfigError, NumericalError
 from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingStats,
                           RoutingTrace, concat_datasets, forward_backward,
-                          load_balancing_loss, param_group, pretrain_base,
+                          load_balancing_loss, pretrain_base,
                           profile_counts, route_topk)
 from hotmoe.optim import Adam, AdamConfig
 from hotmoe.tasks import PAD, TaskSpec, iter_batches, make_task
@@ -337,13 +337,3 @@ class TestPretrain:
                                competence_acc=1.1, check_every=10)
         assert len(capped.losses) == 15
 
-
-class TestParamGroup:
-    def test_grouping(self):
-        assert param_group("layer0.attn.wq") == "attention"
-        assert param_group("layer2.router.w") == "router"
-        assert param_group("layer1.expert5.w_up") == "expert"
-        assert param_group("layer1.shared0.w_down") == "expert"
-        assert param_group("embed.tok") == "embed_head"
-        assert param_group("layer0.attn.wq.adapter.A") == "adapter_A"
-        assert param_group("layer3.expert2.w_up.adapter.B") == "adapter_B"

@@ -1,12 +1,11 @@
-"""Task generation, batching, greedy evaluation, and CSV cache contracts."""
+"""Task generation, batching, and greedy evaluation contracts."""
 
 import numpy as np
 import pytest
 
-from hotmoe.errors import ConfigError, InvariantViolation
-from hotmoe.tasks import (PAD, REFUSE, SEP, Dataset, TaskSpec, ensure_cached,
-                          evaluate, iter_batches, load_dataset_csv, make_task,
-                          n_steps, save_dataset_csv, subset)
+from hotmoe.errors import ConfigError
+from hotmoe.tasks import (PAD, REFUSE, SEP, Dataset, TaskSpec, evaluate,
+                          iter_batches, make_task, n_steps, subset)
 
 
 def row_tokens(ds, i):
@@ -192,28 +191,3 @@ class TestEvaluate:
         shuffled = Dataset(test.tokens[perm], test.targets[perm], test.loss_mask[perm])
         assert evaluate(pure_logits, test) == evaluate(pure_logits, shuffled)
 
-
-class TestCsvCache:
-    def test_round_trip_bit_identical(self, tmp_path):
-        train, _ = make_task(TaskSpec("refusal", seed=6, train_size=30, test_size=10))
-        path = tmp_path / "train.csv"
-        save_dataset_csv(path, train)
-        loaded = load_dataset_csv(path)
-        assert loaded.tokens.tobytes() == train.tokens.tobytes()
-        assert loaded.targets.tobytes() == train.targets.tobytes()
-        assert loaded.loss_mask.tobytes() == train.loss_mask.tobytes()
-
-    def test_cache_hit_validates(self, tmp_path):
-        train, _ = make_task(TaskSpec("mod_add", seed=7, train_size=20, test_size=5))
-        path = tmp_path / "c.csv"
-        ensure_cached(path, train)
-        ensure_cached(path, train)  # second call verifies, no error
-        other, _ = make_task(TaskSpec("mod_add", seed=8, train_size=20, test_size=5))
-        with pytest.raises(InvariantViolation):
-            ensure_cached(path, other)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("wrong,header\n1,2\n")
-        with pytest.raises(ConfigError):
-            load_dataset_csv(path)
