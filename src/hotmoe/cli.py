@@ -197,6 +197,13 @@ AXIS_DEFAULTS = {
 
 
 def cmd_ablate(args) -> int:
+    seeds = None
+    if args.seeds:
+        try:
+            seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"--seeds expects a comma list of integers, "
+                              f"got {args.seeds!r}") from e
     full, applied = _load_full(args)
     out = _prep_out(args, full, applied)
     state = _load_base(args, full)
@@ -215,7 +222,6 @@ def cmd_ablate(args) -> int:
             axes[name] = ks
         else:
             axes[name] = AXIS_DEFAULTS[name]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     rows = ablate(full.model, full.task.specs(), full.task.target, state,
                   full.run, axes=axes, seeds=seeds, out_dir=out)
     n_summary = sum(1 for r in rows if r["seed"] == "summary")
@@ -397,7 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except HotmoeError as e:
-        print(f"error category={type(e).__name__} message={e}", file=sys.stderr)
+        message = " ".join(str(e).splitlines())
+        print(f"error category={type(e).__name__} message={message}",
+              file=sys.stderr)
         return EXIT_CODES.get(type(e).__name__, 1)
 
 

@@ -145,6 +145,17 @@ def load_balancing_loss(stats: RoutingStats, mode: str) -> Tensor:
 
 
 @dataclass
+class KVCache:
+    """Attention keys and values of the positions a no-grad forward consumed.
+
+    `kv[layer]` holds that layer's (keys, values), each (B, H, length, hd).
+    The arrays sit outside the tape, so only gradient-free forwards use it.
+    """
+    kv: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    length: int = 0
+
+
+@dataclass
 class ForwardResult:
     logits: Tensor
     stats: RoutingStats
@@ -203,17 +214,18 @@ class MoEModel:
             return x @ W
         return adapted_forward(x, W, pair)
 
-    def _causal_bias(self, s: int) -> Tensor:
-        if s not in self._causal:
-            bias = np.triu(np.full((s, s), -1e9), k=1)
-            self._causal[s] = Tensor(bias)
-        return self._causal[s]
+    def _causal_bias(self, s: int, start: int) -> Tensor:
+        """(s, start + s) bias for queries at positions start..start+s-1."""
+        if (s, start) not in self._causal:
+            bias = np.triu(np.full((s, start + s), -1e9), k=start + 1)
+            self._causal[(s, start)] = Tensor(bias)
+        return self._causal[(s, start)]
 
     def _expert(self, layer: int, tag: str, x: Tensor) -> Tensor:
         h = T.gelu(self._proj(f"layer{layer}.{tag}.w_up", x))
         return self._proj(f"layer{layer}.{tag}.w_down", h)
 
-    def _attention(self, layer: int, x: Tensor) -> Tensor:
+    def _attention(self, layer: int, x: Tensor, cache: KVCache | None) -> Tensor:
         c = self.config
         bsz, s, _ = x.shape
         hd = c.d_model // c.n_heads
@@ -222,8 +234,16 @@ class MoEModel:
         q = split(self._proj(f"layer{layer}.attn.wq", x))
         k = split(self._proj(f"layer{layer}.attn.wk", x))
         v = split(self._proj(f"layer{layer}.attn.wv", x))
+        start = 0
+        if cache is not None:
+            start = cache.length
+            if start:
+                k_old, v_old = cache.kv[layer]
+                k = Tensor(np.concatenate([k_old, k.data], axis=2))
+                v = Tensor(np.concatenate([v_old, v.data], axis=2))
+            cache.kv[layer] = (k.data, v.data)
         scores = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(hd))
-        scores = scores + self._causal_bias(s)
+        scores = scores + self._causal_bias(s, start)
         att = T.softmax(scores, axis=-1)
         out = T.reshape(T.swapaxes(att @ v, 1, 2), (bsz, s, c.d_model))
         return self._proj(f"layer{layer}.attn.wo", out)
@@ -260,21 +280,31 @@ class MoEModel:
     # -- public surface -----------------------------------------------------
 
     def forward(self, tokens: np.ndarray, want_trace: bool = False,
-                payload: bool = False) -> ForwardResult:
+                payload: bool = False, cache: KVCache | None = None) -> ForwardResult:
+        """Logits for `tokens` (B, S); with a cache, they are positions
+        cache.length.. of sequences whose earlier positions the cache holds,
+        and the cache takes them in. Stats and trace cover `tokens` only."""
         c = self.config
         tokens = np.asarray(tokens)
         bsz, s = tokens.shape
-        if s > c.max_seq:
-            raise ConfigError(f"sequence length {s} > max_seq {c.max_seq}")
+        start = 0
+        if cache is not None:
+            if T.grad_enabled():
+                raise InvariantViolation("a KV cache is outside the tape; "
+                                         "forward with a cache needs no_grad")
+            start = cache.length
+        if start + s > c.max_seq:
+            raise ConfigError(f"sequence length {start + s} > max_seq {c.max_seq}")
         tok = T.gather_rows(self.registry["embed.tok"].tensor, tokens.reshape(-1))
-        pos = T.gather_rows(self.registry["embed.pos"].tensor, np.arange(s))
+        pos = T.gather_rows(self.registry["embed.pos"].tensor,
+                            np.arange(start, start + s))
         x = T.reshape(tok, (bsz, s, c.d_model)) + pos
         fs, ps = [], []
         trace = RoutingTrace(c.n_experts, c.k_route) if want_trace else None
         if trace is not None:
             trace.tokens = tokens.reshape(-1).copy()
         for layer in range(c.n_layers):
-            x = x + self._attention(layer, rmsnorm(x))
+            x = x + self._attention(layer, rmsnorm(x), cache)
             y, f_l, p_l, lt = self._moe(layer, rmsnorm(x), payload)
             x = x + y
             fs.append(f_l)
@@ -282,6 +312,8 @@ class MoEModel:
             if trace is not None:
                 trace.layers.append(lt)
         logits = rmsnorm(x) @ self.registry["head.w"].tensor
+        if cache is not None:
+            cache.length = start + s
         stats = RoutingStats(f=np.stack(fs), P=ps, n_experts=c.n_experts)
         return ForwardResult(logits=logits, stats=stats, trace=trace)
 
@@ -311,10 +343,34 @@ class MoEModel:
         return LossResult(loss=loss, ce=ce.item(), lb=lb_value, trace=out.trace)
 
     def logits_fn(self):
-        """Gradient-free (B,S)->(B,S,V) callable for task evaluation."""
+        """Gradient-free (B,S)->(B,S,V) callable for greedy decoding.
+
+        The callable keeps one KV cache. When the leading columns of
+        `tokens` equal the tokens it has consumed (same row count), it
+        forwards only the new columns; otherwise it starts a fresh cache.
+        So a decode that grows a causal prefix one column at a time
+        forwards each position once. The callable is valid only while the
+        weights do not change: cached keys, values and logits stay as the
+        weights were when they were computed.
+        """
+        cache = seen = logits = None
+
         def fn(tokens: np.ndarray) -> np.ndarray:
+            nonlocal cache, seen, logits
+            tokens = np.asarray(tokens)
+            # a forward that raises leaves the cache half-extended: drop it
+            prev, seen = seen, None
             with T.no_grad():
-                return self.forward(tokens).logits.data
+                if (prev is not None and tokens.shape[0] == prev.shape[0]
+                        and tokens.shape[1] > prev.shape[1]
+                        and np.array_equal(tokens[:, :prev.shape[1]], prev)):
+                    new = self.forward(tokens[:, prev.shape[1]:], cache=cache)
+                    logits = np.concatenate([logits, new.logits.data], axis=1)
+                else:
+                    cache = KVCache()
+                    logits = self.forward(tokens, cache=cache).logits.data
+            seen = tokens.copy()
+            return logits
         return fn
 
     def save(self, path: str | Path) -> Path:

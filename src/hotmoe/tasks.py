@@ -56,6 +56,9 @@ class TaskSpec:
             raise ConfigError(f"unknown task kind: {self.kind}")
         if not 2 <= self.modulus <= N_DATA:
             raise ConfigError(f"modulus out of range: {self.modulus}")
+        if self.train_size < 1 or self.test_size < 1:
+            raise ConfigError(f"train_size {self.train_size} and test_size "
+                              f"{self.test_size} must both be >= 1")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("bad prompt length range")
         if self.alphabet is not None:
@@ -244,7 +247,10 @@ def evaluate(logits_fn: Callable[[np.ndarray], np.ndarray], dataset: Dataset,
     logits_fn maps a token matrix (B, S) to logits (B, S, V). Answer
     positions are blanked to PAD before decoding so the model cannot see
     ground truth; each decoded token is written back so later answer
-    positions condition on earlier predictions.
+    positions condition on earlier predictions. To score column t,
+    logits_fn gets only the causal prefix (columns 0..t), which grows by
+    one column per step, so a KV-cached logits_fn (MoEModel.logits_fn)
+    forwards each position once.
     """
     total, hits = 0, 0
     for lo in range(0, len(dataset), batch_size):
@@ -257,7 +263,7 @@ def evaluate(logits_fn: Callable[[np.ndarray], np.ndarray], dataset: Dataset,
             work[mask[:, t], t + 1] = PAD
         for t in answer_cols:
             rows = mask[:, t]
-            logits = logits_fn(work)
+            logits = logits_fn(work[:, :t + 1])
             pred = logits[rows, t, :].argmax(axis=-1)
             work[rows, t + 1] = pred
             hits += int((pred == targets[rows, t]).sum())

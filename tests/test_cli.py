@@ -228,3 +228,25 @@ def test_malformed_heatmap_exits_2(tmp_path, capsys):
     bad.write_text("layer,expert,count,ratio\n0,0,many,0.5\n")
     assert main(["plan", "--config", CFG, "--profile", str(bad)]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+def test_ablate_bad_seeds_exits_2(base_dir, capsys):
+    code = main(["ablate", "--config", CFG, "--base",
+                 str(base_dir / "base.ckpt"), "--axes", "strategy",
+                 "--seeds", "1,x"])
+    assert code == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+def test_empty_train_split_exits_2(capsys):
+    code = main(["report", "--config", CFG, "--set", "task.train_size=0"])
+    assert code == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+def test_multiline_error_message_folds_to_one_line(tmp_path, capsys):
+    # configparser's "no section headers" text spans several lines
+    plan = tmp_path / "plan.csv"
+    plan.write_text("layer,experts\n0,1\n")
+    assert main(["report", "--config", str(plan)]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")

@@ -76,6 +76,12 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             TaskSpec("mystery")
 
+    def test_empty_split_rejected(self):
+        # an empty split would reach _pack's max() over zero rows
+        for sizes in ({"train_size": 0}, {"test_size": 0}, {"train_size": -3}):
+            with pytest.raises(ConfigError):
+                TaskSpec("mod_add", **sizes)
+
     def test_targets_pad_off_mask(self):
         train, _ = make_task(TaskSpec("mod_add", seed=0, train_size=20, test_size=5))
         assert (train.targets[~train.loss_mask] == PAD).all()
@@ -141,11 +147,15 @@ class TestEvaluate:
             return row[:list(row).index(SEP) + 1].tobytes()
 
         lookup = {prompt_key(test.tokens[i]): i for i in range(len(test))}
-        # keyed answer sheet: emit one-hot of the true target at every position
+        # keyed answer sheet: emit one-hot of the true target at every position.
+        # evaluate passes causal prefixes; a row whose prefix has no SEP yet
+        # is not scored at this column, so it gets no answer.
 
         def oracle_logits(tokens):
             out = np.zeros((tokens.shape[0], tokens.shape[1], 32))
             for b in range(tokens.shape[0]):
+                if SEP not in tokens[b]:
+                    continue
                 i = lookup[prompt_key(tokens[b])]
                 for t in range(tokens.shape[1]):
                     out[b, t, test.targets[i, t]] = 10.0

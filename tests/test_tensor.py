@@ -190,6 +190,17 @@ class TestIndexing:
         out = T.index_add_rows(T.Tensor(base), np.array([1, 1]), T.Tensor(add))
         np.testing.assert_array_equal(out.data[1], [2.0, 2.0])
 
+    def test_index_add_increasing_rows_matches_add_at(self):
+        # the MoE dispatch's rows come from np.where: strictly increasing
+        idx = np.array([0, 2, 3, 6])
+        a, b = rand(7, 3), rand(4, 3)
+        expected = a.copy()
+        np.add.at(expected, idx, b)
+        out = T.index_add_rows(T.Tensor(a), idx, T.Tensor(b))
+        assert out.data.tobytes() == expected.tobytes()
+        w = rand(7, 3)
+        check_op(lambda x, y: T.tsum(T.index_add_rows(x, idx, y) * w), [a, b])
+
 
 class TestTapeMechanics:
     def test_grad_accumulates_across_uses(self):
