@@ -58,7 +58,7 @@ class AdapterPair:
     alpha: float
     mask: np.ndarray | None = None  # bool r x d_out, fixed for the pair's lifetime
     a_frozen: bool = False
-    _mask_f: Tensor | None = field(default=None, repr=False)
+    mask_f: Tensor | None = field(default=None, repr=False)  # mask as 0/1 floats
 
     def __post_init__(self):
         d_in, d_out = self.A.shape[0], self.B.shape[1]
@@ -78,12 +78,12 @@ class AdapterPair:
         if mask.dtype != np.bool_ or mask.shape != self.B.shape:
             raise InvariantViolation("adapter mask must be bool with B's shape")
         self.mask = mask
-        self._mask_f = Tensor(mask.astype(np.float64))
+        self.mask_f = Tensor(mask.astype(np.float64))
 
 
 def adapted_forward(x: Tensor, W: Tensor, pair: AdapterPair) -> Tensor:
     base = x @ W
-    b_eff = pair.B if pair._mask_f is None else pair.B * pair._mask_f
+    b_eff = pair.B if pair.mask_f is None else pair.B * pair.mask_f
     return base + ((x @ pair.A) @ b_eff) * pair.scale
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ConfigError, IoError
 from .model import ModelConfig
 from .pipeline import RunConfig
-from .tasks import TASK_KINDS, TaskSpec
+from .tasks import PAD, TASK_KINDS, TaskSpec
 
 
 @dataclass
@@ -88,6 +88,12 @@ class FullConfig:
     task: TaskConfig = field(default_factory=TaskConfig)
     run: RunConfig = field(default_factory=RunConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+
+    def __post_init__(self):
+        # the tasks emit token ids 0..PAD, and the embedding has vocab rows
+        if self.model.vocab <= PAD:
+            raise ConfigError(f"[model] vocab {self.model.vocab} is smaller than "
+                              f"the {PAD + 1} task tokens (ids 0..{PAD})")
 
 
 _SECTIONS = {

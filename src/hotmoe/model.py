@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .adapters import adapted_forward
+from .adapters import AdapterPair, adapted_forward
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, InvariantViolation, NumericalError
 from .optim import Adam, AdamConfig
@@ -48,6 +48,12 @@ class ModelConfig:
     lb_weight: float = 0.01
 
     def __post_init__(self):
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "n_experts",
+                     "vocab", "max_seq"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_shared < 0:
+            raise ConfigError(f"n_shared must be >= 0, got {self.n_shared}")
         if not 1 <= self.k_route <= self.n_experts:
             raise ConfigError(
                 f"k_route {self.k_route} out of [1, n_experts={self.n_experts}]")
@@ -178,6 +184,136 @@ def rmsnorm(x: Tensor) -> Tensor:
     return x * scale
 
 
+# One routed expert: (w_up, w_down, adapter on w_up or None, adapter on w_down or None).
+Expert = tuple[Tensor, Tensor, AdapterPair | None, AdapterPair | None]
+
+
+def _b_eff(pair: AdapterPair) -> np.ndarray:
+    return pair.B.data if pair.mask_f is None else pair.B.data * pair.mask_f.data
+
+
+def _project(inp: np.ndarray, W: Tensor,
+             pair: AdapterPair | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """inp @ W plus the adapter term in adapted_forward's order, and inp @ A."""
+    out = inp @ W.data
+    if pair is None:
+        return out, None
+    xa = inp @ pair.A.data
+    return out + (xa @ _b_eff(pair)) * pair.scale, xa
+
+
+def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
+                   pair: AdapterPair | None, xa: np.ndarray | None,
+                   want_in: bool, grads: dict[int, np.ndarray]) -> np.ndarray | None:
+    """Backward of _project: put the gradients of W, A and B that require
+    one into grads (B's times the mask) and return inp's gradient (None
+    unless want_in), the base term first and the adapter term added to
+    it, as the tape accumulated them."""
+    if W.requires_grad:
+        grads[id(W)] = inp.swapaxes(-1, -2) @ g_out
+    g_in = g_out @ W.data.swapaxes(-1, -2) if want_in else None
+    if pair is None:
+        return g_in
+    g_t = g_out * pair.scale
+    if pair.B.requires_grad:
+        g_b = xa.swapaxes(-1, -2) @ g_t
+        grads[id(pair.B)] = g_b if pair.mask_f is None else g_b * pair.mask_f.data
+    if want_in or pair.A.requires_grad:
+        g_xa = g_t @ _b_eff(pair).swapaxes(-1, -2)
+        if pair.A.requires_grad:
+            grads[id(pair.A)] = inp.swapaxes(-1, -2) @ g_xa
+        if want_in:
+            g_in += g_xa @ pair.A.data.swapaxes(-1, -2)
+    return g_in
+
+
+def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
+                   experts: list[Expert]) -> Tensor:
+    """Grouped, dropless top-k expert bank as one tape node.
+
+    y[t] = sum over slots j of mix_w[t, j] * E_{idx[t, j]}(x[t]) for x
+    (tokens, d), with E_e(x) = gelu(x W_up) W_down and each projection
+    adapted as in adapted_forward where the expert has an adapter. Token
+    slots are sorted by expert once (stable, so an expert's rows keep
+    ascending order) and each expert runs on its contiguous block; gelu
+    runs once over all blocks. Every operation and every accumulation
+    runs in the order of the per-expert tape graph this node replaces
+    (gather, adapted projections, gelu, weighted index-add in expert
+    order), so outputs and gradients are bitwise equal to it. The
+    backward computes every parent's gradient in one pass and skips the
+    weight gradients of tensors that do not require grad; an expert
+    without tokens is no parent at all.
+    """
+    n_tok, k = idx.shape
+    flat = idx.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(experts)))])
+    rows = order // k
+    blocks = {e: slice(bounds[e], bounds[e + 1])
+              for e in range(len(experts)) if bounds[e + 1] > bounds[e]}
+    xs = x.data[rows]
+    ws = mix_w.data.reshape(-1)[order][:, None]
+    pre = np.empty((rows.size, experts[0][0].shape[1]))
+    he = np.empty_like(xs)
+    xa: dict[tuple[int, str], np.ndarray | None] = {}
+    for e, b in blocks.items():
+        pre[b], xa[e, "up"] = _project(xs[b], experts[e][0], experts[e][2])
+    cdf = T.normal_cdf(pre)
+    h = pre * cdf
+    for e, b in blocks.items():
+        he[b], xa[e, "down"] = _project(h[b], experts[e][1], experts[e][3])
+    y = np.zeros_like(x.data)
+    for e, b in blocks.items():
+        y[rows[b]] += he[b] * ws[b]
+    if not T.grad_enabled():
+        return Tensor(y)
+
+    def backward(g: np.ndarray) -> dict[int, np.ndarray]:
+        grads: dict[int, np.ndarray] = {}
+        gs = g[rows]
+        if mix_w.requires_grad:
+            gw = np.zeros(flat.size)
+            gw[order] = (gs * he).sum(axis=1)
+            grads[id(mix_w)] = gw.reshape(n_tok, k)
+        gs *= ws
+        g_pre = np.empty_like(h)   # the gelu output's gradient, then pre's in place
+        for e, b in blocks.items():
+            g_pre[b] = _project_grads(gs[b], h[b], experts[e][1], experts[e][3],
+                                      xa[e, "down"], True, grads)
+        # g_h * (cdf + pre * pdf), with the gelu pdf computed only here
+        slope = T.normal_pdf(pre)
+        slope *= pre
+        slope += cdf
+        g_pre *= slope
+        g_x = np.zeros_like(x.data) if x.requires_grad else None
+        for e, b in blocks.items():
+            g_in = _project_grads(g_pre[b], xs[b], experts[e][0], experts[e][2],
+                                  xa[e, "up"], g_x is not None, grads)
+            if g_x is not None:
+                g_x[rows[b]] += g_in
+        if g_x is not None:
+            grads[id(x)] = g_x
+        return grads
+
+    state: dict = {}
+
+    def part(t: Tensor):
+        def fn(g: np.ndarray) -> np.ndarray:
+            # the tape hands every parent the same g: compute all once
+            if state.get("g") is not g or id(t) not in state["grads"]:
+                state["g"], state["grads"] = g, backward(g)
+            return state["grads"].pop(id(t))
+        return (t, fn)
+
+    params = [x, mix_w]
+    for e in blocks:
+        w_up, w_down, a_up, a_down = experts[e]
+        params += [w_up, w_down]
+        params += [t for pair in (a_up, a_down) if pair is not None
+                   for t in (pair.A, pair.B)]
+    return T._make(y, [part(t) for t in params])
+
+
 class MoEModel:
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
@@ -257,15 +393,12 @@ class MoEModel:
         idx, _ = route_topk(logits.data, c.k_route)
         sel_logits = T.take_along_last(logits, idx)
         mix_w = T.softmax(sel_logits, axis=-1)
-        yf = T.zeros((n_tok, d))
+        experts = []
         for e in range(c.n_experts):
-            rows, slots = np.where(idx == e)
-            if rows.size == 0:
-                continue
-            xe = T.gather_rows(xf, rows)
-            he = self._expert(layer, f"expert{e}", xe)
-            we = T.reshape(T.gather_pairs(mix_w, rows, slots), (rows.size, 1))
-            yf = T.index_add_rows(yf, rows, he * we)
+            up, down = f"layer{layer}.expert{e}.w_up", f"layer{layer}.expert{e}.w_down"
+            experts.append((self.registry[up].tensor, self.registry[down].tensor,
+                            self.adapters.get(up), self.adapters.get(down)))
+        yf = routed_experts(xf, mix_w, idx, experts)
         for j in range(c.n_shared):
             yf = yf + self._expert(layer, f"shared{j}", xf)
         counts = np.bincount(idx.reshape(-1), minlength=c.n_experts)

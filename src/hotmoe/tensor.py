@@ -213,12 +213,32 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), [(a, lambda g: g / a.data)])
 
 
+def normal_cdf(x: Array) -> Array:
+    """0.5 * (1 + erf(x / sqrt(2))), computed in place in one buffer."""
+    out = np.asarray(x / np.sqrt(2.0))   # a 0-d input gives a scalar
+    _special.erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def normal_pdf(x: Array) -> Array:
+    """exp(-0.5 * x * x) / sqrt(2 pi), computed in place in one buffer."""
+    out = np.asarray(-0.5 * x)
+    out *= x
+    np.exp(out, out=out)
+    out /= np.sqrt(2.0 * np.pi)
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit: x * Phi(x)."""
+    """Exact Gaussian-error-linear unit: x * Phi(x).
+
+    The pdf is needed only by the gradient, so a no-grad forward skips it.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + _special.erf(x / np.sqrt(2.0)))
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return _make(x * cdf, [(a, lambda g: g * (cdf + x * pdf))])
+    cdf = normal_cdf(x)
+    return _make(x * cdf, [(a, lambda g: g * (cdf + x * normal_pdf(x)))])
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -347,22 +367,14 @@ def index_add_rows(a: Tensor, idx: Array, b: Tensor) -> Tensor:
     """out = a with b's rows added at positions idx (duplicates accumulate)."""
     idx = np.asarray(idx)
     out = a.data.copy()
-    if idx.ndim == 1 and (np.diff(idx) > 0).all():
-        # each row gets exactly one add, so buffered += equals np.add.at bitwise
-        out[idx] += b.data
-    else:
-        np.add.at(out, idx, b.data)
+    np.add.at(out, idx, b.data)
     return _make(out, [
         (a, lambda g: g),
         (b, lambda g: g[idx]),
     ])
 
 
-# -- construction helpers -----------------------------------------------------
-
-
-def zeros(shape: tuple[int, ...], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+# -- checks -------------------------------------------------------------------
 
 
 def check_finite(t: Tensor, context: str) -> Tensor:

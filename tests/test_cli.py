@@ -250,3 +250,18 @@ def test_multiline_error_message_folds_to_one_line(tmp_path, capsys):
     plan.write_text("layer,experts\n0,1\n")
     assert main(["report", "--config", str(plan)]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+def test_zero_heads_exits_2(capsys):
+    code = main(["report", "--config", CFG, "--set", "model.n_heads=0"])
+    assert code == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+@pytest.mark.parametrize("cmd", ["report", "pretrain"])
+def test_vocab_below_task_tokens_exits_2(cmd, tmp_path, capsys):
+    args = [cmd, "--config", CFG, "--set", "model.vocab=5"]
+    if cmd == "pretrain":
+        args += ["--set", "pretrain.steps=1", "--out-dir", str(tmp_path)]
+    assert main(args) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")

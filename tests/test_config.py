@@ -126,3 +126,25 @@ def test_pretrain_validation():
         PretrainConfig(steps=-1)
     with pytest.raises(ConfigError):
         PretrainConfig(lr=0.0)
+
+
+@pytest.mark.parametrize("key", ["n_layers", "d_model", "n_heads", "d_ff",
+                                 "n_experts", "vocab", "max_seq"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_model_size_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(FullConfig(), {f"model.{key}": value})
+
+
+def test_negative_shared_experts_rejected():
+    with pytest.raises(ConfigError, match="n_shared"):
+        apply_overrides(FullConfig(), {"model.n_shared": "-1"})
+
+
+def test_vocab_must_cover_task_tokens(tmp_path):
+    with pytest.raises(ConfigError, match="vocab"):
+        apply_overrides(FullConfig(), {"model.vocab": "31"})
+    with pytest.raises(ConfigError, match="vocab"):
+        load_config(write(tmp_path, "[model]\nvocab = 5\n"))
+    full, _ = apply_overrides(FullConfig(), {"model.vocab": "32"})
+    assert full.model.vocab == 32

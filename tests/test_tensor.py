@@ -92,6 +92,24 @@ class TestElementwise:
         ref = x * 0.5 * (1.0 + erf(x / np.sqrt(2)))
         np.testing.assert_array_equal(out, ref)
 
+    def test_gelu_pdf_only_in_backward(self, monkeypatch):
+        from scipy.special import erf
+        calls = []
+        pdf = T.normal_pdf
+        monkeypatch.setattr(T, "normal_pdf", lambda x: calls.append(1) or pdf(x))
+        x = rand(6, 7)
+        with T.no_grad():
+            T.gelu(T.Tensor(x))
+        assert calls == []
+        a = T.Tensor(x, requires_grad=True)
+        g = rand(6, 7)
+        T.tsum(T.gelu(a) * T.Tensor(g)).backward()
+        assert calls == [1]
+        # the expression the eager version used, bitwise
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        eager_pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        assert a.grad.tobytes() == (g * (cdf + x * eager_pdf)).tobytes()
+
 
 class TestShapes:
     def test_reshape(self):
@@ -191,7 +209,7 @@ class TestIndexing:
         np.testing.assert_array_equal(out.data[1], [2.0, 2.0])
 
     def test_index_add_increasing_rows_matches_add_at(self):
-        # the MoE dispatch's rows come from np.where: strictly increasing
+        # one add per row: the result is np.add.at's, bitwise
         idx = np.array([0, 2, 3, 6])
         a, b = rand(7, 3), rand(4, 3)
         expected = a.copy()
