@@ -175,6 +175,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_run(args) -> int:
     full, applied = _load_full(args)
+    full.run.validate(full.model)   # before a pretrain that could take minutes
     out = _prep_out(args, full, applied)
     if args.base is not None:
         state = load_checkpoint(args.base)
@@ -204,6 +205,8 @@ def cmd_ablate(args) -> int:
         except ValueError as e:
             raise ConfigError(f"--seeds expects a comma list of integers, "
                               f"got {args.seeds!r}") from e
+        if any(s < 0 for s in seeds):
+            raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
     full, applied = _load_full(args)
     out = _prep_out(args, full, applied)
     state = _load_base(args, full)
@@ -302,6 +305,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     """Closed-form parameter table for every scheme x placement combination."""
     full, applied = _load_full(args)
+    full.run.validate(full.model)
     out = _prep_out(args, full, applied)
     cfg = full.model
     k = full.run.plan_k

@@ -39,6 +39,8 @@ class TaskConfig:
             raise ConfigError("task mixture is empty")
         if self.target not in self.mixture:
             raise ConfigError(f"target task {self.target} not in mixture")
+        if self.seed < 0:
+            raise ConfigError(f"task seed must be >= 0: {self.seed}")
 
     def _sizes(self, kind: str) -> tuple[int, int]:
         if kind != "mod_add":
@@ -80,6 +82,8 @@ class PretrainConfig:
             raise ConfigError(f"until_acc out of [0, 1): {self.until_acc}")
         if self.check_every < 1:
             raise ConfigError(f"check_every must be >= 1: {self.check_every}")
+        if self.seed < 0:
+            raise ConfigError(f"pretrain seed must be >= 0: {self.seed}")
 
 
 @dataclass

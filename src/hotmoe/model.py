@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -204,27 +205,45 @@ def _project(inp: np.ndarray, W: Tensor,
 
 def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
                    pair: AdapterPair | None, xa: np.ndarray | None,
-                   want_in: bool, grads: dict[int, np.ndarray]) -> np.ndarray | None:
+                   g_in: np.ndarray | None, grads: dict[int, np.ndarray]) -> None:
     """Backward of _project: put the gradients of W, A and B that require
-    one into grads (B's times the mask) and return inp's gradient (None
-    unless want_in), the base term first and the adapter term added to
-    it, as the tape accumulated them."""
+    one into grads (B's times the mask) and add inp's gradient into g_in
+    unless it is None, the base term first and the adapter term second, as
+    the tape accumulated them. A weight's gradient from a batched inp is
+    summed over the batch axes, as matmul's backward does."""
     if W.requires_grad:
-        grads[id(W)] = inp.swapaxes(-1, -2) @ g_out
-    g_in = g_out @ W.data.swapaxes(-1, -2) if want_in else None
+        grads[id(W)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_out, W.shape)
+    if g_in is not None:
+        g_in += g_out @ W.data.swapaxes(-1, -2)
     if pair is None:
-        return g_in
+        return
     g_t = g_out * pair.scale
     if pair.B.requires_grad:
-        g_b = xa.swapaxes(-1, -2) @ g_t
+        g_b = T._unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
         grads[id(pair.B)] = g_b if pair.mask_f is None else g_b * pair.mask_f.data
-    if want_in or pair.A.requires_grad:
+    if g_in is not None or pair.A.requires_grad:
         g_xa = g_t @ _b_eff(pair).swapaxes(-1, -2)
         if pair.A.requires_grad:
-            grads[id(pair.A)] = inp.swapaxes(-1, -2) @ g_xa
-        if want_in:
+            grads[id(pair.A)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape)
+        if g_in is not None:
             g_in += g_xa @ pair.A.data.swapaxes(-1, -2)
-    return g_in
+
+
+def _one_node(out: np.ndarray, params: list[Tensor],
+              backward: Callable[[np.ndarray], dict[int, np.ndarray]]) -> Tensor:
+    """A tape node over params whose backward(g) returns every gradient
+    at once, keyed by id(param)."""
+    state: dict = {}
+
+    def part(t: Tensor):
+        def fn(g: np.ndarray) -> np.ndarray:
+            # the tape hands every parent the same g: compute all once
+            if state.get("g") is not g or id(t) not in state["grads"]:
+                state["g"], state["grads"] = g, backward(g)
+            return state["grads"].pop(id(t))
+        return (t, fn)
+
+    return T._make(out, [part(t) for t in params])
 
 
 def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
@@ -276,34 +295,25 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
             gw[order] = (gs * he).sum(axis=1)
             grads[id(mix_w)] = gw.reshape(n_tok, k)
         gs *= ws
-        g_pre = np.empty_like(h)   # the gelu output's gradient, then pre's in place
+        g_pre = np.zeros_like(h)   # the gelu output's gradient, then pre's in place
         for e, b in blocks.items():
-            g_pre[b] = _project_grads(gs[b], h[b], experts[e][1], experts[e][3],
-                                      xa[e, "down"], True, grads)
+            _project_grads(gs[b], h[b], experts[e][1], experts[e][3],
+                           xa[e, "down"], g_pre[b], grads)
         # g_h * (cdf + pre * pdf), with the gelu pdf computed only here
         slope = T.normal_pdf(pre)
         slope *= pre
         slope += cdf
         g_pre *= slope
         g_x = np.zeros_like(x.data) if x.requires_grad else None
+        g_xs = np.zeros_like(xs) if x.requires_grad else None
         for e, b in blocks.items():
-            g_in = _project_grads(g_pre[b], xs[b], experts[e][0], experts[e][2],
-                                  xa[e, "up"], g_x is not None, grads)
+            _project_grads(g_pre[b], xs[b], experts[e][0], experts[e][2],
+                           xa[e, "up"], None if g_xs is None else g_xs[b], grads)
             if g_x is not None:
-                g_x[rows[b]] += g_in
+                g_x[rows[b]] += g_xs[b]
         if g_x is not None:
             grads[id(x)] = g_x
         return grads
-
-    state: dict = {}
-
-    def part(t: Tensor):
-        def fn(g: np.ndarray) -> np.ndarray:
-            # the tape hands every parent the same g: compute all once
-            if state.get("g") is not g or id(t) not in state["grads"]:
-                state["g"], state["grads"] = g, backward(g)
-            return state["grads"].pop(id(t))
-        return (t, fn)
 
     params = [x, mix_w]
     for e in blocks:
@@ -311,7 +321,101 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
         params += [w_up, w_down]
         params += [t for pair in (a_up, a_down) if pair is not None
                    for t in (pair.A, pair.B)]
-    return T._make(y, [part(t) for t in params])
+    return _one_node(y, params, backward)
+
+
+# An attention projection: its weight and the weight's adapter or None.
+Projection = tuple[Tensor, AdapterPair | None]
+
+
+def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
+                       bias: np.ndarray, cache: KVCache | None, layer: int) -> Tensor:
+    """x + causal multi-head attention of rmsnorm(x), as one tape node.
+
+    projs holds wq, wk, wv and wo, each adapted as in adapted_forward
+    where it has an adapter; bias is the (s, start + s) causal bias. With
+    a cache (no-grad forwards only), the keys and values of the positions
+    it holds come first and this layer's entry takes the new ones in.
+    Every operation and every accumulation runs in the order of the tape
+    graph this node replaces (rmsnorm, _proj, split heads, softmax
+    attention, merge heads, _proj, residual add), on arrays of the same
+    memory layout, so outputs and gradients are bitwise equal to it. The
+    backward computes every parent's gradient in one pass and skips the
+    gradients of tensors that do not require grad.
+    """
+    bsz, s, d = x.shape
+    hd = d // n_heads
+    xd = x.data
+    ms = (xd * xd).sum(axis=-1, keepdims=True) * (1.0 / d) + _NORM_EPS
+    scale = ms ** -0.5
+    xn = xd * scale
+    (wq, aq), (wk, ak), (wv, av), (wo, ao) = projs
+
+    def heads(t: np.ndarray) -> np.ndarray:   # (B,S,D) -> (B,H,S,hd) view
+        return t.reshape(bsz, s, n_heads, hd).swapaxes(1, 2)
+
+    qp, xa_q = _project(xn, wq, aq)
+    kp, xa_k = _project(xn, wk, ak)
+    vp, xa_v = _project(xn, wv, av)
+    q, k, v = heads(qp), heads(kp), heads(vp)
+    if cache is not None:
+        if cache.length:
+            k_old, v_old = cache.kv[layer]
+            k = np.concatenate([k_old, k], axis=2)
+            v = np.concatenate([v_old, v], axis=2)
+        cache.kv[layer] = (k, v)
+    c_att = 1.0 / math.sqrt(hd)
+    scores = (q @ k.swapaxes(-1, -2)) * c_att + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    att = e / e.sum(axis=-1, keepdims=True)
+    o = att @ v
+    o_flat = o.swapaxes(1, 2).reshape(bsz, s, d)
+    y_o, xa_o = _project(o_flat, wo, ao)
+    out = xd + y_o
+    if not T.grad_enabled():
+        return Tensor(out)
+
+    def merged(g_heads: np.ndarray) -> np.ndarray:
+        """(B,H,S,hd) -> C-contiguous (B,S,D), the layout the tape gave it."""
+        return np.ascontiguousarray(g_heads.swapaxes(1, 2)).reshape(bsz, s, d)
+
+    def backward(g: np.ndarray) -> dict[int, np.ndarray]:
+        # on the tape, x or the attention's weights and adapters (trained all
+        # together or not at all) need the q, k and v gradients; parameters
+        # still skip their own gradients, and x's pre-norm is skipped below
+        grads: dict[int, np.ndarray] = {}
+        g_o_flat = np.zeros_like(o_flat)
+        _project_grads(g, o_flat, wo, ao, xa_o, g_o_flat, grads)
+        g_o = T.first_grad(g_o_flat.reshape(bsz, s, n_heads, hd).swapaxes(1, 2), o)
+        g_att = g_o @ v.swapaxes(-1, -2)
+        # softmax backward, then the 1/sqrt(hd) scale; the tape turned the
+        # -0.0s of masked entries into +0.0 here, which only matmuls read,
+        # and their sums do not keep a zero's sign
+        g_s = att * (g_att - (g_att * att).sum(axis=-1, keepdims=True))
+        g_s *= c_att
+        g_heads = (g_s @ k, (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2),
+                   att.swapaxes(-1, -2) @ g_o)
+        g_xn = np.zeros_like(xn) if x.requires_grad else None
+        for (W, pair), xa, g_h in zip(projs, (xa_q, xa_k, xa_v), g_heads):
+            _project_grads(merged(g_h), xn, W, pair, xa, g_xn, grads)
+        if g_xn is not None:
+            # rmsnorm backward: x * scale, then scale = mean(x * x) ** -0.5
+            g_scale = (g_xn * xd).sum(axis=-1, keepdims=True)
+            g_ss = (g_scale * -0.5) * ms ** -1.5 * (1.0 / d)
+            g_sq_x = g_ss * xd
+            g_x = T.first_grad(g, xd)
+            g_x += g_xn * scale
+            g_x += g_sq_x
+            g_x += g_sq_x
+            grads[id(x)] = g_x
+        return grads
+
+    params = [x]
+    for W, pair in projs:
+        params.append(W)
+        if pair is not None:
+            params += [pair.A, pair.B]
+    return _one_node(out, params, backward)
 
 
 class MoEModel:
@@ -320,7 +424,7 @@ class MoEModel:
         self.seed = seed
         self.registry = ParamRegistry()
         self.adapters: dict = {}
-        self._causal: dict[int, Tensor] = {}
+        self._causal: dict[tuple[int, int], np.ndarray] = {}
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
         def param(name: str, *shape: int) -> None:
@@ -350,39 +454,16 @@ class MoEModel:
             return x @ W
         return adapted_forward(x, W, pair)
 
-    def _causal_bias(self, s: int, start: int) -> Tensor:
+    def _causal_bias(self, s: int, start: int) -> np.ndarray:
         """(s, start + s) bias for queries at positions start..start+s-1."""
         if (s, start) not in self._causal:
             bias = np.triu(np.full((s, start + s), -1e9), k=start + 1)
-            self._causal[(s, start)] = Tensor(bias)
+            self._causal[(s, start)] = bias
         return self._causal[(s, start)]
 
     def _expert(self, layer: int, tag: str, x: Tensor) -> Tensor:
         h = T.gelu(self._proj(f"layer{layer}.{tag}.w_up", x))
         return self._proj(f"layer{layer}.{tag}.w_down", h)
-
-    def _attention(self, layer: int, x: Tensor, cache: KVCache | None) -> Tensor:
-        c = self.config
-        bsz, s, _ = x.shape
-        hd = c.d_model // c.n_heads
-        def split(t):  # (B,S,D) -> (B,H,S,hd)
-            return T.swapaxes(T.reshape(t, (bsz, s, c.n_heads, hd)), 1, 2)
-        q = split(self._proj(f"layer{layer}.attn.wq", x))
-        k = split(self._proj(f"layer{layer}.attn.wk", x))
-        v = split(self._proj(f"layer{layer}.attn.wv", x))
-        start = 0
-        if cache is not None:
-            start = cache.length
-            if start:
-                k_old, v_old = cache.kv[layer]
-                k = Tensor(np.concatenate([k_old, k.data], axis=2))
-                v = Tensor(np.concatenate([v_old, v.data], axis=2))
-            cache.kv[layer] = (k.data, v.data)
-        scores = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(hd))
-        scores = scores + self._causal_bias(s, start)
-        att = T.softmax(scores, axis=-1)
-        out = T.reshape(T.swapaxes(att @ v, 1, 2), (bsz, s, c.d_model))
-        return self._proj(f"layer{layer}.attn.wo", out)
 
     def _moe(self, layer: int, x: Tensor, payload: bool):
         c = self.config
@@ -436,8 +517,11 @@ class MoEModel:
         trace = RoutingTrace(c.n_experts, c.k_route) if want_trace else None
         if trace is not None:
             trace.tokens = tokens.reshape(-1).copy()
+        bias = self._causal_bias(s, start)
         for layer in range(c.n_layers):
-            x = x + self._attention(layer, rmsnorm(x), cache)
+            projs = [(self.registry[n].tensor, self.adapters.get(n))
+                     for n in (f"layer{layer}.attn.{p}" for p in ("wq", "wk", "wv", "wo"))]
+            x = attention_sublayer(x, projs, c.n_heads, bias, cache, layer)
             y, f_l, p_l, lt = self._moe(layer, rmsnorm(x), payload)
             x = x + y
             fs.append(f_l)

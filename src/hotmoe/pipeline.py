@@ -52,12 +52,16 @@ class RunConfig:
     seed: int = 0
     lb_during_finetune: bool = False
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"run seed must be >= 0: {self.seed}")
+
     def validate(self, model_cfg: ModelConfig) -> None:
         if not 0.0 < self.warmup_pct <= 100.0:
             raise ConfigError(f"warmup_pct out of (0,100]: {self.warmup_pct}")
-        if self.plan_k > model_cfg.n_experts:
+        if not 1 <= self.plan_k <= model_cfg.n_experts:
             raise ConfigError(
-                f"plan_k {self.plan_k} > n_experts {model_cfg.n_experts}")
+                f"plan_k {self.plan_k} out of [1, n_experts={model_cfg.n_experts}]")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if self.epochs < 0 or self.warmup_epochs < 1:

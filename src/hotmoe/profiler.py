@@ -96,8 +96,8 @@ def record(profile: ActivationProfile, trace) -> ActivationProfile:
 def select(profile: ActivationProfile, k: int, strategy: str,
            seed: int | None = None) -> PlacementPlan:
     n_e = profile.n_experts
-    if k > n_e:
-        raise ConfigError(f"k {k} > n_experts {n_e}")
+    if not 1 <= k <= n_e:
+        raise ConfigError(f"k {k} out of [1, n_experts={n_e}]")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy}")
     counts = profile.counts

@@ -137,8 +137,21 @@ class Tensor:
                     continue
                 contrib = grad_fn(out_grad)
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += contrib
+                    parent.grad = first_grad(contrib, parent.data)
+                else:
+                    parent.grad += contrib
+
+
+def first_grad(contrib: Array, like: Array) -> Array:
+    """zeros_like(like) + contrib without the zero fill: a new array with
+    np.empty_like(like)'s memory layout and every -0.0 turned into +0.0.
+
+    Both matter for bitwise results: BLAS rounds differently on different
+    strides (a swapaxes view's gradient keeps the view's layout), and the
+    sign of a zero survives into artifacts. `contrib + 0.0` would keep
+    contrib's strides.
+    """
+    return np.add(contrib, 0.0, out=np.empty_like(like))
 
 
 def _wrap(value) -> Tensor:

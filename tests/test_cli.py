@@ -265,3 +265,27 @@ def test_vocab_below_task_tokens_exits_2(cmd, tmp_path, capsys):
         args += ["--set", "pretrain.steps=1", "--out-dir", str(tmp_path)]
     assert main(args) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--seed", "-1"],
+    ["pretrain", "--set", "task.seed=-3"],
+    ["run", "--set", "run.seed=-2"],
+    ["ablate", "--axes", "strategy", "--seeds", "1,-1"],
+], ids=["report-seed", "pretrain-task-seed", "run-seed", "ablate-seeds"])
+def test_negative_seed_exits_2(args, base_dir, tmp_path, capsys):
+    # each command gets what it needs besides the seed; ablate's base does
+    # not exist, because its seeds are rejected before the base is read
+    extra = {"pretrain": ["--out-dir", str(tmp_path)],
+             "run": ["--base", str(base_dir / "base.ckpt")],
+             "ablate": ["--base", "/does/not/exist.ckpt"]}.get(args[0], [])
+    assert main(args[:1] + ["--config", CFG] + args[1:] + extra) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+@pytest.mark.parametrize("cmd,k", [("run", "0"), ("plan", "0"), ("report", "-1")])
+def test_plan_k_below_one_exits_2(cmd, k, base_dir, capsys):
+    extra = {"run": ["--base", str(base_dir / "base.ckpt")],
+             "plan": ["--profile", str(base_dir / "profile_mod_add.csv")]}.get(cmd, [])
+    assert main([cmd, "--config", CFG, "--set", f"run.plan_k={k}"] + extra) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")

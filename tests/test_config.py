@@ -148,3 +148,12 @@ def test_vocab_must_cover_task_tokens(tmp_path):
         load_config(write(tmp_path, "[model]\nvocab = 5\n"))
     full, _ = apply_overrides(FullConfig(), {"model.vocab": "32"})
     assert full.model.vocab == 32
+
+
+@pytest.mark.parametrize("section", ["task", "run", "pretrain"])
+def test_negative_seed_rejected(section):
+    with pytest.raises(ConfigError, match="seed"):
+        apply_overrides(FullConfig(), {f"{section}.seed": "-1"})
+    full, _ = apply_overrides(FullConfig(), {f"{section}.seed": "0"})
+    assert getattr(full, section).seed == 0
+

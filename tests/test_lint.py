@@ -1,16 +1,24 @@
-"""Static checks on the library source: no unused imports in src/hotmoe.
+"""Static checks on the library source: no unused imports and no dead
+definitions in src/hotmoe.
 
-Pure stdlib `ast`, so it runs wherever the tests run. A name counts as
-used when it appears anywhere in the module body, annotations included,
-also inside string annotations such as -> "RoutingTrace".
+Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
+counts as used when its name appears anywhere in the module body,
+annotations included, also inside string annotations such as
+-> "RoutingTrace". A function, method or class counts as used when its
+name appears as a word anywhere in src/, tests/ or perfbench/ besides its
+definitions, strings included (the benchmark's tracer patches functions
+by name).
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hotmoe"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hotmoe"
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -62,3 +70,36 @@ def test_checker_flags_unused_and_reads_annotations():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(defining: dict[str, str], corpus: list[str]) -> list[str]:
+    """Functions, methods and classes defined in `defining` (name -> source)
+    whose name is no word of `corpus` beyond their own definitions.
+    Dunder methods are called by the language, not by name, and are skipped."""
+    words = Counter(w for text in corpus for w in re.findall(r"[A-Za-z_]\w*", text))
+    defs: dict[str, list[str]] = {}
+    for module, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (node.name.startswith("__") and node.name.endswith("__")):
+                defs.setdefault(node.name, []).append(f"{module}:{node.lineno}")
+    return sorted(f"{where[0]}: {name}" for name, where in defs.items()
+                  if words[name] <= len(where))
+
+
+def test_dead_definition_checker_hand_case():
+    lib = ("class Used:\n"
+           "    def __init__(self): pass\n"
+           "    def method(self): return helper()\n"
+           "def helper(): return 1\n"
+           "def orphan(): return 2\n"
+           "def by_name(): return 3\n")
+    tests = "from lib import Used\nUsed().method()\npatch(lib, 'by_name')\n"
+    assert dead_definitions({"lib.py": lib}, [lib, tests]) == ["lib.py:5: orphan"]
+
+
+def test_no_dead_definitions():
+    corpus = [p.read_text(encoding="utf-8")
+              for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    defining = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert dead_definitions(defining, corpus) == []

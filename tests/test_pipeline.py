@@ -57,6 +57,7 @@ def modadd():
 def test_runconfig_rejects_bad_values(base):
     cfg, _ = base
     for kw in (dict(warmup_pct=0.0), dict(warmup_pct=101.0), dict(plan_k=5),
+               dict(plan_k=0), dict(plan_k=-1),
                dict(lr=0.0), dict(rank=0), dict(batch_size=0),
                dict(warmup_epochs=0)):
         with pytest.raises(ConfigError):

@@ -122,6 +122,11 @@ class TestSelect:
         with pytest.raises(ConfigError):
             select(ActivationProfile.empty(1, 4), 5, "layer_hot")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ConfigError):
+            select(ActivationProfile.empty(1, 4), k, "layer_hot")
+
 
 class TestPlanMetrics:
     def test_self_jaccard_and_coverage(self):

@@ -263,6 +263,24 @@ class TestTapeMechanics:
         T.tsum(b * b).backward()
         assert a.grad[0] == pytest.approx(24.0)
 
+    def test_first_contribution_turns_negative_zero_positive(self):
+        # as accumulating into zeros does: -0.0 + 0.0 is +0.0
+        a = T.Tensor(np.ones(3), requires_grad=True)
+        T.tsum(a * T.Tensor(np.array([-0.0, 1.0, -2.0]))).backward()
+        assert a.grad.tolist() == [0.0, 1.0, -2.0]
+        assert not np.signbit(a.grad[0])
+
+    def test_first_contribution_takes_the_parents_layout(self):
+        # a swapaxes view's gradient is laid out like np.zeros_like of the
+        # view, not like the C-contiguous contribution; BLAS rounds by stride
+        x = T.Tensor(rand(2, 3, 4), requires_grad=True)
+        view = T.swapaxes(x, 0, 2)
+        w = rand(4, 3, 2)
+        T.tsum(view * T.Tensor(w)).backward()
+        np.testing.assert_array_equal(view.grad, w)
+        assert view.grad.strides == np.zeros_like(view.data).strides
+        assert view.grad.strides != w.strides
+
     def test_check_finite_raises(self):
         from hotmoe.errors import NumericalError
         with pytest.raises(NumericalError):
