@@ -22,16 +22,6 @@ def _pair_scheme(pair) -> str:
     return "lori_d" if pair.a_frozen else "lora"
 
 
-def _target_kind(name: str) -> str:
-    if ".attn." in name:
-        return "attention"
-    if ".router." in name:
-        return "gate"
-    if ".shared" in name:
-        return "shared"
-    return "experts"
-
-
 def closed_form_pair_params(pair) -> int:
     d_in, d_out = pair.A.shape[0], pair.B.shape[1]
     scheme = _pair_scheme(pair)
@@ -72,11 +62,10 @@ def count_params(model) -> ParamReport:
             base_total += entry.tensor.size
     per_target: dict[str, int] = {}
     closed = 0
-    for name, pair in model.adapters.items():
+    for pair in model.adapters.values():
         n = closed_form_pair_params(pair)
         closed += n
-        kind = _target_kind(name)
-        per_target[kind] = per_target.get(kind, 0) + n
+        per_target[pair.kind] = per_target.get(pair.kind, 0) + n
     if model.adapters and registry_trainable and closed != registry_trainable:
         raise InvariantViolation(
             f"closed-form count {closed} != registry enumeration {registry_trainable}")
@@ -126,33 +115,26 @@ def adapter_flops(trace, model, tokens: int | None = None) -> FlopsReport:
         counts[l] = np.bincount(lt.indices.reshape(-1), minlength=cfg.n_experts)
 
     attn_gate = 0
-    expert = 0
     shared = 0
-    baseline_expert = 0
-    exec_per_layer = [0] * cfg.n_layers
-
-    for name, pair in model.adapters.items():
-        kind = _target_kind(name)
-        if kind in ("attention", "gate"):
+    routed = []
+    for pair in model.adapters.values():
+        if pair.kind in ("attention", "gate"):
             attn_gate += tokens * _exec_cost(pair)
-        elif kind == "shared":
+        elif pair.kind == "shared":
             shared += tokens * _exec_cost(pair)
         else:
-            layer = int(name.split(".")[0].removeprefix("layer"))
-            e = int(name.split(".")[1].removeprefix("expert"))
-            execs = int(counts[layer, e])
-            expert += execs * _exec_cost(pair)
-            if name.endswith(".w_up"):
-                exec_per_layer[layer] += execs
-    # baseline re-costs every routed selection as if adapted; unit cost is
-    # both projections of one expert, taken from any attached pair (all
-    # experts share dims). No expert adapters at all -> baseline == actual.
-    up_pairs = [p for n, p in model.adapters.items()
-                if _target_kind(n) == "experts" and n.endswith(".w_up")]
-    down_pairs = [p for n, p in model.adapters.items()
-                  if _target_kind(n) == "experts" and n.endswith(".w_down")]
-    if up_pairs:
-        unit = _exec_cost(up_pairs[0]) + _exec_cost(down_pairs[0])
+            routed.append(pair)
+    expert = sum(int(counts[p.layer, p.expert]) * _exec_cost(p) for p in routed)
+    exec_per_layer = [0] * cfg.n_layers
+    for layer, e in {(p.layer, p.expert) for p in routed}:
+        exec_per_layer[layer] += int(counts[layer, e])
+    # baseline re-costs every routed selection as if adapted, at the cost of
+    # one adapted expert's projections (all experts share dims). No expert
+    # adapters at all -> baseline == actual.
+    baseline_expert = 0
+    if routed:
+        site = (routed[0].layer, routed[0].expert)
+        unit = sum(_exec_cost(p) for p in routed if (p.layer, p.expert) == site)
         baseline_expert = int(counts.sum()) * unit
     forward = attn_gate + expert + shared
     baseline_forward = attn_gate + baseline_expert + shared
@@ -183,10 +165,6 @@ class ExecCounters:
         total = sum(a for _, a in self.per_layer)
         hits = sum(h for h, _ in self.per_layer)
         return hits / total if total else 0.0
-
-    @property
-    def expert_flops_reduction(self) -> float:
-        return 1.0 - self.hit_rate
 
 
 def exec_counters(trace, plan) -> ExecCounters:

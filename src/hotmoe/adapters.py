@@ -59,6 +59,9 @@ class AdapterPair:
     mask: np.ndarray | None = None  # bool r x d_out, fixed for the pair's lifetime
     a_frozen: bool = False
     mask_f: Tensor | None = field(default=None, repr=False)  # mask as 0/1 floats
+    kind: str = ""                 # attention | gate | experts | shared, set by attach
+    layer: int = -1
+    expert: int | None = None      # routed experts only
 
     def __post_init__(self):
         d_in, d_out = self.A.shape[0], self.B.shape[1]
@@ -99,16 +102,17 @@ def build_mask(b_ref: np.ndarray, rho: float) -> np.ndarray:
     return mask.reshape(np.asarray(b_ref).shape)
 
 
-def _iter_target_names(model, targets: TargetSet, plan) -> list[str]:
-    """Weight names receiving adapters, in a fixed deterministic order."""
+def _target_sites(model, targets: TargetSet, plan) -> list[tuple]:
+    """(weight name, kind, layer, routed expert or None) of every adapter
+    target, in a fixed deterministic order."""
     cfg = model.config
-    names: list[str] = []
+    sites: list[tuple] = []
     for layer in range(cfg.n_layers):
         if targets.attention:
             for proj in ("wq", "wk", "wv", "wo"):
-                names.append(f"layer{layer}.attn.{proj}")
+                sites.append((f"layer{layer}.attn.{proj}", "attention", layer, None))
         if targets.gate:
-            names.append(f"layer{layer}.router.w")
+            sites.append((f"layer{layer}.router.w", "gate", layer, None))
         if targets.experts != "none":
             if targets.experts == "all":
                 hot = range(cfg.n_experts)
@@ -117,13 +121,13 @@ def _iter_target_names(model, targets: TargetSet, plan) -> list[str]:
             for e in hot:
                 if not 0 <= e < cfg.n_experts:
                     raise ConfigError(f"plan expert index {e} not in [0, {cfg.n_experts})")
-                names.append(f"layer{layer}.expert{e}.w_up")
-                names.append(f"layer{layer}.expert{e}.w_down")
+                for proj in ("w_up", "w_down"):
+                    sites.append((f"layer{layer}.expert{e}.{proj}", "experts", layer, e))
             # shared experts are always active, so they are always adapted
             for j in range(cfg.n_shared):
-                names.append(f"layer{layer}.shared{j}.w_up")
-                names.append(f"layer{layer}.shared{j}.w_down")
-    return names
+                for proj in ("w_up", "w_down"):
+                    sites.append((f"layer{layer}.shared{j}.{proj}", "shared", layer, None))
+    return sites
 
 
 def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float,
@@ -144,12 +148,13 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
     if scheme.name == "lori_s" and masks is None:
         raise ConfigError("lori_s needs masks built from a prior lori_d run")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA]))
-    for name in _iter_target_names(model, targets, plan):
+    for name, kind, layer, expert in _target_sites(model, targets, plan):
         W = model.registry[name].tensor
         d_in, d_out = W.shape
         A = Tensor(rng.normal(0.0, 0.02, size=(d_in, r)))
         B = Tensor(np.zeros((r, d_out)))
-        pair = AdapterPair(A=A, B=B, r=r, alpha=alpha)
+        pair = AdapterPair(A=A, B=B, r=r, alpha=alpha, kind=kind, layer=layer,
+                           expert=expert)
         if scheme.name == "lori_s":
             if name not in masks:
                 raise ConfigError(f"lori_s mask missing for target {name}")

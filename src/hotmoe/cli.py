@@ -141,8 +141,7 @@ def cmd_plan(args) -> int:
     if args.profile is None:
         raise ConfigError("plan needs --profile <heatmap.csv>")
     profile = load_heatmap(args.profile)
-    seed = full.run.seed if full.run.strategy == "random" else None
-    plan = build_plan(profile, full.run.plan_k, full.run.strategy, seed=seed)
+    plan = build_plan(profile, full.run.plan_k, full.run.strategy, full.run.seed)
     if out is not None:
         save_plan(plan, out / "plan.csv")
     hot = ";".join(",".join(str(e) for e in layer) for layer in plan.hot)
@@ -189,14 +188,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-AXIS_DEFAULTS = {
-    "strategy": ["layer_hot", "model_hot", "cold", "random"],
-    "plan_k": None,      # filled from n_experts
-    "warmup_pct": [5.0, 10.0, 25.0, 50.0, 100.0],
-    "targets": ["attention_only", "gate_only", "experts_only", "all"],
-}
-
-
 def cmd_ablate(args) -> int:
     seeds = None
     if args.seeds:
@@ -213,20 +204,8 @@ def cmd_ablate(args) -> int:
     names = [a.strip() for a in args.axes.split(",") if a.strip()]
     if not names:
         raise ConfigError("ablate needs --axes with at least one axis")
-    axes = {}
-    for name in names:
-        if name not in AXIS_DEFAULTS:
-            raise ConfigError(f"unknown ablation axis: {name}")
-        if name == "plan_k":
-            ks, k = [], 1
-            while k <= full.model.n_experts:
-                ks.append(k)
-                k *= 2
-            axes[name] = ks
-        else:
-            axes[name] = AXIS_DEFAULTS[name]
     rows = ablate(full.model, full.task.specs(), full.task.target, state,
-                  full.run, axes=axes, seeds=seeds, out_dir=out)
+                  full.run, axes=dict.fromkeys(names), seeds=seeds, out_dir=out)
     n_summary = sum(1 for r in rows if r["seed"] == "summary")
     print(f"ablate axes={','.join(names)} rows={len(rows) - n_summary} "
           f"summaries={n_summary}")

@@ -11,6 +11,7 @@ bytes.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -74,8 +75,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ConfigError(f"pretrain steps must be >= 0: {self.steps}")
-        if self.lr <= 0:
-            raise ConfigError(f"pretrain lr must be positive: {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ConfigError(f"pretrain lr must be finite and > 0: {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"pretrain batch_size must be >= 1: {self.batch_size}")
         if not 0.0 <= self.until_acc < 1.0:

@@ -63,6 +63,9 @@ class ModelConfig:
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.lb_mode not in LB_MODES:
             raise ConfigError(f"unknown lb_mode: {self.lb_mode}")
+        # nan would switch the loss off (weight > 0 is False), < 0 rewards imbalance
+        if not 0.0 <= self.lb_weight < math.inf:
+            raise ConfigError(f"lb_weight must be finite and >= 0: {self.lb_weight}")
 
 
 def route_topk(logits: np.ndarray, k_route: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +102,6 @@ class RoutingTrace:
     n_experts: int
     k_route: int
     layers: list[LayerTrace] = field(default_factory=list)
-    counters: dict | None = None   # filled by accounting
     tokens: np.ndarray | None = None  # flat (tokens,) input ids, set by forward
 
     @property

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
 from .errors import ConfigError, InvariantViolation, IoError, NumericalError
 from .model import ModelConfig, MoEModel, RoutingTrace, forward_backward
 from .optim import Adam, AdamConfig
-from .profiler import (ActivationProfile, PlacementPlan, coverage, jaccard,
-                       record, save_plan, select)
+from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan, coverage,
+                       jaccard, record, save_plan, select)
 from .tasks import (Dataset, TaskSpec, evaluate, iter_batches, make_task,
                     n_steps, subset)
 
@@ -68,8 +69,10 @@ class RunConfig:
             raise ConfigError("epochs must be >= 0 and warmup_epochs >= 1")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        # alpha = 0 zeroes every adapter gradient; nan and inf diverge
+        for name, value in (("alpha", self.alpha), ("lr", self.lr)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         Scheme(self.scheme, self.rho)              # name/rho checks
         TargetSet(self.attention, self.gate, self.experts)
 
@@ -292,8 +295,7 @@ def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
     plan = None
     if run.experts == "plan":
         warmup = run_warmup(cfg, base_state, train, run)
-        plan = build_plan(warmup.profile, run.plan_k, run.strategy,
-                          seed=run.seed if run.strategy == "random" else None)
+        plan = build_plan(warmup.profile, run.plan_k, run.strategy, run.seed)
     masks = lori_s_masks(cfg, base_state, train, plan, run)
     model, report = finetune(cfg, base_state, train, evals, plan, run,
                              masks=masks, out_dir=out_dir)
@@ -305,30 +307,43 @@ def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
 # -- ablations ---------------------------------------------------------------
 
 
-ABLATION_AXES = ("strategy", "plan_k", "warmup_pct", "targets")
-
 TARGET_CHOICES = {
     "attention_only": dict(attention=True, gate=False, experts="none"),
-    "experts_only": dict(attention=False, gate=False, experts="plan"),
     "gate_only": dict(attention=False, gate=True, experts="none"),
+    "experts_only": dict(attention=False, gate=False, experts="plan"),
     "all": dict(attention=True, gate=True, experts="plan"),
 }
 
 
-def _row_base(axis: str, value, seed: int, kind: str) -> dict:
-    return {"axis": axis, "value": str(value), "seed": seed, "task": kind}
+def _target_choice(value: str) -> dict:
+    if value not in TARGET_CHOICES:
+        raise ConfigError(f"unknown target choice: {value}")
+    return TARGET_CHOICES[value]
+
+
+# axis -> (its default values for a model config, the RunConfig fields a value sets)
+ABLATION_AXES = {
+    "strategy": (lambda cfg: list(STRATEGIES), lambda v: {"strategy": v}),
+    "plan_k": (lambda cfg: [1 << i for i in range(cfg.n_experts.bit_length())],
+               lambda v: {"plan_k": int(v)}),
+    "warmup_pct": (lambda cfg: [5.0, 10.0, 25.0, 50.0, 100.0],
+                   lambda v: {"warmup_pct": float(v)}),
+    "targets": (lambda cfg: list(TARGET_CHOICES), _target_choice),
+}
 
 
 def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
            base_state: dict[str, np.ndarray], run: RunConfig,
-           axes: dict[str, list], seeds: list[int] | None = None,
+           axes: dict[str, list | None], seeds: list[int] | None = None,
            out_dir: str | Path | None = None) -> list[dict]:
     """One-knob-at-a-time sweeps around the baseline run configuration.
 
-    Warm-up profiles are computed once per seed and shared across the
-    strategy / plan_k / targets axes (the profile does not depend on those
-    knobs). The warmup_pct axis is the exception: it re-profiles at each
-    fraction and reports plan agreement against the p=100 reference.
+    axes maps an ABLATION_AXES name to its values, None for the axis
+    defaults. Every value and seed fine-tunes `replace(run, seed=seed,
+    **overrides(value))`, with a plan iff experts == "plan". Warm-up
+    profiles are shared by (seed, warmup_pct), the only fields an axis sets
+    that run_warmup reads. warmup_pct rows also report plan agreement
+    against the p=100 plan.
     """
     for axis in axes:
         if axis not in ABLATION_AXES:
@@ -339,65 +354,37 @@ def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
         raise ConfigError(f"target task {target_kind} not in mixture")
     train = splits[target_kind][0]
     evals = {kind: test for kind, (_, test) in splits.items()}
+    profiles: dict[tuple[int, float], ActivationProfile] = {}
+
+    def plan_for(r: RunConfig) -> PlacementPlan:
+        key = (r.seed, r.warmup_pct)
+        if key not in profiles:
+            profiles[key] = run_warmup(cfg, base_state, train, r).profile
+        return build_plan(profiles[key], r.plan_k, r.strategy, r.seed)
 
     rows: list[dict] = []
-    base_profiles: dict[int, ActivationProfile] = {}
-    full_plans: dict[int, PlacementPlan] = {}
-
-    def profile_for(seed: int) -> ActivationProfile:
-        if seed not in base_profiles:
-            r = replace(run, seed=seed)
-            base_profiles[seed] = run_warmup(cfg, base_state, train, r).profile
-        return base_profiles[seed]
-
-    def finetune_row(r: RunConfig, plan) -> dict:
-        _, rep = finetune(cfg, base_state, train, evals, plan, r)
-        row = {
-            "acc_before": rep.acc_before[target_kind],
-            "acc_after": rep.acc_after[target_kind],
-            "delta": rep.delta(target_kind),
-            "trainable": rep.params.trainable,
-            "fraction": rep.params.fraction,
-        }
-        if rep.flops is not None:
-            row["reduction_pct"] = rep.flops.reduction_pct
-        if rep.hit_rate is not None:
-            row["hit_rate"] = rep.hit_rate
-        return row
-
     for axis, values in axes.items():
-        for value in values:
+        defaults, overrides = ABLATION_AXES[axis]
+        for value in defaults(cfg) if values is None else values:
             for seed in seeds:
-                r = replace(run, seed=seed)
-                row = _row_base(axis, value, seed, target_kind)
-                if axis == "strategy":
-                    plan = select(profile_for(seed), r.plan_k, value,
-                                  seed=seed if value == "random" else None)
-                    row.update(finetune_row(replace(r, strategy=value), plan))
-                elif axis == "plan_k":
-                    plan = select(profile_for(seed), int(value), r.strategy)
-                    row.update(finetune_row(replace(r, plan_k=int(value)), plan))
-                elif axis == "targets":
-                    if value not in TARGET_CHOICES:
-                        raise ConfigError(f"unknown target choice: {value}")
-                    tr = replace(r, **TARGET_CHOICES[value])
-                    plan = None
-                    if tr.experts == "plan":
-                        plan = select(profile_for(seed), tr.plan_k, tr.strategy)
-                    row.update(finetune_row(tr, plan))
-                else:  # warmup_pct
-                    rw = replace(r, warmup_pct=float(value))
-                    prof = run_warmup(cfg, base_state, train, rw).profile
-                    plan = select(prof, r.plan_k, r.strategy)
-                    if seed not in full_plans:
-                        ref_prof = run_warmup(
-                            cfg, base_state, train,
-                            replace(r, warmup_pct=100.0)).profile
-                        full_plans[seed] = select(ref_prof, r.plan_k, r.strategy)
-                    _, mean_j = jaccard(plan, full_plans[seed])
-                    row["jaccard_vs_full"] = mean_j
-                    row["coverage_pct"] = coverage(plan, full_plans[seed])
-                    row.update(finetune_row(rw, plan))
+                r = replace(run, seed=seed, **overrides(value))
+                row = {"axis": axis, "value": str(value), "seed": seed,
+                       "task": target_kind}
+                plan = plan_for(r) if r.experts == "plan" else None
+                if axis == "warmup_pct" and plan is not None:
+                    full = plan_for(replace(r, warmup_pct=100.0))
+                    row["jaccard_vs_full"] = jaccard(plan, full)[1]
+                    row["coverage_pct"] = coverage(plan, full)
+                _, rep = finetune(cfg, base_state, train, evals, plan, r)
+                row.update(acc_before=rep.acc_before[target_kind],
+                           acc_after=rep.acc_after[target_kind],
+                           delta=rep.delta(target_kind),
+                           trainable=rep.params.trainable,
+                           fraction=rep.params.fraction)
+                if rep.flops is not None:
+                    row["reduction_pct"] = rep.flops.reduction_pct
+                if rep.hit_rate is not None:
+                    row["hit_rate"] = rep.hit_rate
                 rows.append(row)
 
     summary = _summarize(rows)

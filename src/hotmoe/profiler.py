@@ -95,6 +95,8 @@ def record(profile: ActivationProfile, trace) -> ActivationProfile:
 
 def select(profile: ActivationProfile, k: int, strategy: str,
            seed: int | None = None) -> PlacementPlan:
+    """Per-layer k-subsets by strategy. Only random reads the seed, and only
+    a random plan records it."""
     n_e = profile.n_experts
     if not 1 <= k <= n_e:
         raise ConfigError(f"k {k} out of [1, n_experts={n_e}]")
@@ -117,7 +119,8 @@ def select(profile: ActivationProfile, k: int, strategy: str,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9A2D]))
         hot = [rng.choice(n_e, size=k, replace=False).tolist()
                for _ in range(profile.n_layers)]
-    return PlacementPlan(hot=hot, k=k, strategy=strategy, seed=seed)
+    return PlacementPlan(hot=hot, k=k, strategy=strategy,
+                         seed=seed if strategy == "random" else None)
 
 
 def jaccard(plan_a: PlacementPlan, plan_b: PlacementPlan) -> tuple[list[float], float]:

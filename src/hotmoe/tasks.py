@@ -49,7 +49,6 @@ class TaskSpec:
     min_len: int = 3               # transduce / refusal prompt length range
     max_len: int = 6
     triggers: tuple[int, ...] = (24, 25)  # refusal only
-    alphabet: tuple[int, int] | None = None  # inclusive symbol band; None = kind default
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
@@ -61,14 +60,8 @@ class TaskSpec:
                               f"{self.test_size} must both be >= 1")
         if not 1 <= self.min_len <= self.max_len:
             raise ConfigError("bad prompt length range")
-        if self.alphabet is not None:
-            lo, hi = self.alphabet
-            if not 0 <= lo <= hi < N_DATA:
-                raise ConfigError(f"alphabet band out of range: {self.alphabet}")
 
     def data_band(self) -> tuple[int, int]:
-        if self.alphabet is not None:
-            return self.alphabet
         return _DEFAULT_BANDS.get(self.kind, (0, N_DATA - 1))
 
 

@@ -274,7 +274,6 @@ def test_exec_counters_hand_case():
     ctr = exec_counters(trace, plan)
     assert ctr.per_layer == [(4, 6), (4, 6)]
     assert abs(ctr.hit_rate - 8 / 12) < 1e-12
-    assert abs(ctr.expert_flops_reduction - 4 / 12) < 1e-12
 
 
 def test_exec_counters_full_plan_hits_everything():
@@ -286,7 +285,6 @@ def test_exec_counters_full_plan_hits_everything():
     plan = PlacementPlan(hot=[[0, 1, 2, 3]] * 2, k=4, strategy="layer_hot")
     ctr = exec_counters(trace, plan)
     assert ctr.hit_rate == 1.0
-    assert ctr.expert_flops_reduction == 0.0
 
 
 def test_exec_counters_disjoint_plan_hits_nothing():

@@ -7,6 +7,7 @@ a k=4 plan shrinks the expert share to 3072 (total 4288 = 31.8%).
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,24 @@ class TestAttach:
                4, 8.0, 0)
         assert "layer0.shared0.w_up" in model.adapters
         assert "layer0.shared1.w_down" in model.adapters
+
+    @pytest.mark.parametrize("experts", ["all", "plan"])
+    @pytest.mark.parametrize("n_shared", [0, 1])
+    def test_pairs_record_their_site(self, experts, n_shared):
+        cfg = ModelConfig(n_shared=n_shared)
+        model = MoEModel(cfg, seed=0)
+        attach(model, TargetSet(True, True, experts), plan_k4(), Scheme("lora"),
+               4, 8.0, 0)
+        kinds = {"attn": "attention", "router": "gate", "expert": "experts",
+                 "shared": "shared"}
+        seen = set()
+        for name, pair in model.adapters.items():
+            layer, site = re.fullmatch(r"layer(\d+)\.([a-z]+)\d*\.\w+", name).groups()
+            expert = re.fullmatch(r"layer\d+\.expert(\d+)\.w_(up|down)", name)
+            want = (kinds[site], int(layer), expert and int(expert.group(1)))
+            assert (pair.kind, pair.layer, pair.expert) == want, name
+            seen.add(pair.kind)
+        assert seen == {"attention", "gate", "experts"} | ({"shared"} if n_shared else set())
 
     def test_b_zero_init_and_a_seeded(self):
         m1 = MoEModel(ModelConfig(), seed=0)

@@ -150,6 +150,15 @@ def test_ablate_plan_k_axis(base_dir, tmp_path):
     assert (tmp_path / "ablation.md").exists()
 
 
+def test_ablate_random_strategy_plan_k_axis(base_dir, tmp_path):
+    code = main(["ablate", "--config", CFG, "--base",
+                 str(base_dir / "base.ckpt"), "--axes", "plan_k",
+                 "--set", "run.strategy=random", "--set", "run.epochs=1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert len((tmp_path / "ablation.csv").read_text().splitlines()) == 7
+
+
 def test_flops_line_and_csv(base_dir, tmp_path, capsys):
     plan = _plan(base_dir, tmp_path / "prof")
     capsys.readouterr()
@@ -288,4 +297,17 @@ def test_plan_k_below_one_exits_2(cmd, k, base_dir, capsys):
     extra = {"run": ["--base", str(base_dir / "base.ckpt")],
              "plan": ["--profile", str(base_dir / "profile_mod_add.csv")]}.get(cmd, [])
     assert main([cmd, "--config", CFG, "--set", f"run.plan_k={k}"] + extra) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+@pytest.mark.parametrize("cmd,key,value", [
+    ("run", "run.alpha", "0"), ("run", "run.alpha", "-8"),
+    ("run", "run.alpha", "nan"), ("run", "run.lr", "nan"),
+    ("run", "run.lr", "inf"), ("pretrain", "pretrain.lr", "nan"),
+    ("report", "model.lb_weight", "nan"), ("report", "model.lb_weight", "-1"),
+])
+def test_rate_that_cannot_train_exits_2(cmd, key, value, base_dir, tmp_path, capsys):
+    extra = {"run": ["--base", str(base_dir / "base.ckpt")],
+             "pretrain": ["--out-dir", str(tmp_path)]}.get(cmd, [])
+    assert main([cmd, "--config", CFG, "--set", f"{key}={value}"] + extra) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")

@@ -1,5 +1,5 @@
-"""Static checks on the library source: no unused imports and no dead
-definitions in src/hotmoe.
+"""Static checks on the library source: no unused imports, no dead
+definitions and no test-only definitions in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -7,7 +7,8 @@ annotations included, also inside string annotations such as
 -> "RoutingTrace". A function, method or class counts as used when its
 name appears as a word anywhere in src/, tests/ or perfbench/ besides its
 definitions, strings included (the benchmark's tracer patches functions
-by name).
+by name). One that only tests/ names is library surface kept for its
+tests, and fails the test-only check.
 """
 
 import ast
@@ -98,8 +99,35 @@ def test_dead_definition_checker_hand_case():
     assert dead_definitions({"lib.py": lib}, [lib, tests]) == ["lib.py:5: orphan"]
 
 
+def _sources(*dirs: str) -> list[str]:
+    return [p.read_text(encoding="utf-8")
+            for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _library() -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
 def test_no_dead_definitions():
-    corpus = [p.read_text(encoding="utf-8")
-              for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    defining = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
-    assert dead_definitions(defining, corpus) == []
+    assert dead_definitions(_library(), _sources("src", "tests", "perfbench")) == []
+
+
+def only_tested_definitions(defining: dict[str, str], library: list[str],
+                            tests: list[str]) -> list[str]:
+    """Definitions that `tests` name but `library` does not, beyond their
+    own definitions. Ones nothing names are dead_definitions' to report."""
+    dead = set(dead_definitions(defining, library + tests))
+    return [d for d in dead_definitions(defining, library) if d not in dead]
+
+
+def test_test_only_checker_hand_case():
+    lib = ("def used(): return 1\n"
+           "def tested(): return used()\n"
+           "def orphan(): return 2\n")
+    tests = "from lib import tested\nassert tested() == 1\n"
+    assert only_tested_definitions({"lib.py": lib}, [lib], [tests]) == ["lib.py:2: tested"]
+
+
+def test_no_test_only_definitions():
+    assert only_tested_definitions(_library(), _sources("src", "perfbench"),
+                                   _sources("tests")) == []

@@ -5,9 +5,12 @@ Base models here are untrained random inits: the mechanics under test
 plumbing, determinism) do not need a pretrained backbone.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hotmoe import pipeline
 from hotmoe.adapters import build_mask
 from hotmoe.errors import ConfigError, InvariantViolation
 from hotmoe.model import ModelConfig, MoEModel
@@ -58,7 +61,9 @@ def test_runconfig_rejects_bad_values(base):
     cfg, _ = base
     for kw in (dict(warmup_pct=0.0), dict(warmup_pct=101.0), dict(plan_k=5),
                dict(plan_k=0), dict(plan_k=-1),
-               dict(lr=0.0), dict(rank=0), dict(batch_size=0),
+               dict(lr=0.0), dict(lr=float("nan")), dict(alpha=0.0),
+               dict(alpha=-8.0), dict(alpha=float("inf")),
+               dict(rank=0), dict(batch_size=0),
                dict(warmup_epochs=0)):
         with pytest.raises(ConfigError):
             tiny_run(**kw).validate(cfg)
@@ -319,11 +324,14 @@ def test_ablate_plan_k_axis_rows_and_summary(base, tmp_path):
 def test_ablate_warmup_axis_reports_plan_agreement(base):
     cfg, state = base
     rows = ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=1),
-                  axes={"warmup_pct": [100.0]})
-    row = [r for r in rows if r["seed"] != "summary"][0]
+                  axes={"warmup_pct": [5.0, 100.0]})
+    low, row = [r for r in rows if r["seed"] != "summary"]
     # p=100 against the p=100 reference plan must agree perfectly
     assert row["jaccard_vs_full"] == 1.0
     assert row["coverage_pct"] == 100.0
+    # at this base the p=5 plan differs from the p=100 one in a third of a layer
+    assert low["jaccard_vs_full"] == pytest.approx(2 / 3)
+    assert low["coverage_pct"] == 75.0
 
 
 def test_ablate_targets_axis(base):
@@ -334,6 +342,52 @@ def test_ablate_targets_axis(base):
     assert "hit_rate" not in by_value["attention_only"]
     assert "hit_rate" in by_value["all"]
     assert by_value["attention_only"]["trainable"] < by_value["all"]["trainable"]
+
+
+@pytest.mark.parametrize("axis,values", [("plan_k", [1, 2]),
+                                         ("targets", ["experts_only", "gate_only"]),
+                                         ("warmup_pct", [50.0])])
+def test_ablate_random_strategy_on_every_axis(base, axis, values):
+    cfg, state = base
+    rows = ablate(cfg, tiny_specs(), "mod_add", state,
+                  tiny_run(epochs=1, strategy="random"), axes={axis: values})
+    value_rows = [r for r in rows if r["seed"] != "summary"]
+    assert [r["value"] for r in value_rows] == [str(v) for v in values]
+    assert all("hit_rate" in r for r in value_rows if r["value"] != "gate_only")
+
+
+def test_ablate_warms_up_once_per_seed_and_fraction(base, monkeypatch):
+    cfg, state = base
+    calls = []
+
+    def counting(cfg, state, train, run):
+        calls.append((run.seed, run.warmup_pct))
+        return run_warmup(cfg, state, train, run)
+
+    monkeypatch.setattr(pipeline, "run_warmup", counting)
+    ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=0),
+           axes={"strategy": ["layer_hot", "cold"],
+                 "warmup_pct": [25.0, 50.0, 100.0]}, seeds=[0, 1])
+    assert sorted(calls) == [(s, p) for s in (0, 1) for p in (25.0, 50.0, 100.0)]
+    # without a plan there is nothing to warm up for, and no plan columns
+    calls.clear()
+    rows = ablate(cfg, tiny_specs(), "mod_add", state,
+                  tiny_run(epochs=1, experts="all"),
+                  axes={"strategy": ["layer_hot"], "warmup_pct": [50.0]})
+    assert calls == []
+    for row in rows:
+        assert not {"hit_rate", "jaccard_vs_full", "coverage_pct"} & set(row)
+
+
+def test_ablate_plan_k_row_matches_run_end_to_end(base):
+    cfg, state = base
+    run = tiny_run(epochs=1)
+    row = ablate(cfg, tiny_specs(), "mod_add", state, run, axes={"plan_k": [1]})[0]
+    rep = run_end_to_end(cfg, tiny_specs(), "mod_add", state,
+                         replace(run, plan_k=1)).report
+    assert row["acc_after"] == rep.acc_after["mod_add"]
+    assert row["trainable"] == rep.params.trainable
+    assert row["hit_rate"] == rep.hit_rate
 
 
 def test_ablate_multi_seed_summary_stats(base):

@@ -82,6 +82,14 @@ class TestSelect:
         p2 = select(prof, 4, "random", seed=8)
         assert p1.hot == p2.hot
 
+    def test_only_random_records_its_seed(self):
+        prof = ActivationProfile(RNG.integers(0, 50, size=(4, 16)))
+        for strategy in ("layer_hot", "model_hot", "cold"):
+            plan = select(prof, 4, strategy, seed=8)
+            assert plan.seed is None
+            assert plan.hot == select(prof, 4, strategy).hot
+        assert select(prof, 4, "random", seed=8).seed == 8
+
     def test_random_seeds_differ(self):
         prof = ActivationProfile(np.zeros((4, 16), dtype=np.int64))
         plans = [select(prof, 4, "random", seed=s).hot for s in range(5)]
