@@ -99,7 +99,7 @@ def _exec_cost(pair) -> int:
     return 2 * pair.r * (pair.A.shape[0] + pair.B.shape[1])
 
 
-def adapter_flops(trace, model, tokens: int | None = None) -> FlopsReport:
+def adapter_flops(trace, model) -> FlopsReport:
     """Cost the trace's adapter executions; re-cost under experts=all as baseline."""
     cfg = model.config
     if len(trace.layers) != cfg.n_layers:
@@ -108,8 +108,7 @@ def adapter_flops(trace, model, tokens: int | None = None) -> FlopsReport:
     if trace.n_experts != cfg.n_experts:
         raise ConfigError(
             f"trace n_experts {trace.n_experts} != model {cfg.n_experts}")
-    if tokens is None:
-        tokens = trace.n_tokens
+    tokens = trace.n_tokens
     counts = np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64)
     for l, lt in enumerate(trace.layers):
         counts[l] = np.bincount(lt.indices.reshape(-1), minlength=cfg.n_experts)

@@ -30,10 +30,10 @@ from .gradcheck import finite_diff_check
 from .model import MoEModel, RoutingTrace, pretrain_base
 from . import tensor as T
 from .pipeline import (ablate, build_plan, cross_task_matrix, finetune,
-                       lori_s_masks, run_end_to_end, run_warmup, write_rows_csv)
+                       lori_s_masks, run_end_to_end, run_warmup, target_splits,
+                       write_rows_csv)
 from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
                        load_heatmap, load_plan, save_plan)
-from .tasks import make_task
 
 EXIT_CODES = {
     "IoError": 1,
@@ -82,10 +82,8 @@ def _load_base(args, full) -> dict[str, np.ndarray]:
     return load_checkpoint(args.base)
 
 
-def _target_split(full):
-    by_kind = {s.kind: s for s in full.task.specs()}
-    spec = by_kind[full.task.target]
-    return make_task(spec, full.model.max_seq)
+def _target_splits(full):
+    return target_splits(full.task.specs(), full.task.target, full.model.max_seq)
 
 
 def _pretrain(full, out):
@@ -123,7 +121,7 @@ def cmd_profile(args) -> int:
     full, applied = _load_full(args)
     out = _prep_out(args, full, applied)
     state = _load_base(args, full)
-    train, _ = _target_split(full)
+    train, _ = _target_splits(full)
     run = full.run
     if args.forward_only:
         run = replace(run, warmup_forward_only=True)
@@ -161,9 +159,7 @@ def cmd_finetune(args) -> int:
     full, applied = _load_full(args)
     out = _prep_out(args, full, applied)
     state = _load_base(args, full)
-    train, _ = _target_split(full)
-    evals = {s.kind: make_task(s, full.model.max_seq)[1]
-             for s in full.task.specs()}
+    train, evals = _target_splits(full)
     plan = _plan_from_args(args, full)
     masks = lori_s_masks(full.model, state, train, plan, full.run)
     _, report = finetune(full.model, state, train, evals, plan, full.run,
@@ -174,7 +170,6 @@ def cmd_finetune(args) -> int:
 
 def cmd_run(args) -> int:
     full, applied = _load_full(args)
-    full.run.validate(full.model)   # before a pretrain that could take minutes
     out = _prep_out(args, full, applied)
     if args.base is not None:
         state = load_checkpoint(args.base)
@@ -233,7 +228,8 @@ def cmd_flops(args) -> int:
     out = _prep_out(args, full, applied)
     state = _load_base(args, full)
     plan = _plan_from_args(args, full)
-    train, test = _target_split(full)
+    train, evals = _target_splits(full)
+    test = evals[full.task.target]
     run = replace(full.run, epochs=0)
     model, _ = finetune(full.model, state, train, {}, plan, run,
                         masks=lori_s_masks(full.model, state, train, plan, run))
@@ -262,7 +258,7 @@ def cmd_gradcheck(args) -> int:
     full, applied = _load_full(args)
     _prep_out(args, full, applied)
     model = MoEModel(full.model, seed=full.run.seed)
-    train, _ = _target_split(full)
+    train, _ = _target_splits(full)
     take = min(len(train), 8)
     from .tasks import Batch
     batch = Batch(tokens=train.tokens[:take], targets=train.targets[:take],
@@ -284,14 +280,13 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     """Closed-form parameter table for every scheme x placement combination."""
     full, applied = _load_full(args)
-    full.run.validate(full.model)
     out = _prep_out(args, full, applied)
     cfg = full.model
     k = full.run.plan_k
     plan = PlacementPlan(hot=[list(range(k))] * cfg.n_layers, k=k,
                          strategy="layer_hot")
     base = MoEModel(cfg, seed=0).registry.state_arrays()
-    train, _ = _target_split(full)
+    train, _ = _target_splits(full)
     rows = []
     for scheme_name in ("lora", "lori_d", "lori_s"):
         for placement, experts, p in (("all", "all", None), (f"plan_k{k}", "plan", plan)):

@@ -1,8 +1,10 @@
 """INI-file configuration with strict key checking.
 
 Four sections: model, task, run, pretrain. Every key must be known and
-parse to its declared type; unknown sections or keys are hard errors so a
-typo cannot silently fall back to a default. The resolved configuration
+parse to the type of its default; unknown sections or keys are hard errors
+so a typo cannot silently fall back to a default. A file and --set
+overrides take the same path, apply_overrides, and each section checks its
+values when it is built. The resolved configuration
 (file values merged with command-line overrides) can be written back out
 in a fixed key order, so two runs with the same inputs produce the same
 bytes.
@@ -42,6 +44,7 @@ class TaskConfig:
             raise ConfigError(f"target task {self.target} not in mixture")
         if self.seed < 0:
             raise ConfigError(f"task seed must be >= 0: {self.seed}")
+        self.specs()            # each TaskSpec checks its sizes and ranges
 
     def _sizes(self, kind: str) -> tuple[int, int]:
         if kind != "mod_add":
@@ -99,6 +102,9 @@ class FullConfig:
         if self.model.vocab <= PAD:
             raise ConfigError(f"[model] vocab {self.model.vocab} is smaller than "
                               f"the {PAD + 1} task tokens (ids 0..{PAD})")
+        if self.run.plan_k > self.model.n_experts:
+            raise ConfigError(f"plan_k {self.run.plan_k} out of "
+                              f"[1, n_experts={self.model.n_experts}]")
 
 
 _SECTIONS = {
@@ -119,29 +125,16 @@ def _parse_value(section: str, key: str, raw: str, typ):
             if raw.lower() not in _BOOL:
                 raise ValueError(raw)
             return _BOOL[raw.lower()]
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        if typ is str:
-            return raw
-        if typ == tuple[str, ...]:
+        if typ is tuple:
             return tuple(p.strip() for p in raw.split(",") if p.strip())
+        return typ(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from e
-    raise ConfigError(f"[{section}] {key}: unsupported option type {typ}")
 
 
 def _field_types(cls) -> dict[str, type]:
-    out = {}
-    for f in fields(cls):
-        t = f.type
-        if isinstance(t, str):
-            # from __future__ annotations stringizes these
-            t = {"int": int, "float": float, "bool": bool, "str": str,
-                 "tuple[str, ...]": tuple[str, ...]}.get(t, t)
-        out[f.name] = t
-    return out
+    """Each field's type is its default's: int, float, bool, str or tuple."""
+    return {f.name: type(f.default) for f in fields(cls)}
 
 
 def load_config(path: str | Path | None) -> FullConfig:
@@ -157,29 +150,23 @@ def load_config(path: str | Path | None) -> FullConfig:
             parser.read_file(fh)
     except (OSError, configparser.Error) as e:
         raise ConfigError(f"cannot parse config {path}: {e}") from e
-    sections: dict[str, dict] = {}
+    pairs = {}
     for section in parser.sections():
+        # checked here too: a section with no keys gives apply_overrides no pair
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section: [{section}]")
-        cls = _SECTIONS[section]
-        types = _field_types(cls)
-        kwargs = {}
         for key, raw in parser.items(section):
-            if key not in types:
-                raise ConfigError(f"unknown key in [{section}]: {key}")
-            kwargs[key] = _parse_value(section, key, raw, types[key])
-        sections[section] = kwargs
-    return FullConfig(
-        model=ModelConfig(**sections.get("model", {})),
-        task=TaskConfig(**sections.get("task", {})),
-        run=RunConfig(**sections.get("run", {})),
-        pretrain=PretrainConfig(**sections.get("pretrain", {})),
-    )
+            pairs[f"{section}.{key}"] = raw
+    return apply_overrides(FullConfig(), pairs)[0]
 
 
 def apply_overrides(full: FullConfig,
                     overrides: dict[str, str]) -> tuple[FullConfig, list[str]]:
-    """Apply "section.key=value" style overrides; returns the applied list."""
+    """Apply "section.key=value" style overrides; returns the applied list.
+
+    Every section, and then the FullConfig, checks itself when it is built,
+    so an invalid value fails here and not when a run first reads it.
+    """
     applied = []
     by_section: dict[str, dict] = {}
     for dotted, raw in overrides.items():
@@ -194,12 +181,8 @@ def apply_overrides(full: FullConfig,
         by_section.setdefault(section, {})[key] = _parse_value(
             section, key, raw, types[key])
         applied.append(f"{section}.{key}={raw}")
-    new = FullConfig(
-        model=replace(full.model, **by_section.get("model", {})),
-        task=replace(full.task, **by_section.get("task", {})),
-        run=replace(full.run, **by_section.get("run", {})),
-        pretrain=replace(full.pretrain, **by_section.get("pretrain", {})),
-    )
+    new = FullConfig(**{name: replace(getattr(full, name), **by_section.get(name, {}))
+                        for name in _SECTIONS})
     return new, applied
 
 
@@ -216,8 +199,8 @@ def _render_value(v) -> str:
 def render_resolved(full: FullConfig, applied: list[str] | None = None) -> str:
     """Deterministic INI text of the fully resolved configuration."""
     lines = []
-    for section, obj in (("model", full.model), ("task", full.task),
-                         ("run", full.run), ("pretrain", full.pretrain)):
+    for section in _SECTIONS:
+        obj = getattr(full, section)
         lines.append(f"[{section}]")
         for f in fields(obj):
             lines.append(f"{f.name} = {_render_value(getattr(obj, f.name))}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .adapters import AdapterPair, adapted_forward
 from .checkpoint import save_checkpoint
-from .errors import ConfigError, InvariantViolation, NumericalError
+from .errors import ConfigError, InvariantViolation
 from .optim import Adam, AdamConfig
 from .profiler import ActivationProfile, record
 from .registry import ParamRegistry
@@ -93,8 +93,6 @@ def route_topk(logits: np.ndarray, k_route: int) -> tuple[np.ndarray, np.ndarray
 class LayerTrace:
     indices: np.ndarray            # (tokens, k_route) int64
     weights: np.ndarray            # (tokens, k_route) float64
-    x_in: np.ndarray | None = None   # (tokens, d_model), payload mode only
-    y_out: np.ndarray | None = None
 
 
 @dataclass
@@ -110,7 +108,7 @@ class RoutingTrace:
 
     @staticmethod
     def merge(traces: list["RoutingTrace"]) -> "RoutingTrace":
-        """Concatenate token streams; payloads and input ids are dropped."""
+        """Concatenate token streams; input ids are dropped."""
         if not traces:
             raise ConfigError("cannot merge zero traces")
         first = traces[0]
@@ -467,7 +465,7 @@ class MoEModel:
         h = T.gelu(self._proj(f"layer{layer}.{tag}.w_up", x))
         return self._proj(f"layer{layer}.{tag}.w_down", h)
 
-    def _moe(self, layer: int, x: Tensor, payload: bool):
+    def _moe(self, layer: int, x: Tensor):
         c = self.config
         bsz, s, d = x.shape
         n_tok = bsz * s
@@ -488,15 +486,12 @@ class MoEModel:
         f_l = counts.astype(np.float64) / (n_tok * c.k_route)
         p_l = T.tmean(T.softmax(logits, axis=-1), axis=0)
         trace = LayerTrace(indices=idx.copy(), weights=mix_w.data.copy())
-        if payload:
-            trace.x_in = xf.data.copy()
-            trace.y_out = yf.data.copy()
         return T.reshape(yf, (bsz, s, d)), f_l, p_l, trace
 
     # -- public surface -----------------------------------------------------
 
     def forward(self, tokens: np.ndarray, want_trace: bool = False,
-                payload: bool = False, cache: KVCache | None = None) -> ForwardResult:
+                cache: KVCache | None = None) -> ForwardResult:
         """Logits for `tokens` (B, S); with a cache, they are positions
         cache.length.. of sequences whose earlier positions the cache holds,
         and the cache takes them in. Stats and trace cover `tokens` only."""
@@ -524,7 +519,7 @@ class MoEModel:
             projs = [(self.registry[n].tensor, self.adapters.get(n))
                      for n in (f"layer{layer}.attn.{p}" for p in ("wq", "wk", "wv", "wo"))]
             x = attention_sublayer(x, projs, c.n_heads, bias, cache, layer)
-            y, f_l, p_l, lt = self._moe(layer, rmsnorm(x), payload)
+            y, f_l, p_l, lt = self._moe(layer, rmsnorm(x))
             x = x + y
             fs.append(f_l)
             ps.append(p_l)
@@ -537,7 +532,7 @@ class MoEModel:
         return ForwardResult(logits=logits, stats=stats, trace=trace)
 
     def loss(self, batch: Batch, lb_mode: str | None = None,
-             lb_weight: float | None = None, want_trace: bool = False) -> LossResult:
+             want_trace: bool = False) -> LossResult:
         c = self.config
         out = self.forward(batch.tokens, want_trace=want_trace)
         bsz, s = batch.tokens.shape
@@ -551,12 +546,11 @@ class MoEModel:
                                 batch.targets.reshape(-1)[rows])
         ce = -T.tmean(picked)
         mode = c.lb_mode if lb_mode is None else lb_mode
-        weight = c.lb_weight if lb_weight is None else lb_weight
         lb_value = 0.0
         loss = ce
-        if mode != "off" and weight > 0.0:
+        if mode != "off" and c.lb_weight > 0.0:
             lb = load_balancing_loss(out.stats, mode)
-            loss = ce + lb * weight
+            loss = ce + lb * c.lb_weight
             lb_value = lb.item()
         T.check_finite(loss, "loss")
         return LossResult(loss=loss, ce=ce.item(), lb=lb_value, trace=out.trace)
@@ -692,8 +686,6 @@ def pretrain_base(config: ModelConfig, mixture: list[TaskSpec], steps: int,
         result = forward_backward(model, batch)
         opt.step()
         losses.append(result.loss.item())
-        if not np.isfinite(losses[-1]):
-            raise NumericalError(f"pretraining diverged at step {len(losses)}")
         if (competence_acc is not None and step < steps
                 and step % check_every == 0):
             fn = model.logits_fn()

@@ -24,7 +24,7 @@ from . import tensor as T
 from .accounting import (FlopsReport, ParamReport, adapter_flops, count_params,
                          exec_counters)
 from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
-from .errors import ConfigError, InvariantViolation, IoError, NumericalError
+from .errors import ConfigError, InvariantViolation, IoError
 from .model import ModelConfig, MoEModel, RoutingTrace, forward_backward
 from .optim import Adam, AdamConfig
 from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan, coverage,
@@ -33,7 +33,7 @@ from .tasks import (Dataset, TaskSpec, evaluate, iter_batches, make_task,
                     n_steps, subset)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scheme: str = "lora"
     attention: bool = True
@@ -43,7 +43,7 @@ class RunConfig:
     alpha: float = 8.0
     rho: float = 0.10
     strategy: str = "layer_hot"
-    plan_k: int = 4
+    plan_k: int = 4                # <= n_experts is FullConfig's check
     warmup_pct: float = 25.0       # share of the train split used for warm-up
     warmup_epochs: int = 1
     warmup_forward_only: bool = False
@@ -56,13 +56,12 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"run seed must be >= 0: {self.seed}")
-
-    def validate(self, model_cfg: ModelConfig) -> None:
         if not 0.0 < self.warmup_pct <= 100.0:
             raise ConfigError(f"warmup_pct out of (0,100]: {self.warmup_pct}")
-        if not 1 <= self.plan_k <= model_cfg.n_experts:
-            raise ConfigError(
-                f"plan_k {self.plan_k} out of [1, n_experts={model_cfg.n_experts}]")
+        if self.plan_k < 1:
+            raise ConfigError(f"plan_k must be >= 1, got {self.plan_k}")
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy: {self.strategy}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
         if self.epochs < 0 or self.warmup_epochs < 1:
@@ -74,10 +73,20 @@ class RunConfig:
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0, got {value}")
         Scheme(self.scheme, self.rho)              # name/rho checks
-        TargetSet(self.attention, self.gate, self.experts)
+        self.target_set()
 
     def target_set(self) -> TargetSet:
         return TargetSet(self.attention, self.gate, self.experts)
+
+
+def target_splits(specs: list[TaskSpec], target_kind: str,
+                  max_seq: int) -> tuple[Dataset, dict[str, Dataset]]:
+    """The target task's train split, and every task's test split by kind."""
+    kinds = [s.kind for s in specs]
+    if target_kind not in kinds:
+        raise ConfigError(f"target task {target_kind} not in mixture {sorted(kinds)}")
+    splits = {s.kind: make_task(s, max_seq) for s in specs}
+    return splits[target_kind][0], {kind: test for kind, (_, test) in splits.items()}
 
 
 def clone_model(cfg: ModelConfig, base_state: dict[str, np.ndarray]) -> MoEModel:
@@ -130,7 +139,6 @@ def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
     the profile reflects adaptation dynamics, not just the frozen router.
     Counts accumulate over every step of the trajectory.
     """
-    run.validate(cfg)
     sub = subset(train, run.warmup_pct, run.seed)
     model = clone_model(cfg, base_state)
     attach(model, TargetSet(True, True, "all"), None, Scheme("lora"),
@@ -155,8 +163,6 @@ def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
             record(profile, result.trace)
             losses.append(result.loss.item())
             steps += 1
-        if losses and not np.isfinite(losses[-1]):
-            raise NumericalError(f"warm-up diverged at step {steps}")
     profile.check_conservation(cfg.k_route)
     return WarmupResult(profile=profile, subset_size=len(sub), steps=steps,
                         losses=losses)
@@ -205,7 +211,6 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
              run: RunConfig, masks: dict[str, np.ndarray] | None = None,
              out_dir: str | Path | None = None) -> tuple[MoEModel, TrainReport]:
     """Adapt a fresh copy of the base model on one task, with full accounting."""
-    run.validate(cfg)
     model = clone_model(cfg, base_state)
     scheme = Scheme(run.scheme, run.rho)
     attach(model, run.target_set(), plan, scheme, r=run.rank, alpha=run.alpha,
@@ -224,8 +229,6 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
         opt.step()
         losses.append(result.loss.item())
         traces.append(result.trace)
-        if not np.isfinite(losses[-1]):
-            raise NumericalError(f"fine-tuning diverged at step {len(losses)}")
     steps = len(losses)
     assert steps == n_steps(len(train), run.batch_size, run.epochs)
 
@@ -282,14 +285,7 @@ def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
                    base_state: dict[str, np.ndarray], run: RunConfig,
                    out_dir: str | Path | None = None) -> EndToEndResult:
     """Warm-up, plan, adapt on one task; evaluate on every task's test split."""
-    run.validate(cfg)
-    by_kind = {s.kind: s for s in specs}
-    if target_kind not in by_kind:
-        raise ConfigError(f"target task {target_kind} not in mixture "
-                          f"{sorted(by_kind)}")
-    splits = {s.kind: make_task(s, cfg.max_seq) for s in specs}
-    train = splits[target_kind][0]
-    evals = {kind: test for kind, (_, test) in splits.items()}
+    train, evals = target_splits(specs, target_kind, cfg.max_seq)
 
     warmup = None
     plan = None
@@ -349,11 +345,7 @@ def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
         if axis not in ABLATION_AXES:
             raise ConfigError(f"unknown ablation axis: {axis}")
     seeds = seeds if seeds is not None else [run.seed]
-    splits = {s.kind: make_task(s, cfg.max_seq) for s in specs}
-    if target_kind not in splits:
-        raise ConfigError(f"target task {target_kind} not in mixture")
-    train = splits[target_kind][0]
-    evals = {kind: test for kind, (_, test) in splits.items()}
+    train, evals = target_splits(specs, target_kind, cfg.max_seq)
     profiles: dict[tuple[int, float], ActivationProfile] = {}
 
     def plan_for(r: RunConfig) -> PlacementPlan:
@@ -468,7 +460,6 @@ def cross_task_matrix(cfg: ModelConfig, specs: list[TaskSpec],
     Returns {"acc": {adapt_task: {eval_task: acc}}, "plans": {task: plan},
     "plan_jaccard": {(a, b): mean}} with adapt tasks as columns.
     """
-    run.validate(cfg)
     acc: dict[str, dict[str, float]] = {}
     plans: dict[str, PlacementPlan] = {}
     for spec in specs:

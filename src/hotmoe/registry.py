@@ -28,8 +28,7 @@ class ParamRegistry:
     def __init__(self) -> None:
         self._entries: dict[str, ParamEntry] = {}
 
-    def add(self, name: str, tensor: Tensor, trainable: bool = True,
-            mask: np.ndarray | None = None) -> Tensor:
+    def add(self, name: str, tensor: Tensor, trainable: bool = True) -> Tensor:
         if name in self._entries:
             raise InvariantViolation(f"duplicate parameter name: {name}")
         if any(ch.isspace() for ch in name):
@@ -37,8 +36,6 @@ class ParamRegistry:
         entry = ParamEntry(tensor=tensor, trainable=trainable)
         self._entries[name] = entry
         tensor.requires_grad = trainable
-        if mask is not None:
-            self.set_mask(name, mask)
         return tensor
 
     def __contains__(self, name: str) -> bool:
@@ -94,18 +91,14 @@ class ParamRegistry:
         """Copies of every tensor, in registry order."""
         return {n: e.tensor.data.copy() for n, e in self._entries.items()}
 
-    def load_state(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        for name, arr in state.items():
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        for name in state:
             if name not in self._entries:
-                if strict:
-                    raise InvariantViolation(f"unknown parameter in state: {name}")
-                continue
+                raise InvariantViolation(f"unknown parameter in state: {name}")
         missing = [n for n in self._entries if n not in state]
-        if strict and missing:
+        if missing:
             raise InvariantViolation(f"state missing parameters: {missing[:4]}")
         for name, arr in state.items():
-            if name not in self._entries:
-                continue
             entry = self._entries[name]
             if arr.shape != entry.tensor.shape:
                 raise InvariantViolation(

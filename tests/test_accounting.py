@@ -209,16 +209,6 @@ def test_flops_monotone_in_plan_size():
     assert rep.expert_flops == rep.baseline_expert_flops  # k = n_experts
 
 
-def test_flops_tokens_override_scales_per_token_costs():
-    cfg = tiny_config()
-    m = MoEModel(cfg, seed=0)
-    attach(m, TargetSet(experts="none"), None, Scheme("lora"), r=2, alpha=4, seed=1)
-    trace = make_trace(cfg, [[[0, 1]] * 4, [[2, 3]] * 4])
-    a = adapter_flops(trace, m)
-    b = adapter_flops(trace, m, tokens=8)
-    assert b.attention_gate_flops == 2 * a.attention_gate_flops
-
-
 def test_flops_shared_experts_always_costed():
     cfg = tiny_config(n_shared=1, k_route=2)
     m = MoEModel(cfg, seed=0)

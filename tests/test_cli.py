@@ -311,3 +311,28 @@ def test_rate_that_cannot_train_exits_2(cmd, key, value, base_dir, tmp_path, cap
              "pretrain": ["--out-dir", str(tmp_path)]}.get(cmd, [])
     assert main([cmd, "--config", CFG, "--set", f"{key}={value}"] + extra) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+def test_run_unknown_strategy_without_plan_exits_2(base_dir, tmp_path, capsys):
+    # with experts = all no plan is built, so nothing downstream reads strategy
+    assert main(["run", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
+                 "--set", "run.strategy=bogus", "--set", "run.experts=all",
+                 "--out-dir", str(tmp_path)]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+    assert not (tmp_path / "resolved.cfg").exists()
+
+
+@pytest.mark.parametrize("setting", ["run.strategy=bogus", "run.plan_k=5"])
+def test_run_rejects_bad_run_value_before_pretrain(setting, tmp_path, capsys):
+    assert main(["run", "--config", CFG, "--set", setting,
+                 "--out-dir", str(tmp_path)]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+    assert not (tmp_path / "base.ckpt").exists()
+
+
+@pytest.mark.parametrize("setting", ["task.test_size=0", "task.min_len=7"])
+def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
+    assert main(["run", "--config", CFG, "--set", setting,
+                 "--out-dir", str(tmp_path)]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+    assert list(tmp_path.iterdir()) == []

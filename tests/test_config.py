@@ -32,6 +32,12 @@ def test_unknown_section_rejected(tmp_path):
         load_config(p)
 
 
+def test_unknown_empty_section_rejected(tmp_path):
+    p = write(tmp_path, "[model]\nn_shared = 1\n\n[optimizer]\n")
+    with pytest.raises(ConfigError, match="optimizer"):
+        load_config(p)
+
+
 def test_unknown_key_rejected(tmp_path):
     p = write(tmp_path, "[model]\nn_layerz = 4\n")
     with pytest.raises(ConfigError):
@@ -156,4 +162,14 @@ def test_negative_seed_rejected(section):
         apply_overrides(FullConfig(), {f"{section}.seed": "-1"})
     full, _ = apply_overrides(FullConfig(), {f"{section}.seed": "0"})
     assert getattr(full, section).seed == 0
+
+
+def test_plan_k_above_n_experts_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="plan_k"):
+        apply_overrides(FullConfig(), {"run.plan_k": "17"})
+    with pytest.raises(ConfigError, match="plan_k"):
+        load_config(write(tmp_path, "[model]\nn_experts = 3\nk_route = 2\n"))
+    full = load_config(write(tmp_path, "[model]\nn_experts = 3\nk_route = 2\n"
+                                        "[run]\nplan_k = 3\n"))
+    assert full.run.plan_k == full.model.n_experts == 3
 

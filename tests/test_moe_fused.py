@@ -196,7 +196,7 @@ def test_layer_adds_same_tape_nodes_for_4_and_16_experts(monkeypatch):
         cfg = tiny_config(n_experts=n_experts, k_route=2)
         model = MoEModel(cfg, seed=0)
         x = T.Tensor(np.random.default_rng(0).normal(size=(4, 8, 8)), requires_grad=True)
-        y, _, _, _ = model._moe(0, x, payload=False)
+        y, _, _, _ = model._moe(0, x)
         seen, stack, ops = set(), [y], 0
         while stack:
             node = stack.pop()

@@ -59,7 +59,8 @@ class TestRegistry:
 
     def test_freezing_clears_mask(self):
         reg = ParamRegistry()
-        reg.add("w", Tensor(np.zeros(4)), mask=np.array([1, 0, 1, 0], dtype=bool))
+        reg.add("w", Tensor(np.zeros(4)))
+        reg.set_mask("w", np.array([1, 0, 1, 0], dtype=bool))
         reg.set_trainable("w", False)
         assert reg["w"].mask is None
         assert not reg["w"].tensor.requires_grad
@@ -67,7 +68,8 @@ class TestRegistry:
     def test_trainable_count_respects_mask(self):
         reg = ParamRegistry()
         reg.add("a", Tensor(np.zeros((4, 5))))
-        reg.add("b", Tensor(np.zeros(10)), mask=np.array([True] * 3 + [False] * 7))
+        reg.add("b", Tensor(np.zeros(10)))
+        reg.set_mask("b", np.array([True] * 3 + [False] * 7))
         reg.add("c", Tensor(np.zeros(100)), trainable=False)
         assert reg.n_params() == 20 + 10 + 100
         assert reg.n_trainable() == 20 + 3
@@ -146,7 +148,8 @@ class TestAdam:
         p0 = RNG.normal(size=10)
         mask = RNG.random(10) < 0.5
         reg = ParamRegistry()
-        w = reg.add("w", Tensor(p0.copy()), mask=mask)
+        w = reg.add("w", Tensor(p0.copy()))
+        reg.set_mask("w", mask)
         opt = Adam(reg, AdamConfig(lr=0.05, weight_decay=0.1))
         for _ in range(40):
             w.grad = RNG.normal(size=10)
@@ -244,7 +247,8 @@ class TestGradCheck:
     def test_masked_coords_skipped(self):
         reg = ParamRegistry()
         mask = np.array([True, False, True])
-        w = reg.add("w", Tensor(np.array([1.0, 2.0, 3.0])), mask=mask)
+        w = reg.add("w", Tensor(np.array([1.0, 2.0, 3.0])))
+        reg.set_mask("w", mask)
         report = finite_diff_check(lambda: T.tsum(w * w), reg)
         assert report.coords_checked["w"] == 2
 

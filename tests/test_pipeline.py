@@ -5,14 +5,14 @@ Base models here are untrained random inits: the mechanics under test
 plumbing, determinism) do not need a pretrained backbone.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from hotmoe import pipeline
 from hotmoe.adapters import build_mask
-from hotmoe.errors import ConfigError, InvariantViolation
+from hotmoe.errors import ConfigError, InvariantViolation, NumericalError
 from hotmoe.model import ModelConfig, MoEModel
 from hotmoe.pipeline import (RunConfig, WarmupResult, ablate, build_plan,
                              check_frozen_integrity, clone_model,
@@ -57,20 +57,25 @@ def modadd():
 
 # ------------------------------------------------------------------ config
 
-def test_runconfig_rejects_bad_values(base):
-    cfg, _ = base
-    for kw in (dict(warmup_pct=0.0), dict(warmup_pct=101.0), dict(plan_k=5),
-               dict(plan_k=0), dict(plan_k=-1),
-               dict(lr=0.0), dict(lr=float("nan")), dict(alpha=0.0),
-               dict(alpha=-8.0), dict(alpha=float("inf")),
-               dict(rank=0), dict(batch_size=0),
-               dict(warmup_epochs=0)):
+def test_runconfig_rejects_bad_values():
+    # plan_k > n_experts needs the model too: tests/test_config.py checks it
+    for kw in (dict(warmup_pct=0.0), dict(warmup_pct=101.0), dict(plan_k=0),
+               dict(plan_k=-1), dict(lr=0.0), dict(lr=float("nan")),
+               dict(alpha=0.0), dict(alpha=-8.0), dict(alpha=float("inf")),
+               dict(rank=0), dict(batch_size=0), dict(warmup_epochs=0),
+               dict(scheme="dora"), dict(experts="some"),
+               dict(strategy="bogus"), dict(rho=0.0),
+               dict(attention=False, gate=False, experts="none")):
         with pytest.raises(ConfigError):
-            tiny_run(**kw).validate(cfg)
-    with pytest.raises(ConfigError):
-        tiny_run(scheme="dora").validate(cfg)
-    with pytest.raises(ConfigError):
-        tiny_run(experts="some").validate(cfg)
+            tiny_run(**kw)
+        with pytest.raises(ConfigError):
+            replace(tiny_run(), **kw)
+
+
+def test_runconfig_is_frozen():
+    run = tiny_run()
+    with pytest.raises(FrozenInstanceError):
+        run.strategy = "bogus"
 
 
 # ------------------------------------------------------------------ warm-up
@@ -143,6 +148,15 @@ def test_finetune_zero_epochs_is_identity(base, modadd):
     assert rep.flops is None
     base_acc = evaluate(clone_model(cfg, state).logits_fn(), test)
     assert rep.acc_before["mod_add"] == base_acc
+
+
+def test_finetune_nan_base_raises_numerical(base, modadd):
+    cfg, state = base
+    train, test = modadd
+    bad = dict(state, **{"head.w": np.full_like(state["head.w"], np.nan)})
+    with pytest.raises(NumericalError):
+        finetune(cfg, bad, train, {"mod_add": test}, None,
+                 tiny_run(experts="all"))
 
 
 def test_finetune_reduces_training_loss(base, modadd):
