@@ -119,8 +119,6 @@ def _target_sites(model, targets: TargetSet, plan) -> list[tuple]:
             else:
                 hot = sorted(plan.hot[layer])
             for e in hot:
-                if not 0 <= e < cfg.n_experts:
-                    raise ConfigError(f"plan expert index {e} not in [0, {cfg.n_experts})")
                 for proj in ("w_up", "w_down"):
                     sites.append((f"layer{layer}.expert{e}.{proj}", "experts", layer, e))
             # shared experts are always active, so they are always adapted
@@ -142,9 +140,7 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
     if targets.experts == "plan":
         if plan is None:
             raise ConfigError("experts=plan requires a placement plan")
-        if len(plan.hot) != model.config.n_layers:
-            raise ConfigError(
-                f"plan covers {len(plan.hot)} layers, model has {model.config.n_layers}")
+        plan.check_fits(model.config.n_layers, model.config.n_experts)
     if scheme.name == "lori_s" and masks is None:
         raise ConfigError("lori_s needs masks built from a prior lori_d run")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA]))

@@ -29,7 +29,7 @@ from .errors import ConfigError, HotmoeError, IoError, NumericalError
 from .gradcheck import finite_diff_check
 from .model import MoEModel, RoutingTrace, pretrain_base
 from . import tensor as T
-from .pipeline import (ablate, build_plan, cross_task_matrix, finetune,
+from .pipeline import (ablate, build_plan, check_axes, cross_task_matrix, finetune,
                        lori_s_masks, run_end_to_end, run_warmup, target_splits,
                        write_rows_csv)
 from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
@@ -76,7 +76,7 @@ def _prep_out(args, full, applied) -> Path | None:
     return out
 
 
-def _load_base(args, full) -> dict[str, np.ndarray]:
+def _load_base(args) -> dict[str, np.ndarray]:
     if args.base is None:
         raise ConfigError("this command needs --base <checkpoint>")
     return load_checkpoint(args.base)
@@ -119,8 +119,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_profile(args) -> int:
     full, applied = _load_full(args)
+    state = _load_base(args)
     out = _prep_out(args, full, applied)
-    state = _load_base(args, full)
     train, _ = _target_splits(full)
     run = full.run
     if args.forward_only:
@@ -135,10 +135,10 @@ def cmd_profile(args) -> int:
 
 def cmd_plan(args) -> int:
     full, applied = _load_full(args)
-    out = _prep_out(args, full, applied)
     if args.profile is None:
         raise ConfigError("plan needs --profile <heatmap.csv>")
     profile = load_heatmap(args.profile)
+    out = _prep_out(args, full, applied)
     plan = build_plan(profile, full.run.plan_k, full.run.strategy, full.run.seed)
     if out is not None:
         save_plan(plan, out / "plan.csv")
@@ -152,15 +152,17 @@ def _plan_from_args(args, full) -> PlacementPlan | None:
         return None
     if args.plan is None:
         raise ConfigError("experts=plan needs --plan <plan.csv>")
-    return load_plan(args.plan)
+    plan = load_plan(args.plan)
+    plan.check_fits(full.model.n_layers, full.model.n_experts)
+    return plan
 
 
 def cmd_finetune(args) -> int:
     full, applied = _load_full(args)
-    out = _prep_out(args, full, applied)
-    state = _load_base(args, full)
-    train, evals = _target_splits(full)
+    state = _load_base(args)
     plan = _plan_from_args(args, full)
+    out = _prep_out(args, full, applied)
+    train, evals = _target_splits(full)
     masks = lori_s_masks(full.model, state, train, plan, full.run)
     _, report = finetune(full.model, state, train, evals, plan, full.run,
                          masks=masks, out_dir=out)
@@ -170,10 +172,9 @@ def cmd_finetune(args) -> int:
 
 def cmd_run(args) -> int:
     full, applied = _load_full(args)
+    state = None if args.base is None else load_checkpoint(args.base)
     out = _prep_out(args, full, applied)
-    if args.base is not None:
-        state = load_checkpoint(args.base)
-    else:
+    if state is None:
         state = _pretrain(full, out).model.registry.state_arrays()
     res = run_end_to_end(full.model, full.task.specs(), full.task.target,
                          state, full.run, out_dir=out)
@@ -193,12 +194,13 @@ def cmd_ablate(args) -> int:
                               f"got {args.seeds!r}") from e
         if any(s < 0 for s in seeds):
             raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
-    full, applied = _load_full(args)
-    out = _prep_out(args, full, applied)
-    state = _load_base(args, full)
     names = [a.strip() for a in args.axes.split(",") if a.strip()]
     if not names:
         raise ConfigError("ablate needs --axes with at least one axis")
+    check_axes(names)
+    full, applied = _load_full(args)
+    state = _load_base(args)
+    out = _prep_out(args, full, applied)
     rows = ablate(full.model, full.task.specs(), full.task.target, state,
                   full.run, axes=dict.fromkeys(names), seeds=seeds, out_dir=out)
     n_summary = sum(1 for r in rows if r["seed"] == "summary")
@@ -209,8 +211,8 @@ def cmd_ablate(args) -> int:
 
 def cmd_crosstask(args) -> int:
     full, applied = _load_full(args)
+    state = _load_base(args)
     out = _prep_out(args, full, applied)
-    state = _load_base(args, full)
     res = cross_task_matrix(full.model, full.task.specs(), state, full.run,
                             out_dir=out)
     kinds = sorted(res["acc"])
@@ -225,9 +227,9 @@ def cmd_crosstask(args) -> int:
 
 def cmd_flops(args) -> int:
     full, applied = _load_full(args)
-    out = _prep_out(args, full, applied)
-    state = _load_base(args, full)
+    state = _load_base(args)
     plan = _plan_from_args(args, full)
+    out = _prep_out(args, full, applied)
     train, evals = _target_splits(full)
     test = evals[full.task.target]
     run = replace(full.run, epochs=0)
@@ -256,6 +258,8 @@ def cmd_flops(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     full, applied = _load_full(args)
+    if args.coords < 1:
+        raise ConfigError(f"--coords must be >= 1, got {args.coords}")
     _prep_out(args, full, applied)
     model = MoEModel(full.model, seed=full.run.seed)
     train, _ = _target_splits(full)

@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, IoError
 from .model import ModelConfig
 from .pipeline import RunConfig
-from .tasks import PAD, TASK_KINDS, TaskSpec
+from .tasks import PAD, TASK_KINDS, TaskSpec, check_shape
 
 
 @dataclass
@@ -105,6 +105,8 @@ class FullConfig:
         if self.run.plan_k > self.model.n_experts:
             raise ConfigError(f"plan_k {self.run.plan_k} out of "
                               f"[1, n_experts={self.model.n_experts}]")
+        for spec in self.task.specs():
+            check_shape(spec, self.model.max_seq)
 
 
 _SECTIONS = {

@@ -180,9 +180,40 @@ class LossResult:
 _NORM_EPS = 1e-6
 
 
+def _norm(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rmsnorm's forward: mean(x * x) + eps over the last axis, that to the
+    power -0.5, and x times it."""
+    ms = (xd * xd).sum(axis=-1, keepdims=True) * (1.0 / xd.shape[-1]) + _NORM_EPS
+    scale = ms ** -0.5
+    return ms, scale, xd * scale
+
+
+def _norm_sq_grad(g_xn: np.ndarray, xd: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The x * x term of rmsnorm's backward for the output gradient g_xn;
+    x's gradient takes it twice, after g_xn * scale."""
+    g_scale = (g_xn * xd).sum(axis=-1, keepdims=True)
+    g_ss = (g_scale * -0.5) * ms ** -1.5 * (1.0 / xd.shape[-1])
+    return g_ss * xd
+
+
 def rmsnorm(x: Tensor) -> Tensor:
-    scale = T.power(T.tmean(x * x, axis=-1, keepdims=True) + _NORM_EPS, -0.5)
-    return x * scale
+    """x * mean(x * x) ** -0.5 over the last axis, as one tape node.
+
+    x is listed once per term the composed norm (x * scale, scale from
+    x * x) added into x's gradient, in the order it added them: x * scale,
+    then x * x twice. So the tape accumulates them, after whatever other
+    consumers of x gave first, bitwise as it did for the composed norm.
+    """
+    xd = x.data
+    ms, scale, xn = _norm(xd)
+    if not T.grad_enabled():
+        return Tensor(xn)
+
+    def backward(g: np.ndarray) -> dict:
+        g_sq_x = _norm_sq_grad(g, xd, ms)
+        return {"x*scale": g * scale, "x*x a": g_sq_x, "x*x b": g_sq_x}
+
+    return _one_node(xn, [(x, "x*scale"), (x, "x*x a"), (x, "x*x b")], backward)
 
 
 # One routed expert: (w_up, w_down, adapter on w_up or None, adapter on w_down or None).
@@ -205,45 +236,116 @@ def _project(inp: np.ndarray, W: Tensor,
 
 def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
                    pair: AdapterPair | None, xa: np.ndarray | None,
-                   g_in: np.ndarray | None, grads: dict[int, np.ndarray]) -> None:
+                   want_in: bool, grads: dict) -> list[np.ndarray]:
     """Backward of _project: put the gradients of W, A and B that require
-    one into grads (B's times the mask) and add inp's gradient into g_in
-    unless it is None, the base term first and the adapter term second, as
-    the tape accumulated them. A weight's gradient from a batched inp is
-    summed over the batch axes, as matmul's backward does."""
+    one into grads (B's times the mask) and, if want_in, return inp's
+    gradient terms, the base term first and the adapter term second, as
+    the tape added them. A weight's gradient from a batched inp is summed
+    over the batch axes, as matmul's backward does."""
+    terms = []
     if W.requires_grad:
         grads[id(W)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_out, W.shape)
-    if g_in is not None:
-        g_in += g_out @ W.data.swapaxes(-1, -2)
+    if want_in:
+        terms.append(g_out @ W.data.swapaxes(-1, -2))
     if pair is None:
-        return
+        return terms
     g_t = g_out * pair.scale
     if pair.B.requires_grad:
         g_b = T._unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
         grads[id(pair.B)] = g_b if pair.mask_f is None else g_b * pair.mask_f.data
-    if g_in is not None or pair.A.requires_grad:
+    if want_in or pair.A.requires_grad:
         g_xa = g_t @ _b_eff(pair).swapaxes(-1, -2)
         if pair.A.requires_grad:
             grads[id(pair.A)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape)
-        if g_in is not None:
-            g_in += g_xa @ pair.A.data.swapaxes(-1, -2)
+        if want_in:
+            terms.append(g_xa @ pair.A.data.swapaxes(-1, -2))
+    return terms
 
 
-def _one_node(out: np.ndarray, params: list[Tensor],
-              backward: Callable[[np.ndarray], dict[int, np.ndarray]]) -> Tensor:
-    """A tape node over params whose backward(g) returns every gradient
-    at once, keyed by id(param)."""
+def _one_node(out: np.ndarray, parents: list[tuple[Tensor, object]],
+              backward: Callable[[np.ndarray], dict]) -> Tensor:
+    """A tape node over parents, (tensor, key) pairs, whose backward(g)
+    returns every contribution at once, keyed as in parents. A tensor
+    listed under several keys takes one contribution per key, which the
+    tape adds in list order."""
     state: dict = {}
 
-    def part(t: Tensor):
+    def part(key):
         def fn(g: np.ndarray) -> np.ndarray:
             # the tape hands every parent the same g: compute all once
-            if state.get("g") is not g or id(t) not in state["grads"]:
+            if state.get("g") is not g or key not in state["grads"]:
                 state["g"], state["grads"] = g, backward(g)
-            return state["grads"].pop(id(t))
-        return (t, fn)
+            return state["grads"].pop(key)
+        return fn
 
-    return T._make(out, [part(t) for t in params])
+    return T._make(out, [(t, part(key)) for t, key in parents])
+
+
+# A projection: its weight and the weight's adapter or None.
+Projection = tuple[Tensor, AdapterPair | None]
+
+
+def route(x: Tensor, router: Projection,
+          k_route: int) -> tuple[Tensor, Tensor, LayerTrace]:
+    """Router projection, top-k selection and mixing softmax of one layer,
+    as one tape node, with the load-balancing statistic as a side output.
+
+    For x (tokens, d), logits = x W_r, adapted as in adapted_forward when
+    the gate has an adapter. route_topk picks each token's k experts and
+    their mixing weights w, a softmax over the selected logits; w is the
+    node's output. P, the mean full-softmax probability per expert, is a
+    child node of w whose grad fn hands its gradient to w's backward and
+    contributes zeros to w's, so w's backward runs even when only P
+    reaches the loss: pretraining, where P reaches the load-balancing
+    loss, and fine-tuning, where it does not, share one backward. Every
+    operation runs in the order of the composed tape graph this node
+    replaces (projection, take_along_last, softmax, and softmax then
+    tmean for P), and x is listed once per term that graph added into its
+    gradient (the projection, then the gate adapter), so outputs and
+    gradients are bitwise equal to it. The bank that consumes w stays its
+    own node: with shared experts and P in the loss, the tape adds the last
+    layer's shared-expert gradient into x between the bank's and the
+    router's, which no single node could reproduce.
+    """
+    W, gate = router
+    xd = x.data
+    logits, xa = _project(xd, W, gate)
+    idx, mix = route_topk(logits, k_route)
+    idx = idx.copy()
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    soft = e / e.sum(axis=-1, keepdims=True)
+    n_tok = xd.shape[0]
+    p = soft.sum(axis=0) * (1.0 / n_tok)
+    trace = LayerTrace(indices=idx, weights=mix)
+    if not T.grad_enabled():
+        return Tensor(mix), Tensor(p), trace
+    g_p: list[np.ndarray] = []
+
+    def backward(g: np.ndarray) -> dict:
+        grads: dict = {}
+        g_sel = mix * (g - (g * mix).sum(axis=-1, keepdims=True))
+        # take_along_last's backward added g_sel into zeros, which turned
+        # its -0.0s into +0.0
+        g_logits = np.zeros_like(logits)
+        np.put_along_axis(g_logits, idx, g_sel + 0.0, axis=-1)
+        if g_p:
+            gb = g_p[0] * (1.0 / n_tok)
+            g_logits += soft * (gb - (gb * soft).sum(axis=-1, keepdims=True))
+        terms = _project_grads(g_logits, xd, W, gate, xa, x.requires_grad, grads)
+        for key, term in zip(("x", "x adapter"), terms):
+            grads[key] = term
+        return grads
+
+    parents: list[tuple[Tensor, object]] = [(x, "x")]
+    if gate is not None:
+        parents += [(x, "x adapter"), (gate.A, id(gate.A)), (gate.B, id(gate.B))]
+    w = _one_node(mix, parents + [(W, id(W))], backward)
+
+    def hand_over(g: np.ndarray) -> np.ndarray:
+        g_p[:] = [g]
+        return np.zeros_like(mix)
+
+    return w, T._make(p, [(w, hand_over)]), trace
 
 
 def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
@@ -297,8 +399,9 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
         gs *= ws
         g_pre = np.zeros_like(h)   # the gelu output's gradient, then pre's in place
         for e, b in blocks.items():
-            _project_grads(gs[b], h[b], experts[e][1], experts[e][3],
-                           xa[e, "down"], g_pre[b], grads)
+            for term in _project_grads(gs[b], h[b], experts[e][1], experts[e][3],
+                                       xa[e, "down"], True, grads):
+                g_pre[b] += term
         # g_h * (cdf + pre * pdf), with the gelu pdf computed only here
         slope = T.normal_pdf(pre)
         slope *= pre
@@ -307,8 +410,9 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
         g_x = np.zeros_like(x.data) if x.requires_grad else None
         g_xs = np.zeros_like(xs) if x.requires_grad else None
         for e, b in blocks.items():
-            _project_grads(g_pre[b], xs[b], experts[e][0], experts[e][2],
-                           xa[e, "up"], None if g_xs is None else g_xs[b], grads)
+            for term in _project_grads(g_pre[b], xs[b], experts[e][0], experts[e][2],
+                                       xa[e, "up"], g_x is not None, grads):
+                g_xs[b] += term
             if g_x is not None:
                 g_x[rows[b]] += g_xs[b]
         if g_x is not None:
@@ -321,11 +425,7 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
         params += [w_up, w_down]
         params += [t for pair in (a_up, a_down) if pair is not None
                    for t in (pair.A, pair.B)]
-    return _one_node(y, params, backward)
-
-
-# An attention projection: its weight and the weight's adapter or None.
-Projection = tuple[Tensor, AdapterPair | None]
+    return _one_node(y, [(t, id(t)) for t in params], backward)
 
 
 def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
@@ -346,9 +446,7 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
     bsz, s, d = x.shape
     hd = d // n_heads
     xd = x.data
-    ms = (xd * xd).sum(axis=-1, keepdims=True) * (1.0 / d) + _NORM_EPS
-    scale = ms ** -0.5
-    xn = xd * scale
+    ms, scale, xn = _norm(xd)
     (wq, aq), (wk, ak), (wv, av), (wo, ao) = projs
 
     def heads(t: np.ndarray) -> np.ndarray:   # (B,S,D) -> (B,H,S,hd) view
@@ -385,7 +483,8 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
         # still skip their own gradients, and x's pre-norm is skipped below
         grads: dict[int, np.ndarray] = {}
         g_o_flat = np.zeros_like(o_flat)
-        _project_grads(g, o_flat, wo, ao, xa_o, g_o_flat, grads)
+        for term in _project_grads(g, o_flat, wo, ao, xa_o, True, grads):
+            g_o_flat += term
         g_o = T.first_grad(g_o_flat.reshape(bsz, s, n_heads, hd).swapaxes(1, 2), o)
         g_att = g_o @ v.swapaxes(-1, -2)
         # softmax backward, then the 1/sqrt(hd) scale; the tape turned the
@@ -397,12 +496,12 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
                    att.swapaxes(-1, -2) @ g_o)
         g_xn = np.zeros_like(xn) if x.requires_grad else None
         for (W, pair), xa, g_h in zip(projs, (xa_q, xa_k, xa_v), g_heads):
-            _project_grads(merged(g_h), xn, W, pair, xa, g_xn, grads)
+            for term in _project_grads(merged(g_h), xn, W, pair, xa,
+                                       g_xn is not None, grads):
+                g_xn += term
         if g_xn is not None:
-            # rmsnorm backward: x * scale, then scale = mean(x * x) ** -0.5
-            g_scale = (g_xn * xd).sum(axis=-1, keepdims=True)
-            g_ss = (g_scale * -0.5) * ms ** -1.5 * (1.0 / d)
-            g_sq_x = g_ss * xd
+            # the residual, then rmsnorm's terms in the composed norm's order
+            g_sq_x = _norm_sq_grad(g_xn, xd, ms)
             g_x = T.first_grad(g, xd)
             g_x += g_xn * scale
             g_x += g_sq_x
@@ -415,7 +514,7 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
         params.append(W)
         if pair is not None:
             params += [pair.A, pair.B]
-    return _one_node(out, params, backward)
+    return _one_node(out, [(t, id(t)) for t in params], backward)
 
 
 class MoEModel:
@@ -465,28 +564,13 @@ class MoEModel:
         h = T.gelu(self._proj(f"layer{layer}.{tag}.w_up", x))
         return self._proj(f"layer{layer}.{tag}.w_down", h)
 
-    def _moe(self, layer: int, x: Tensor):
-        c = self.config
-        bsz, s, d = x.shape
-        n_tok = bsz * s
-        xf = T.reshape(x, (n_tok, d))
-        logits = self._proj(f"layer{layer}.router.w", xf)
-        idx, _ = route_topk(logits.data, c.k_route)
-        sel_logits = T.take_along_last(logits, idx)
-        mix_w = T.softmax(sel_logits, axis=-1)
+    def _bank(self, layer: int) -> list[Expert]:
         experts = []
-        for e in range(c.n_experts):
+        for e in range(self.config.n_experts):
             up, down = f"layer{layer}.expert{e}.w_up", f"layer{layer}.expert{e}.w_down"
             experts.append((self.registry[up].tensor, self.registry[down].tensor,
                             self.adapters.get(up), self.adapters.get(down)))
-        yf = routed_experts(xf, mix_w, idx, experts)
-        for j in range(c.n_shared):
-            yf = yf + self._expert(layer, f"shared{j}", xf)
-        counts = np.bincount(idx.reshape(-1), minlength=c.n_experts)
-        f_l = counts.astype(np.float64) / (n_tok * c.k_route)
-        p_l = T.tmean(T.softmax(logits, axis=-1), axis=0)
-        trace = LayerTrace(indices=idx.copy(), weights=mix_w.data.copy())
-        return T.reshape(yf, (bsz, s, d)), f_l, p_l, trace
+        return experts
 
     # -- public surface -----------------------------------------------------
 
@@ -519,9 +603,16 @@ class MoEModel:
             projs = [(self.registry[n].tensor, self.adapters.get(n))
                      for n in (f"layer{layer}.attn.{p}" for p in ("wq", "wk", "wv", "wo"))]
             x = attention_sublayer(x, projs, c.n_heads, bias, cache, layer)
-            y, f_l, p_l, lt = self._moe(layer, rmsnorm(x))
-            x = x + y
-            fs.append(f_l)
+            xf = T.reshape(rmsnorm(x), (bsz * s, c.d_model))
+            router = f"layer{layer}.router.w"
+            mix_w, p_l, lt = route(xf, (self.registry[router].tensor,
+                                        self.adapters.get(router)), c.k_route)
+            yf = routed_experts(xf, mix_w, lt.indices, self._bank(layer))
+            for j in range(c.n_shared):
+                yf = yf + self._expert(layer, f"shared{j}", xf)
+            x = x + T.reshape(yf, (bsz, s, c.d_model))
+            counts = np.bincount(lt.indices.reshape(-1), minlength=c.n_experts)
+            fs.append(counts.astype(np.float64) / (bsz * s * c.k_route))
             ps.append(p_l)
             if trace is not None:
                 trace.layers.append(lt)

@@ -328,6 +328,12 @@ ABLATION_AXES = {
 }
 
 
+def check_axes(axes) -> None:
+    for axis in axes:
+        if axis not in ABLATION_AXES:
+            raise ConfigError(f"unknown ablation axis: {axis}")
+
+
 def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
            base_state: dict[str, np.ndarray], run: RunConfig,
            axes: dict[str, list | None], seeds: list[int] | None = None,
@@ -341,9 +347,7 @@ def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
     that run_warmup reads. warmup_pct rows also report plan agreement
     against the p=100 plan.
     """
-    for axis in axes:
-        if axis not in ABLATION_AXES:
-            raise ConfigError(f"unknown ablation axis: {axis}")
+    check_axes(axes)
     seeds = seeds if seeds is not None else [run.seed]
     train, evals = target_splits(specs, target_kind, cfg.max_seq)
     profiles: dict[tuple[int, float], ActivationProfile] = {}

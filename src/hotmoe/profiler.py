@@ -67,6 +67,16 @@ class PlacementPlan:
     def sets(self) -> list[set[int]]:
         return [set(h) for h in self.hot]
 
+    def check_fits(self, n_layers: int, n_experts: int) -> None:
+        """Raise ConfigError unless the plan has one row per layer and
+        names only experts in [0, n_experts)."""
+        if len(self.hot) != n_layers:
+            raise ConfigError(f"plan covers {len(self.hot)} layers, model has {n_layers}")
+        for experts in self.hot:
+            for e in experts:
+                if not 0 <= e < n_experts:
+                    raise ConfigError(f"plan expert index {e} not in [0, {n_experts})")
+
 
 def record(profile: ActivationProfile, trace) -> ActivationProfile:
     """Fold one RoutingTrace into the profile; each selection = one increment.

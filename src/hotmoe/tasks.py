@@ -85,16 +85,14 @@ class Batch:
     loss_mask: np.ndarray
 
 
-def _pack(rows: list[list[int]], answer_starts: list[int], seq_len: int) -> Dataset:
+def _pack(rows: list[list[int]], answer_starts: list[int]) -> Dataset:
     """Lay out ragged token rows into padded arrays with next-token targets.
 
-    Width is the longest row, not seq_len: trailing PAD positions carry no
+    Width is the longest row, not max_seq: trailing PAD positions carry no
     loss but still route, and a wall of task-independent PAD would wash out
-    the per-task activation profile. seq_len only caps the width.
+    the per-task activation profile.
     """
     width = max(len(row) for row in rows)
-    if width > seq_len:
-        raise ConfigError(f"example length {width} exceeds max_seq {seq_len}")
     n = len(rows)
     tokens = np.full((n, width), PAD, dtype=np.int64)
     targets = np.full((n, width), PAD, dtype=np.int64)
@@ -109,14 +107,47 @@ def _pack(rows: list[list[int]], answer_starts: list[int], seq_len: int) -> Data
     return Dataset(tokens, targets, mask)
 
 
-def _gen_mod_add(spec: TaskSpec, rng: np.random.Generator, seq_len: int):
-    m = spec.modulus
-    space = m * m
+def _space_size(spec: TaskSpec, alphabet: int) -> int:
+    return sum(alphabet ** n for n in range(spec.min_len, spec.max_len + 1))
+
+
+def _plain_alphabet(spec: TaskSpec) -> list[int]:
+    """refusal's non-trigger prompt symbols."""
+    lo, hi = spec.data_band()
+    return [t for t in range(lo, hi + 1) if t not in spec.triggers]
+
+
+def check_shape(spec: TaskSpec, seq_len: int) -> None:
+    """Raise ConfigError unless spec's examples fit: as many distinct
+    prompts as its splits need, and every row within seq_len tokens.
+    make_task checks this before it generates; config building checks it
+    before a command writes anything."""
     need = spec.train_size + spec.test_size
-    if need > space:
-        raise ConfigError(
-            f"mod_add needs {need} unique examples but the space holds {space}")
-    order = rng.permutation(space)[:need]
+    if spec.kind == "mod_add":
+        space = spec.modulus * spec.modulus
+        if need > space:
+            raise ConfigError(
+                f"mod_add needs {need} unique examples but the space holds {space}")
+        width = 4
+    else:
+        if spec.kind == "refusal":
+            alphabet = len(_plain_alphabet(spec))
+            if not alphabet:
+                raise ConfigError("refusal band holds no non-trigger symbols")
+        else:
+            lo, hi = spec.data_band()
+            alphabet = hi - lo + 1
+        if need > _space_size(spec, alphabet):
+            raise ConfigError(f"{spec.kind} sample count exceeds the prompt space")
+        width = 2 * spec.max_len + 1
+    if width > seq_len:
+        raise ConfigError(f"{spec.kind} sequences of {width} tokens would "
+                          f"exceed max_seq {seq_len}")
+
+
+def _gen_mod_add(spec: TaskSpec, rng: np.random.Generator):
+    m = spec.modulus
+    order = rng.permutation(m * m)[:spec.train_size + spec.test_size]
     rows, starts = [], []
     for code in order:
         a, b = int(code) // m, int(code) % m
@@ -125,17 +156,9 @@ def _gen_mod_add(spec: TaskSpec, rng: np.random.Generator, seq_len: int):
     return rows, starts
 
 
-def _space_size(spec: TaskSpec, alphabet: int) -> int:
-    return sum(alphabet ** n for n in range(spec.min_len, spec.max_len + 1))
-
-
-def _gen_transduce(spec: TaskSpec, rng: np.random.Generator, seq_len: int):
+def _gen_transduce(spec: TaskSpec, rng: np.random.Generator):
     lo, hi = spec.data_band()
     need = spec.train_size + spec.test_size
-    if need > _space_size(spec, hi - lo + 1):
-        raise ConfigError("transduce sample count exceeds the prompt space")
-    if 2 * spec.max_len + 1 > seq_len:
-        raise ConfigError("transduce sequences would exceed max_seq")
     rows, starts, seen = [], [], set()
     while len(rows) < need:
         n = int(rng.integers(spec.min_len, spec.max_len + 1))
@@ -149,16 +172,9 @@ def _gen_transduce(spec: TaskSpec, rng: np.random.Generator, seq_len: int):
     return rows, starts
 
 
-def _gen_refusal(spec: TaskSpec, rng: np.random.Generator, seq_len: int):
-    lo, hi = spec.data_band()
-    plain_alphabet = [t for t in range(lo, hi + 1) if t not in spec.triggers]
-    if not plain_alphabet:
-        raise ConfigError("refusal band holds no non-trigger symbols")
+def _gen_refusal(spec: TaskSpec, rng: np.random.Generator):
+    plain_alphabet = _plain_alphabet(spec)
     need = spec.train_size + spec.test_size
-    if need > _space_size(spec, len(plain_alphabet)):
-        raise ConfigError("refusal sample count exceeds the prompt space")
-    if 2 * spec.max_len + 1 > seq_len:
-        raise ConfigError("refusal sequences would exceed max_seq")
     rows, starts, seen = [], [], set()
     while len(rows) < need:
         n = int(rng.integers(spec.min_len, spec.max_len + 1))
@@ -186,12 +202,14 @@ _GENERATORS: dict[str, Callable] = {
 
 
 def make_task(spec: TaskSpec, seq_len: int = 16) -> tuple[Dataset, Dataset]:
-    """Build (train, test) datasets; pure function of (spec, seq_len)."""
+    """Build (train, test) datasets, a pure function of spec, once
+    check_shape passes for rows of at most seq_len tokens."""
+    check_shape(spec, seq_len)
     kind_id = TASK_KINDS.index(spec.kind)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, kind_id]))
-    rows, starts = _GENERATORS[spec.kind](spec, rng, seq_len)
-    train = _pack(rows[:spec.train_size], starts[:spec.train_size], seq_len)
-    test = _pack(rows[spec.train_size:], starts[spec.train_size:], seq_len)
+    rows, starts = _GENERATORS[spec.kind](spec, rng)
+    train = _pack(rows[:spec.train_size], starts[:spec.train_size])
+    test = _pack(rows[spec.train_size:], starts[spec.train_size:])
     overlap = set(train.example_hashes()) & set(test.example_hashes())
     if overlap:
         raise InvariantViolation(f"train/test overlap: {len(overlap)} examples")
@@ -234,7 +252,7 @@ def subset(dataset: Dataset, fraction_pct: float, seed: int) -> Dataset:
 
 
 def evaluate(logits_fn: Callable[[np.ndarray], np.ndarray], dataset: Dataset,
-             batch_size: int = 64) -> float:
+             batch_size: int = 128) -> float:
     """Token-level exact match on masked positions under greedy decoding.
 
     logits_fn maps a token matrix (B, S) to logits (B, S, V). Answer
@@ -243,7 +261,8 @@ def evaluate(logits_fn: Callable[[np.ndarray], np.ndarray], dataset: Dataset,
     positions condition on earlier predictions. To score column t,
     logits_fn gets only the causal prefix (columns 0..t), which grows by
     one column per step, so a KV-cached logits_fn (MoEModel.logits_fn)
-    forwards each position once.
+    forwards each position once. The default batch holds a whole test
+    split of the desk tasks (120 rows), so each split decodes in one pass.
     """
     total, hits = 0, 0
     for lo in range(0, len(dataset), batch_size):

@@ -10,7 +10,6 @@ memory layout, so outputs and every gradient must be bitwise equal.
 
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +17,12 @@ import pytest
 from hotmoe import model as model_mod
 from hotmoe import tensor as T
 from hotmoe.adapters import AdapterPair, TargetSet, adapted_forward
-from hotmoe.config import load_config
 from hotmoe.gradcheck import finite_diff_check
 from hotmoe.model import (KVCache, MoEModel, attention_sublayer, forward_backward,
                           rmsnorm)
 from hotmoe.registry import ParamRegistry
-from test_moe_fused import GRAD_TOL, SCHEMES, adapted, batch_of, first_half_plan, tiny_config
-
-DESK = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg").model
+from test_moe_fused import (DESK, GRAD_TOL, SCHEMES, adapted, batch_of, first_half_plan,
+                            tiny_config)
 
 
 def tape_sublayer(x, projs, n_heads, bias, cache, layer):

@@ -336,3 +336,38 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--set", "task.max_len=40"],
+    ["run", "--set", "task.train_size=200000"],
+    ["plan"],
+    ["profile"],
+    ["finetune"],
+    ["ablate"],
+    ["crosstask"],
+    ["flops"],
+    ["finetune", "--base", "BASE", "--set", "run.experts=plan"],
+    ["flops", "--base", "BASE", "--set", "run.experts=plan"],
+    ["finetune", "--base", "BASE", "--plan", "PLAN1"],
+    ["flops", "--base", "BASE", "--plan", "PLAN1"],
+    ["ablate", "--base", "BASE", "--axes", " , "],
+    ["ablate", "--base", "BASE", "--axes", "strategy,dropout"],
+    ["gradcheck", "--coords", "0"],
+    ["gradcheck", "--coords", "-2"],
+], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
+        "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
+        "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
+        "flops-plan-misfit", "ablate-empty-axes",
+        "ablate-unknown-axis", "gradcheck-coords-0", "gradcheck-coords-neg"])
+def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
+    # BASE stands for a real base checkpoint, so only the named check fails;
+    # PLAN1 is a well-formed plan for a one-layer model
+    plan1 = tmp_path / "plan1.csv"
+    plan1.write_text("strategy=layer_hot k=2 seed=none\n0,1\n")
+    args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1)}.get(a, a)
+            for a in args]
+    out = tmp_path / "out"
+    assert main(args[:1] + ["--config", CFG, "--out-dir", str(out)] + args[1:]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+    assert not out.exists() or list(out.iterdir()) == []

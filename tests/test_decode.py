@@ -6,6 +6,7 @@ whole token matrix per answer column. Sums over the shorter key axis run
 in another order, so logits may move in the last bits; predictions may not.
 """
 
+import inspect
 import itertools
 
 import numpy as np
@@ -17,9 +18,10 @@ from hotmoe.model import KVCache, ModelConfig, MoEModel
 from hotmoe.tasks import PAD, evaluate
 
 LOGIT_TOL = 1e-12
+EVAL_BATCH = inspect.signature(evaluate).parameters["batch_size"].default
 
 
-def full_recompute_decode(model, dataset, batch_size=64):
+def full_recompute_decode(model, dataset, batch_size=EVAL_BATCH):
     """Per answer column in decode order: (t, rows, predictions, scored logits)."""
     steps = []
     for lo in range(0, len(dataset), batch_size):
@@ -58,6 +60,45 @@ def test_cached_decode_matches_full_recompute(pretrained, task_splits):
             got = logits[rows, t, :]
             assert np.array_equal(got.argmax(axis=-1), pred), (seed, kind, t)
             assert np.abs(got - scored).max() <= LOGIT_TOL, (seed, kind, t)
+
+
+def decode_steps(model, dataset, batch_size):
+    """evaluate's accuracy at batch_size, its batch count, and the logits
+    it scored, keyed by (dataset row, column)."""
+    fn = model.logits_fn()
+    calls = []
+
+    def spy(tokens):
+        logits = fn(tokens)
+        calls.append(logits.copy())
+        return logits
+
+    acc = evaluate(spy, dataset, batch_size=batch_size)
+    scored, lo, prev = {}, -batch_size, None
+    for logits in calls:
+        t = logits.shape[1] - 1
+        if prev is None or t <= prev:   # the prefix restarted: a new batch
+            lo += batch_size
+        prev = t
+        for r in np.where(dataset.loss_mask[lo:lo + batch_size, t])[0]:
+            scored[lo + r, t] = logits[r, t]
+    return acc, lo // batch_size + 1, scored
+
+
+def test_default_batch_matches_batch_64(pretrained, task_splits):
+    # a one-row matmul (an expert holding one slot) runs through BLAS gemv,
+    # which rounds differently from gemm, so a logit may move in its last
+    # bits when rows are batched differently; predictions may not
+    for (seed, result), (kind, (_, test)) in itertools.product(
+            pretrained.items(), task_splits.items()):
+        acc64, _, at64 = decode_steps(result.model, test, 64)
+        acc, batches, at_default = decode_steps(result.model, test, EVAL_BATCH)
+        assert batches == 1, (seed, kind)   # a desk test split is one batch
+        assert acc == acc64, (seed, kind)
+        assert at_default.keys() == at64.keys()
+        for key, logits in at_default.items():
+            assert logits.argmax() == at64[key].argmax(), (seed, kind, key)
+            assert np.abs(logits - at64[key]).max() <= LOGIT_TOL, (seed, kind, key)
 
 
 def small_model():

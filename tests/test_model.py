@@ -1,7 +1,8 @@
 """MoE model contracts: routing, load balancing, losses, pretraining.
 
-Oracles: top-k selection vs a brute-force full sort; MoE layer output vs
-a straight replay recomputed from the trace with plain numpy; LB loss vs
+Oracles: top-k selection vs a brute-force full sort; MoE layer output
+(route and routed_experts, through test_moe_fused.moe_half) vs a straight
+replay recomputed from the trace with plain numpy; LB loss vs
 hand-constructed stats; CE at init vs the maximum-entropy baseline.
 """
 
@@ -17,6 +18,7 @@ from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingStats,
                           profile_counts, route_topk)
 from hotmoe.optim import Adam, AdamConfig
 from hotmoe.tasks import PAD, TaskSpec, iter_batches, make_task
+from test_moe_fused import moe_half
 
 RNG = np.random.default_rng(2024)
 
@@ -83,7 +85,7 @@ class TestMoELayer:
         w.data = np.zeros_like(w.data)
         w.data[:, 0] = 100.0  # with positive activations, expert 0 always wins
         x = T.Tensor(np.abs(RNG.normal(size=(2, 3, 8))) + 0.1)
-        y, f, _, _ = model._moe(0, x)
+        y, f, _, _ = moe_half(model, 0, x)
         xf = x.data.reshape(-1, 8)
         up = model.registry["layer0.expert0.w_up"].tensor.data
         down = model.registry["layer0.expert0.w_down"].tensor.data
@@ -97,7 +99,7 @@ class TestMoELayer:
         cfg = tiny_config()
         model = MoEModel(cfg, seed=3)
         x = T.Tensor(RNG.normal(size=(4, 5, 8)))
-        y, _, _, lt = model._moe(1, x)
+        y, _, _, lt = moe_half(model, 1, x)
         xf = x.data.reshape(-1, 8)
         replay = np.zeros_like(xf)
         for t in range(xf.shape[0]):
@@ -114,7 +116,7 @@ class TestMoELayer:
         cfg = tiny_config(k_route=4)
         model = MoEModel(cfg, seed=1)
         x = T.Tensor(RNG.normal(size=(1, 4, 8)))
-        _, f, _, lt = model._moe(0, x)
+        _, f, _, lt = moe_half(model, 0, x)
         assert sorted(lt.indices[0].tolist()) == [0, 1, 2, 3]
         assert f.sum() == pytest.approx(1.0)
 

@@ -1,11 +1,19 @@
-"""The fused routed-expert bank against the per-expert tape loop.
+"""The fused layer nodes against the composed tape path they replaced.
 
-MoEModel._moe runs its routed experts as one tape node,
-model.routed_experts. The oracle here is the loop it replaced: per expert,
-gather its rows, run the expert through (adapted) projections and gelu on
-the tape, and index-add its weighted output. Both run the same operations
-in the same order, so outputs and every gradient must be bitwise equal.
+Each layer of MoEModel.forward normalizes with one rmsnorm node, routes
+with one model.route node (router projection with its gate adapter,
+route_topk, the mixing softmax, and the load-balancing statistic P as a
+side output) and runs its routed experts as one model.routed_experts node.
+The oracle here is the tape graph they replaced: the composed norm, the
+router's adapted_forward, take_along_last, softmax and tmean, and the
+per-expert bank loop (per expert: gather its rows, run the expert through
+(adapted) projections and gelu on the tape, index-add its weighted
+output). Both run the same operations in the same order, so outputs and
+every gradient must be bitwise equal.
 """
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +22,17 @@ from hotmoe import model as model_mod
 from hotmoe import tensor as T
 from hotmoe.adapters import (AdapterPair, Scheme, TargetSet, adapted_forward,
                              attach, build_mask, set_trainability)
+from hotmoe.config import load_config
 from hotmoe.gradcheck import finite_diff_check
-from hotmoe.model import ModelConfig, MoEModel, forward_backward, routed_experts
+from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, forward_backward,
+                          load_balancing_loss, rmsnorm, route, route_topk,
+                          routed_experts)
 from hotmoe.profiler import PlacementPlan
 from hotmoe.tasks import Batch
 
 GRAD_TOL = 1e-4   # the acceptance gate's gradcheck tolerance
 SCHEMES = ("lora", "lori_d", "lori_s")
+DESK = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg").model
 
 
 def loop_bank(xf, mix_w, idx, experts):
@@ -38,6 +50,46 @@ def loop_bank(xf, mix_w, idx, experts):
         we = T.reshape(T.gather_pairs(mix_w, rows, slots), (rows.size, 1))
         yf = T.index_add_rows(yf, rows, he * we)
     return yf
+
+
+def composed_route(xf, router, k_route):
+    """The tape graph that route replaced."""
+    W, gate = router
+    logits = xf @ W if gate is None else adapted_forward(xf, W, gate)
+    idx, _ = route_topk(logits.data, k_route)
+    mix_w = T.softmax(T.take_along_last(logits, idx), axis=-1)
+    p = T.tmean(T.softmax(logits, axis=-1), axis=0)
+    return mix_w, p, LayerTrace(indices=idx.copy(), weights=mix_w.data.copy())
+
+
+def composed_rmsnorm(x):
+    """The tape graph that the one-node rmsnorm replaced."""
+    scale = T.power(T.tmean(x * x, axis=-1, keepdims=True) + model_mod._NORM_EPS, -0.5)
+    return x * scale
+
+
+def compose(mp):
+    """Swap every fused layer node but attention for its composed graph."""
+    mp.setattr(model_mod, "rmsnorm", composed_rmsnorm)
+    mp.setattr(model_mod, "route", composed_route)
+    mp.setattr(model_mod, "routed_experts", loop_bank)
+
+
+def moe_half(model, layer, x):
+    """The routed half of forward's layer on a normed x (B, S, d): y, the
+    assignment fractions f, P and the trace, through whichever route and
+    routed_experts the model module holds."""
+    c = model.config
+    bsz, s, d = x.shape
+    xf = T.reshape(x, (bsz * s, d))
+    name = f"layer{layer}.router.w"
+    mix_w, p, lt = model_mod.route(
+        xf, (model.registry[name].tensor, model.adapters.get(name)), c.k_route)
+    yf = model_mod.routed_experts(xf, mix_w, lt.indices, model._bank(layer))
+    for j in range(c.n_shared):
+        yf = yf + model._expert(layer, f"shared{j}", xf)
+    counts = np.bincount(lt.indices.reshape(-1), minlength=c.n_experts)
+    return T.reshape(yf, (bsz, s, d)), counts / (bsz * s * c.k_route), p, lt
 
 
 def tiny_config(**kw):
@@ -83,7 +135,7 @@ def step_bytes(build, batch, monkeypatch, loop):
     """Loss, per-layer trace and every gradient of one step, as bytes."""
     with monkeypatch.context() as mp:
         if loop:
-            mp.setattr(model_mod, "routed_experts", loop_bank)
+            compose(mp)
         model = build()
         res = forward_backward(model, batch, want_trace=True)
     grads = {name: None if e.tensor.grad is None else e.tensor.grad.tobytes()
@@ -110,7 +162,17 @@ def test_pretrain_step_matches_loop(kw, monkeypatch):
     cfg = tiny_config(**kw)
     _, _, grads = assert_step_matches_loop(lambda: MoEModel(cfg, seed=2),
                                            batch_of(0), monkeypatch)
-    assert all(g is not None for name, g in grads.items() if ".expert" in name)
+    assert all(g is not None for name, g in grads.items()
+               if ".expert" in name or ".router" in name)
+
+
+@pytest.mark.parametrize("kw", [{}, {"lb_mode": "per_layer"}, {"lb_mode": "off"},
+                                {"n_shared": 2}, {"k_route": 16}])
+def test_desk_pretrain_step_matches_composed(kw, monkeypatch):
+    cfg = replace(DESK, **kw)
+    _, _, grads = assert_step_matches_loop(lambda: MoEModel(cfg, seed=2),
+                                           batch_of(0, shape=(6, 13)), monkeypatch)
+    assert all(g is not None for name, g in grads.items() if ".router" in name)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -126,6 +188,102 @@ def test_adapted_step_matches_loop(scheme, experts, others, monkeypatch):
         lambda: adapted(cfg, scheme, targets, plan), batch_of(1), monkeypatch)
     trained = [n for n, g in grads.items() if g is not None]
     assert trained and all(".adapter." in n for n in trained)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("experts", ["all", "plan"])
+@pytest.mark.parametrize("gate", [True, False])
+@pytest.mark.parametrize("lb_mode", ["global", "off"])
+def test_desk_adapted_step_matches_composed(lb_mode, gate, experts, scheme, monkeypatch):
+    # fine-tuning runs with the load-balancing loss off unless
+    # lb_during_finetune is set; both sides of P are checked
+    cfg = replace(DESK, n_shared=1, lb_mode=lb_mode)
+    targets = TargetSet(attention=False, gate=gate, experts=experts)
+    plan = first_half_plan(cfg) if experts == "plan" else None
+    _, _, grads = assert_step_matches_loop(
+        lambda: adapted(cfg, scheme, targets, plan), batch_of(1, shape=(6, 13)),
+        monkeypatch)
+    gated = [n for n, g in grads.items() if ".router.w.adapter.B" in n and g is not None]
+    assert len(gated) == (cfg.n_layers if gate else 0)
+
+
+@pytest.mark.parametrize("mode", ["global", "per_layer"])
+def test_lb_loss_alone_matches_composed(mode, monkeypatch):
+    # only P reaches this loss: the weights node's gradient comes from P alone
+    cfg = tiny_config(n_shared=1)
+
+    def grads(composed):
+        with monkeypatch.context() as mp:
+            if composed:
+                compose(mp)
+            model = MoEModel(cfg, seed=2)
+            out = model.forward(batch_of(0).tokens)
+            model.registry.zero_grads()
+            load_balancing_loss(out.stats, mode).backward()
+        return {name: None if e.tensor.grad is None else e.tensor.grad.tobytes()
+                for name, e in model.registry.items()}
+
+    fused = grads(composed=False)
+    assert fused == grads(composed=True)
+    assert all(fused[f"layer{l}.router.w"] is not None for l in range(cfg.n_layers))
+
+
+@pytest.mark.parametrize("residual", [False, True])
+def test_rmsnorm_matches_composed(residual):
+    rng = np.random.default_rng(11)
+    x = T.Tensor(rng.normal(size=(3, 5, 8)), requires_grad=True)
+    mix = T.Tensor(rng.normal(size=(8, 8)))
+    weights = T.Tensor(rng.normal(size=(3, 5, 8)))
+    outs = []
+    for norm in (rmsnorm, composed_rmsnorm):
+        x.grad = None
+        y = norm(x) @ mix
+        if residual:   # x also feeds the residual, which the tape reaches first
+            y = x + y
+        T.tsum(y * weights).backward()
+        outs.append((y.data.tobytes(), x.grad.tobytes()))
+    assert outs[0] == outs[1]
+    y = rmsnorm(x)
+    assert [p for p, _ in y._parents] == [x, x, x]
+    assert not any(p._parents for p, _ in y._parents)   # one node over x
+
+
+@pytest.mark.parametrize("gate", [False, True])
+def test_route_no_grad_matches_tape(gate):
+    cfg = tiny_config(n_experts=6, k_route=3)
+    rng = np.random.default_rng(3)
+    xf = T.Tensor(rng.normal(size=(7, cfg.d_model)), requires_grad=True)
+    W = T.Tensor(rng.normal(size=(cfg.d_model, 6)), requires_grad=True)
+    pair = None
+    if gate:
+        pair = AdapterPair(A=T.Tensor(rng.normal(size=(cfg.d_model, 2))),
+                           B=T.Tensor(rng.normal(size=(2, 6)), requires_grad=True),
+                           r=2, alpha=4.0, mask=rng.random((2, 6)) < 0.5)
+    taped = route(xf, (W, pair), 3)
+    with T.no_grad():
+        free = route(xf, (W, pair), 3)
+    assert taped[0].requires_grad and taped[1].requires_grad
+    assert not free[0]._parents and not free[1]._parents
+    for a, b in zip(taped[:2], free[:2]):
+        assert a.data.tobytes() == b.data.tobytes()
+    assert taped[2].indices.tobytes() == free[2].indices.tobytes()
+    assert taped[2].weights.tobytes() == free[2].weights.tobytes()
+    assert taped[1]._parents[0][0] is taped[0]   # P is a child of the weights
+
+
+@pytest.mark.parametrize("shape", ["tiny", "desk"])
+def test_no_grad_model_forward_matches_tape(shape, monkeypatch):
+    cfg = {"tiny": tiny_config(n_shared=1), "desk": DESK}[shape]
+    model = adapted(cfg, "lori_s", TargetSet(True, True, "plan"), first_half_plan(cfg))
+    tokens = np.random.default_rng(6).integers(0, 32, size=(3, 11))
+    taped = model.forward(tokens).logits
+    with T.no_grad():
+        free = model.forward(tokens).logits
+    assert not free._parents
+    assert free.data.tobytes() == taped.data.tobytes()
+    compose(monkeypatch)
+    with T.no_grad():
+        assert model.forward(tokens).logits.data.tobytes() == taped.data.tobytes()
 
 
 def bank_inputs(cfg, seed, idx, adapted_experts=()):
@@ -196,18 +354,19 @@ def test_layer_adds_same_tape_nodes_for_4_and_16_experts(monkeypatch):
         cfg = tiny_config(n_experts=n_experts, k_route=2)
         model = MoEModel(cfg, seed=0)
         x = T.Tensor(np.random.default_rng(0).normal(size=(4, 8, 8)), requires_grad=True)
-        y, _, _, _ = model._moe(0, x)
-        seen, stack, ops = set(), [y], 0
+        y, _, p, _ = moe_half(model, 0, model_mod.rmsnorm(x))
+        seen, stack, ops = set(), [y, p], 0
         while stack:
             node = stack.pop()
             if id(node) in seen or node is x:
                 continue
             seen.add(id(node))
-            stack.extend(p for p, _ in node._parents)
+            stack.extend(q for q, _ in node._parents)
             ops += bool(node._parents)   # parameters are leaves, not tape nodes
         return ops
-    assert nodes(4) == nodes(16)
-    monkeypatch.setattr(model_mod, "routed_experts", loop_bank)
+    # the norm, reshape, route, P, the bank and the reshape back
+    assert nodes(4) == nodes(16) == 6
+    compose(monkeypatch)
     assert nodes(4) < nodes(16)   # the loop grows with the bank
 
 

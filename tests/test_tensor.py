@@ -111,6 +111,60 @@ class TestElementwise:
         assert a.grad.tobytes() == (g * (cdf + x * eager_pdf)).tobytes()
 
 
+def erf_cdf(x):
+    """The plain erf form of the normal cdf that normal_cdf must match."""
+    from scipy.special import erf
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def cdf_inputs():
+    """Mixed-sign values at scales 1e-3 to 30, signed zeros, infinities,
+    subnormals, and x with |x| / sqrt(2) at 1 - ulp, 1 and 1 + ulp, where
+    cephes' erf hands over to erfc."""
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                        tiny / 3, -tiny / 3, tiny, -tiny])
+    targets = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+    edge = []
+    for y in targets:
+        near = y * np.sqrt(2.0) + np.arange(-4, 5) * np.spacing(np.sqrt(2.0))
+        assert y in near / np.sqrt(2.0)
+        edge.append(near)
+    edge = np.concatenate(edge)
+    scales = np.geomspace(1e-3, 30.0, 13)
+    return np.concatenate([rng.normal(0.0, s, 20000) for s in scales]
+                          + [special, edge, -edge])
+
+
+class TestNormalCdf:
+    def test_bitwise_equal_to_erf_form(self):
+        x = cdf_inputs()
+        assert T.normal_cdf(x).tobytes() == erf_cdf(x).tobytes()
+
+    def test_nan_stays_nan(self):
+        # a NaN's sign bit is not part of the contract: copysign copies x's
+        x = np.array([np.nan, -np.nan, 0.5])
+        out = T.normal_cdf(x)
+        assert np.isnan(out[:2]).all() and out[2] == erf_cdf(0.5)
+
+    @pytest.mark.parametrize("x", [np.float64(-0.4), np.array(1.3), 0.7])
+    def test_0d_input_gives_scalar(self, x):
+        out = T.normal_cdf(x)
+        assert np.shape(out) == ()
+        assert float(out) == float(erf_cdf(np.float64(x)))
+
+    def test_gelu_gradient_unchanged(self):
+        x = cdf_inputs()
+        x = x[np.isfinite(x)]
+        a = T.Tensor(x, requires_grad=True)
+        g = np.random.default_rng(6).normal(size=x.shape)
+        T.tsum(T.gelu(a) * T.Tensor(g)).backward()
+        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        # + 0.0: a leaf's first gradient turns -0.0 into +0.0 (first_grad)
+        assert a.grad.tobytes() == (g * (erf_cdf(x) + x * pdf) + 0.0).tobytes()
+
+
 class TestShapes:
     def test_reshape(self):
         check_op(lambda a: T.tsum(T.reshape(a, (6, 2)) * 3.0), [rand(3, 4)])
