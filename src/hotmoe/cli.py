@@ -27,11 +27,10 @@ from .checkpoint import load_checkpoint
 from .config import FullConfig, apply_overrides, load_config, write_resolved
 from .errors import ConfigError, HotmoeError, IoError, NumericalError
 from .gradcheck import finite_diff_check
-from .model import MoEModel, RoutingTrace, pretrain_base
-from . import tensor as T
-from .pipeline import (ablate, build_plan, check_axes, cross_task_matrix, finetune,
-                       lori_s_masks, run_end_to_end, run_warmup, target_splits,
-                       write_rows_csv)
+from .model import MoEModel, RoutingTrace, nograd_traces, pretrain_base
+from .pipeline import (ABLATION_AXES, ablate, build_plan, check_axes,
+                       cross_task_matrix, finetune, run_end_to_end, run_warmup,
+                       target_splits, write_rows_csv)
 from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
                        load_heatmap, load_plan, save_plan)
 
@@ -45,7 +44,9 @@ EXIT_CODES = {
 GRADCHECK_TOL = 1e-4
 
 
-def _load_full(args) -> tuple[FullConfig, list[str]]:
+def _load_full(args) -> tuple[FullConfig, list[str], dict[str, np.ndarray] | None]:
+    """The resolved config, the overrides applied, and the --base state if
+    the command takes one and it was given, checked against [model]."""
     full = load_config(args.config)
     overrides = {}
     for item in args.set or []:
@@ -57,7 +58,14 @@ def _load_full(args) -> tuple[FullConfig, list[str]]:
         overrides["run.seed"] = str(args.seed)
         overrides["pretrain.seed"] = str(args.seed)
     full, applied = apply_overrides(full, overrides)
-    return full, applied
+    path = getattr(args, "base", None)
+    if path is None:
+        return full, applied, None
+    state = load_checkpoint(path)
+    problem = MoEModel(full.model, seed=0).registry.mismatch(state)
+    if problem is not None:
+        raise ConfigError(f"--base {path} does not fit [model]: {problem}")
+    return full, applied, state
 
 
 def _prep_out(args, full, applied) -> Path | None:
@@ -76,10 +84,11 @@ def _prep_out(args, full, applied) -> Path | None:
     return out
 
 
-def _load_base(args) -> dict[str, np.ndarray]:
+def _load_base(args) -> tuple[FullConfig, list[str], dict[str, np.ndarray]]:
+    """_load_full for a command that needs --base."""
     if args.base is None:
         raise ConfigError("this command needs --base <checkpoint>")
-    return load_checkpoint(args.base)
+    return _load_full(args)
 
 
 def _target_splits(full):
@@ -98,7 +107,7 @@ def _pretrain(full, out):
 
 
 def cmd_pretrain(args) -> int:
-    full, applied = _load_full(args)
+    full, applied, _ = _load_full(args)
     if args.out_dir is None:
         raise ConfigError("pretrain needs --out-dir for the checkpoint")
     out = _prep_out(args, full, applied)
@@ -118,8 +127,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    full, applied = _load_full(args)
-    state = _load_base(args)
+    full, applied, state = _load_base(args)
     out = _prep_out(args, full, applied)
     train, _ = _target_splits(full)
     run = full.run
@@ -134,7 +142,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    full, applied = _load_full(args)
+    full, applied, _ = _load_full(args)
     if args.profile is None:
         raise ConfigError("plan needs --profile <heatmap.csv>")
     profile = load_heatmap(args.profile)
@@ -158,21 +166,18 @@ def _plan_from_args(args, full) -> PlacementPlan | None:
 
 
 def cmd_finetune(args) -> int:
-    full, applied = _load_full(args)
-    state = _load_base(args)
+    full, applied, state = _load_base(args)
     plan = _plan_from_args(args, full)
     out = _prep_out(args, full, applied)
     train, evals = _target_splits(full)
-    masks = lori_s_masks(full.model, state, train, plan, full.run)
     _, report = finetune(full.model, state, train, evals, plan, full.run,
-                         masks=masks, out_dir=out)
+                         out_dir=out)
     print(report.format())
     return 0
 
 
 def cmd_run(args) -> int:
-    full, applied = _load_full(args)
-    state = None if args.base is None else load_checkpoint(args.base)
+    full, applied, state = _load_full(args)
     out = _prep_out(args, full, applied)
     if state is None:
         state = _pretrain(full, out).model.registry.state_arrays()
@@ -198,8 +203,7 @@ def cmd_ablate(args) -> int:
     if not names:
         raise ConfigError("ablate needs --axes with at least one axis")
     check_axes(names)
-    full, applied = _load_full(args)
-    state = _load_base(args)
+    full, applied, state = _load_base(args)
     out = _prep_out(args, full, applied)
     rows = ablate(full.model, full.task.specs(), full.task.target, state,
                   full.run, axes=dict.fromkeys(names), seeds=seeds, out_dir=out)
@@ -210,8 +214,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_crosstask(args) -> int:
-    full, applied = _load_full(args)
-    state = _load_base(args)
+    full, applied, state = _load_base(args)
     out = _prep_out(args, full, applied)
     res = cross_task_matrix(full.model, full.task.specs(), state, full.run,
                             out_dir=out)
@@ -226,22 +229,14 @@ def cmd_crosstask(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    full, applied = _load_full(args)
-    state = _load_base(args)
+    full, applied, state = _load_base(args)
     plan = _plan_from_args(args, full)
     out = _prep_out(args, full, applied)
     train, evals = _target_splits(full)
-    test = evals[full.task.target]
-    run = replace(full.run, epochs=0)
-    model, _ = finetune(full.model, state, train, {}, plan, run,
-                        masks=lori_s_masks(full.model, state, train, plan, run))
-    traces = []
-    with T.no_grad():
-        for lo in range(0, len(test), full.run.batch_size):
-            res = model.forward(test.tokens[lo:lo + full.run.batch_size],
-                                want_trace=True)
-            traces.append(res.trace)
-    merged = RoutingTrace.merge(traces)
+    model, _ = finetune(full.model, state, train, {}, plan,
+                        replace(full.run, epochs=0))
+    merged = RoutingTrace.merge(list(nograd_traces(
+        model, evals[full.task.target].tokens, full.run.batch_size)))
     rep = adapter_flops(merged, model)
     print(rep.format())
     if plan is not None:
@@ -257,7 +252,7 @@ def cmd_flops(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    full, applied = _load_full(args)
+    full, applied, _ = _load_full(args)
     if args.coords < 1:
         raise ConfigError(f"--coords must be >= 1, got {args.coords}")
     _prep_out(args, full, applied)
@@ -283,7 +278,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     """Closed-form parameter table for every scheme x placement combination."""
-    full, applied = _load_full(args)
+    full, applied, _ = _load_full(args)
     out = _prep_out(args, full, applied)
     cfg = full.model
     k = full.run.plan_k
@@ -295,8 +290,7 @@ def cmd_report(args) -> int:
     for scheme_name in ("lora", "lori_d", "lori_s"):
         for placement, experts, p in (("all", "all", None), (f"plan_k{k}", "plan", plan)):
             run = replace(full.run, scheme=scheme_name, experts=experts, epochs=0)
-            _, ft = finetune(cfg, base, train, {}, p, run,
-                             masks=lori_s_masks(cfg, base, train, p, run))
+            _, ft = finetune(cfg, base, train, {}, p, run)
             rep = ft.params
             rows.append({"scheme": scheme_name, "placement": placement,
                          "trainable": rep.trainable, "fraction": rep.fraction,
@@ -355,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="one-knob sweeps around the configured run")
     common(p, base=True)
     p.add_argument("--axes", default="strategy",
-                   help="comma list: strategy,plan_k,warmup_pct,targets")
+                   help=f"comma list: {','.join(ABLATION_AXES)}")
     p.add_argument("--seeds", default=None, help="comma list of seeds")
     p.set_defaults(func=cmd_ablate)
 

@@ -719,6 +719,13 @@ def concat_datasets(datasets: list[Dataset]) -> Dataset:
     )
 
 
+def nograd_traces(model: MoEModel, tokens: np.ndarray, batch_size: int):
+    """Routing traces of gradient-free forwards over `tokens`, one per row batch."""
+    for lo in range(0, len(tokens), batch_size):
+        with T.no_grad():
+            yield model.forward(tokens[lo:lo + batch_size], want_trace=True).trace
+
+
 def profile_counts(model: MoEModel, dataset: Dataset,
                    batch_size: int = 64) -> tuple[np.ndarray, int]:
     """Forward-only activation counts (n_layers, n_experts) plus tokens seen.
@@ -729,10 +736,8 @@ def profile_counts(model: MoEModel, dataset: Dataset,
     """
     c = model.config
     profile = ActivationProfile.empty(c.n_layers, c.n_experts)
-    with T.no_grad():
-        for lo in range(0, len(dataset), batch_size):
-            out = model.forward(dataset.tokens[lo:lo + batch_size], want_trace=True)
-            record(profile, out.trace)
+    for trace in nograd_traces(model, dataset.tokens, batch_size):
+        record(profile, trace)
     return profile.counts, profile.tokens_seen
 
 

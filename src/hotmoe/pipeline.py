@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .accounting import (FlopsReport, ParamReport, adapter_flops, count_params,
                          exec_counters)
 from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
 from .errors import ConfigError, InvariantViolation, IoError
-from .model import ModelConfig, MoEModel, RoutingTrace, forward_backward
+from .model import (ModelConfig, MoEModel, RoutingTrace, forward_backward,
+                    nograd_traces)
 from .optim import Adam, AdamConfig
 from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan, coverage,
                        jaccard, record, save_plan, select)
@@ -149,12 +149,9 @@ def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
     losses: list[float] = []
     steps = 0
     if run.warmup_forward_only:
-        with T.no_grad():
-            for lo in range(0, len(sub), run.batch_size):
-                out = model.forward(sub.tokens[lo:lo + run.batch_size],
-                                    want_trace=True)
-                record(profile, out.trace)
-                steps += 1
+        for trace in nograd_traces(model, sub.tokens, run.batch_size):
+            record(profile, trace)
+            steps += 1
     else:
         opt = Adam(model.registry, AdamConfig(lr=run.lr))
         for batch in iter_batches(sub, run.batch_size, run.warmup_epochs, run.seed):
@@ -210,7 +207,18 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
              evals: dict[str, Dataset], plan: PlacementPlan | None,
              run: RunConfig, masks: dict[str, np.ndarray] | None = None,
              out_dir: str | Path | None = None) -> tuple[MoEModel, TrainReport]:
-    """Adapt a fresh copy of the base model on one task, with full accounting."""
+    """Adapt a fresh copy of the base model on one task, with full accounting.
+
+    A lori_s run without `masks` first fine-tunes a lori_d donor with the
+    same run and plan, and trains under masks_from_donor of it. With
+    run.epochs == 0 the donor is untrained, which is enough wherever only
+    mask sizes matter.
+    """
+    if run.scheme == "lori_s" and masks is None:
+        # the donor is not bound to a name, so it is freed before the clone
+        masks = masks_from_donor(finetune(cfg, base_state, train, {}, plan,
+                                          replace(run, scheme="lori_d"))[0],
+                                 run.rho)
     model = clone_model(cfg, base_state)
     scheme = Scheme(run.scheme, run.rho)
     attach(model, run.target_set(), plan, scheme, r=run.rank, alpha=run.alpha,
@@ -254,22 +262,6 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
     return model, report
 
 
-def lori_s_masks(cfg: ModelConfig, base_state: dict[str, np.ndarray],
-                 train: Dataset, plan: PlacementPlan | None,
-                 run: RunConfig) -> dict[str, np.ndarray] | None:
-    """The B masks a lori_s run trains under; None for every other scheme.
-
-    A lori_d donor is fine-tuned with the same run settings, and the top-rho
-    magnitudes of its B tensors fix each mask. With run.epochs == 0 the
-    donor is untrained, which is enough wherever only mask sizes matter.
-    """
-    if run.scheme != "lori_s":
-        return None
-    donor, _ = finetune(cfg, base_state, train, {}, plan,
-                        replace(run, scheme="lori_d"))
-    return masks_from_donor(donor, run.rho)
-
-
 # -- orchestration ---------------------------------------------------------------
 
 
@@ -292,9 +284,8 @@ def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
     if run.experts == "plan":
         warmup = run_warmup(cfg, base_state, train, run)
         plan = build_plan(warmup.profile, run.plan_k, run.strategy, run.seed)
-    masks = lori_s_masks(cfg, base_state, train, plan, run)
     model, report = finetune(cfg, base_state, train, evals, plan, run,
-                             masks=masks, out_dir=out_dir)
+                             out_dir=out_dir)
     if out_dir is not None and plan is not None:
         save_plan(plan, Path(out_dir) / "plan.csv")
     return EndToEndResult(plan=plan, warmup=warmup, report=report, model=model)

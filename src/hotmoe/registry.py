@@ -91,16 +91,20 @@ class ParamRegistry:
         """Copies of every tensor, in registry order."""
         return {n: e.tensor.data.copy() for n, e in self._entries.items()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        for name in state:
-            if name not in self._entries:
-                raise InvariantViolation(f"unknown parameter in state: {name}")
-        missing = [n for n in self._entries if n not in state]
-        if missing:
-            raise InvariantViolation(f"state missing parameters: {missing[:4]}")
+    def mismatch(self, state: dict[str, np.ndarray]) -> str | None:
+        """The first name or shape in which `state` differs from this registry."""
         for name, arr in state.items():
-            entry = self._entries[name]
-            if arr.shape != entry.tensor.shape:
-                raise InvariantViolation(
-                    f"state shape {arr.shape} != param shape {entry.tensor.shape} for {name}")
-            entry.tensor.data = np.asarray(arr, dtype=np.float64).copy()
+            if name not in self._entries:
+                return f"unknown parameter in state: {name}"
+            if arr.shape != self._entries[name].tensor.shape:
+                return (f"state shape {arr.shape} != param shape "
+                        f"{self._entries[name].tensor.shape} for {name}")
+        missing = [n for n in self._entries if n not in state]
+        return f"state missing parameters: {missing[:4]}" if missing else None
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        problem = self.mismatch(state)
+        if problem is not None:
+            raise InvariantViolation(problem)
+        for name, arr in state.items():
+            self._entries[name].tensor.data = np.asarray(arr, dtype=np.float64).copy()

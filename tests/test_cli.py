@@ -159,6 +159,19 @@ def test_ablate_random_strategy_plan_k_axis(base_dir, tmp_path):
     assert len((tmp_path / "ablation.csv").read_text().splitlines()) == 7
 
 
+def test_ablate_lori_s_reproducible(base_dir, tmp_path):
+    # each lori_s row fine-tunes its own lori_d donor first
+    for tag in ("a", "b"):
+        assert main(["ablate", "--config", CFG, "--base",
+                     str(base_dir / "base.ckpt"), "--axes", "strategy,targets",
+                     "--seeds", "0,1", "--set", "run.scheme=lori_s",
+                     "--set", "run.epochs=1", "--out-dir", str(tmp_path / tag)]) == 0
+    a = (tmp_path / "a" / "ablation.csv").read_bytes()
+    assert a == (tmp_path / "b" / "ablation.csv").read_bytes()
+    # four strategies and four target choices at two seeds, plus summaries
+    assert len(a.decode().splitlines()) == 1 + 16 + 8
+
+
 def test_flops_line_and_csv(base_dir, tmp_path, capsys):
     plan = _plan(base_dir, tmp_path / "prof")
     capsys.readouterr()
@@ -355,14 +368,21 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["ablate", "--base", "BASE", "--axes", "strategy,dropout"],
     ["gradcheck", "--coords", "0"],
     ["gradcheck", "--coords", "-2"],
+    ["finetune", "--base", "BASE", "--set", "model.n_experts=8",
+     "--set", "run.experts=all"],
+    ["run", "--base", "BASE", "--set", "model.n_experts=8"],
+    ["run", "--base", "BASE", "--set", "model.d_ff=16"],
+    ["crosstask", "--base", "BASE", "--set", "model.d_ff=16"],
 ], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
         "flops-plan-misfit", "ablate-empty-axes",
-        "ablate-unknown-axis", "gradcheck-coords-0", "gradcheck-coords-neg"])
+        "ablate-unknown-axis", "gradcheck-coords-0", "gradcheck-coords-neg",
+        "finetune-base-n-experts", "run-base-n-experts", "run-base-d-ff",
+        "crosstask-base-d-ff"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
-    # BASE stands for a real base checkpoint, so only the named check fails;
-    # PLAN1 is a well-formed plan for a one-layer model
+    # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
+    # named check fails; PLAN1 is a well-formed plan for a one-layer model
     plan1 = tmp_path / "plan1.csv"
     plan1.write_text("strategy=layer_hot k=2 seed=none\n0,1\n")
     args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1)}.get(a, a)

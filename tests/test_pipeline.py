@@ -226,13 +226,25 @@ def test_integrity_check_catches_mutation(base):
         check_frozen_integrity(model, before)
 
 
-def test_lori_s_requires_masks(base, modadd):
+def test_finetune_lori_s_trains_donor_masks(base, modadd):
+    # without masks, lori_s trains under masks_from_donor of a lori_d
+    # fine-tune with the same run and plan
     cfg, state = base
     train, test = modadd
     plan = plan_for(cfg, state, train)
-    with pytest.raises(ConfigError):
-        finetune(cfg, state, train, {"mod_add": test}, plan,
-                 tiny_run(scheme="lori_s"))
+    run = tiny_run(scheme="lori_s", rho=0.25)
+    donor, _ = finetune(cfg, state, train, {}, plan, replace(run, scheme="lori_d"))
+    given, r1 = finetune(cfg, state, train, {"mod_add": test}, plan, run,
+                         masks=masks_from_donor(donor, run.rho))
+    derived, r2 = finetune(cfg, state, train, {"mod_add": test}, plan, run)
+    s1, s2 = given.registry.state_arrays(), derived.registry.state_arrays()
+    assert list(s1) == list(s2)
+    for k in s1:
+        assert s1[k].tobytes() == s2[k].tobytes(), k
+    for name, pair in derived.adapters.items():
+        assert np.array_equal(pair.mask, given.adapters[name].mask), name
+    assert r1.losses == r2.losses
+    assert r1.format() == r2.format()
 
 
 def test_masks_from_donor_matches_build_mask(base, modadd):
@@ -395,13 +407,16 @@ def test_ablate_warms_up_once_per_seed_and_fraction(base, monkeypatch):
 
 def test_ablate_plan_k_row_matches_run_end_to_end(base):
     cfg, state = base
-    run = tiny_run(epochs=1)
-    row = ablate(cfg, tiny_specs(), "mod_add", state, run, axes={"plan_k": [1]})[0]
-    rep = run_end_to_end(cfg, tiny_specs(), "mod_add", state,
-                         replace(run, plan_k=1)).report
-    assert row["acc_after"] == rep.acc_after["mod_add"]
-    assert row["trainable"] == rep.params.trainable
-    assert row["hit_rate"] == rep.hit_rate
+    for scheme in ("lora", "lori_s"):
+        run = tiny_run(epochs=1, scheme=scheme)
+        row = ablate(cfg, tiny_specs(), "mod_add", state, run,
+                     axes={"plan_k": [1]})[0]
+        rep = run_end_to_end(cfg, tiny_specs(), "mod_add", state,
+                             replace(run, plan_k=1)).report
+        assert row["acc_after"] == rep.acc_after["mod_add"], scheme
+        assert row["trainable"] == rep.params.trainable, scheme
+        assert row["reduction_pct"] == rep.flops.reduction_pct, scheme
+        assert row["hit_rate"] == rep.hit_rate, scheme
 
 
 def test_ablate_multi_seed_summary_stats(base):
