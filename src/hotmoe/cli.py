@@ -116,10 +116,7 @@ def cmd_pretrain(args) -> int:
     if rows:
         write_rows_csv(out / "losses.csv", rows)
     for kind, counts in result.profiles.items():
-        tokens = int(counts.sum(axis=1)[0]) // full.model.k_route
-        prof = ActivationProfile(counts, tokens_seen=tokens,
-                                 source=f"pretrain {kind}")
-        export_heatmap(prof, out / f"profile_{kind}.csv")
+        export_heatmap(ActivationProfile(counts), out / f"profile_{kind}.csv")
     final = result.losses[-1] if result.losses else float("nan")
     print(f"pretrain steps={len(result.losses)} final_loss={final!r} "
           f"ckpt={result.checkpoint_path}")
@@ -146,6 +143,10 @@ def cmd_plan(args) -> int:
     if args.profile is None:
         raise ConfigError("plan needs --profile <heatmap.csv>")
     profile = load_heatmap(args.profile)
+    got, want = profile.counts.shape, (full.model.n_layers, full.model.n_experts)
+    if got != want:
+        raise ConfigError(f"heatmap {args.profile} is {got[0]} layers x {got[1]} "
+                          f"experts, [model] has {want[0]} x {want[1]}")
     out = _prep_out(args, full, applied)
     plan = build_plan(profile, full.run.plan_k, full.run.strategy, full.run.seed)
     if out is not None:

@@ -40,6 +40,8 @@ class TaskConfig:
                 raise ConfigError(f"unknown task kind in mixture: {kind}")
         if not self.mixture:
             raise ConfigError("task mixture is empty")
+        if len(set(self.mixture)) != len(self.mixture):
+            raise ConfigError(f"repeated task kind in mixture: {','.join(self.mixture)}")
         if self.target not in self.mixture:
             raise ConfigError(f"target task {self.target} not in mixture")
         if self.seed < 0:

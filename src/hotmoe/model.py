@@ -727,8 +727,8 @@ def nograd_traces(model: MoEModel, tokens: np.ndarray, batch_size: int):
 
 
 def profile_counts(model: MoEModel, dataset: Dataset,
-                   batch_size: int = 64) -> tuple[np.ndarray, int]:
-    """Forward-only activation counts (n_layers, n_experts) plus tokens seen.
+                   batch_size: int = 64) -> ActivationProfile:
+    """Forward-only activation profile of `dataset`, one no-grad pass.
 
     PAD positions are excluded by `record`: padding routes to whatever the
     balancer left room in, so counting it dilutes the task signal in
@@ -738,7 +738,7 @@ def profile_counts(model: MoEModel, dataset: Dataset,
     profile = ActivationProfile.empty(c.n_layers, c.n_experts)
     for trace in nograd_traces(model, dataset.tokens, batch_size):
         record(profile, trace)
-    return profile.counts, profile.tokens_seen
+    return profile
 
 
 def pretrain_base(config: ModelConfig, mixture: list[TaskSpec], steps: int,
@@ -787,7 +787,7 @@ def pretrain_base(config: ModelConfig, mixture: list[TaskSpec], steps: int,
             fn = model.logits_fn()
             if all(evaluate(fn, te) > competence_acc for te in tests.values()):
                 break
-    profiles = {kind: profile_counts(model, ds)[0] for kind, ds in trains.items()}
+    profiles = {kind: profile_counts(model, ds).counts for kind, ds in trains.items()}
     ckpt = None
     if out_dir is not None:
         ckpt = model.save(Path(out_dir) / "base.ckpt")

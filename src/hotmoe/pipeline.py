@@ -1,13 +1,13 @@
 """End-to-end adaptation runs: warm-up profiling, plan selection, fine-tuning.
 
-The warm-up phase trains a throwaway fully-adapted copy of the base model
-on a small seeded subset of the task, recording which routed experts fire
-over the whole trajectory. The resulting activation profile drives hot
-expert selection; the warm model itself is discarded. Fine-tuning then
-re-attaches fresh zero-update adapters per the chosen scheme and plan on
-an unmodified base copy. Frozen base weights are hashed before and after
-training so any drift in cold experts (or anything else frozen) is a hard
-error, not a silent accuracy bug.
+The warm-up is a short fine-tune: an all-targets LoRA run on a small
+seeded subset of the task, whose profile records which routed experts
+fire over the whole trajectory. That profile drives hot expert selection;
+the warm model itself is discarded. Fine-tuning then attaches fresh
+zero-update adapters per the chosen scheme and plan on an unmodified base
+copy. Frozen base weights are hashed before and after every fine-tune,
+so any drift in cold experts (or anything else frozen) is a hard error,
+not a silent accuracy bug.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .accounting import (FlopsReport, ParamReport, adapter_flops, count_params,
 from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
 from .errors import ConfigError, InvariantViolation, IoError
 from .model import (ModelConfig, MoEModel, RoutingTrace, forward_backward,
-                    nograd_traces)
+                    profile_counts)
 from .optim import Adam, AdamConfig
 from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan, coverage,
                        jaccard, record, save_plan, select)
@@ -133,33 +133,24 @@ class WarmupResult:
 
 def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
                train: Dataset, run: RunConfig) -> WarmupResult:
-    """Profile expert activations on a task subset with a throwaway adapted copy.
+    """Profile expert activations on a seeded task subset.
 
-    The copy gets full-coverage adapters (all experts, attention, gate) so
-    the profile reflects adaptation dynamics, not just the frozen router.
-    Counts accumulate over every step of the trajectory.
+    The warm-up is a short all-targets LoRA fine-tune (all experts,
+    attention, gate) whose profile counts every step of the trajectory,
+    so it reflects adaptation dynamics, not just the frozen router. With
+    warmup_forward_only it is one no-grad pass of the bare base instead:
+    zero-init adapters would leave every forward bitwise unchanged.
     """
     sub = subset(train, run.warmup_pct, run.seed)
-    model = clone_model(cfg, base_state)
-    attach(model, TargetSet(True, True, "all"), None, Scheme("lora"),
-           r=run.rank, alpha=run.alpha, seed=run.seed)
-    set_trainability(model, Scheme("lora"))
-    profile = ActivationProfile.empty(cfg.n_layers, cfg.n_experts,
-                                      source=f"warmup pct={run.warmup_pct!r}")
-    losses: list[float] = []
-    steps = 0
     if run.warmup_forward_only:
-        for trace in nograd_traces(model, sub.tokens, run.batch_size):
-            record(profile, trace)
-            steps += 1
+        profile = profile_counts(clone_model(cfg, base_state), sub, run.batch_size)
+        steps, losses = n_steps(len(sub), run.batch_size, 1), []
     else:
-        opt = Adam(model.registry, AdamConfig(lr=run.lr))
-        for batch in iter_batches(sub, run.batch_size, run.warmup_epochs, run.seed):
-            result = forward_backward(model, batch, lb_mode="off", want_trace=True)
-            opt.step()
-            record(profile, result.trace)
-            losses.append(result.loss.item())
-            steps += 1
+        _, rep = finetune(cfg, base_state, sub, {}, None,
+                          replace(run, scheme="lora", attention=True, gate=True,
+                                  experts="all", epochs=run.warmup_epochs,
+                                  lb_during_finetune=False))
+        profile, steps, losses = rep.profile, rep.steps, rep.losses
     profile.check_conservation(cfg.k_route)
     return WarmupResult(profile=profile, subset_size=len(sub), steps=steps,
                         losses=losses)
@@ -185,6 +176,7 @@ class TrainReport:
     flops: FlopsReport | None
     hit_rate: float | None
     steps: int
+    profile: ActivationProfile     # routing of every training step, PAD skipped
 
     def delta(self, task: str) -> float:
         return self.acc_after[task] - self.acc_before[task]
@@ -232,11 +224,13 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
     lb_mode = None if run.lb_during_finetune else "off"
     losses: list[float] = []
     traces: list[RoutingTrace] = []
+    profile = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)
     for batch in iter_batches(train, run.batch_size, run.epochs, run.seed):
         result = forward_backward(model, batch, lb_mode=lb_mode, want_trace=True)
         opt.step()
         losses.append(result.loss.item())
         traces.append(result.trace)
+        record(profile, result.trace)
     steps = len(losses)
     assert steps == n_steps(len(train), run.batch_size, run.epochs)
 
@@ -250,10 +244,12 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
         flops = adapter_flops(merged, model)
         if plan is not None:
             hit_rate = exec_counters(merged, plan).hit_rate
-    report = TrainReport(scheme=run.scheme, strategy=run.strategy, plan=plan,
-                         acc_before=acc_before, acc_after=acc_after,
+    report = TrainReport(scheme=run.scheme,
+                         strategy=run.strategy if plan is None else plan.strategy,
+                         plan=plan, acc_before=acc_before, acc_after=acc_after,
                          losses=losses, params=count_params(model),
-                         flops=flops, hit_rate=hit_rate, steps=steps)
+                         flops=flops, hit_rate=hit_rate, steps=steps,
+                         profile=profile)
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

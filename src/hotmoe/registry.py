@@ -44,9 +44,6 @@ class ParamRegistry:
     def __getitem__(self, name: str) -> ParamEntry:
         return self._entries[name]
 
-    def names(self) -> list[str]:
-        return list(self._entries)
-
     def items(self) -> Iterator[tuple[str, ParamEntry]]:
         return iter(self._entries.items())
 

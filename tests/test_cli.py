@@ -109,6 +109,19 @@ def test_finetune_lori_s_via_flag(base_dir, tmp_path):
     assert "scheme=lori_s" in (out / "report.txt").read_text()
 
 
+def test_finetune_report_names_the_plan_strategy(base_dir, tmp_path):
+    prof = tmp_path / "prof"
+    _plan(base_dir, prof)
+    assert main(["plan", "--config", CFG, "--profile", str(prof / "heatmap.csv"),
+                 "--set", "run.strategy=cold", "--set", "run.plan_k=1",
+                 "--out-dir", str(prof)]) == 0
+    out = tmp_path / "ft"
+    assert main(["finetune", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
+                 "--plan", str(prof / "plan.csv"), "--out-dir", str(out)]) == 0
+    head = (out / "report.txt").read_text().splitlines()[0]
+    assert head.startswith("scheme=lora strategy=cold ")
+
+
 def test_run_pretrains_when_no_base(tmp_path, capsys):
     code = main(["run", "--config", CFG, "--set", "pretrain.steps=6",
                  "--set", "run.epochs=1", "--out-dir", str(tmp_path)])
@@ -343,7 +356,8 @@ def test_run_rejects_bad_run_value_before_pretrain(setting, tmp_path, capsys):
     assert not (tmp_path / "base.ckpt").exists()
 
 
-@pytest.mark.parametrize("setting", ["task.test_size=0", "task.min_len=7"])
+@pytest.mark.parametrize("setting", ["task.test_size=0", "task.min_len=7",
+                                     "task.mixture=mod_add,mod_add"])
 def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     assert main(["run", "--config", CFG, "--set", setting,
                  "--out-dir", str(tmp_path)]) == 2
@@ -373,20 +387,25 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["run", "--base", "BASE", "--set", "model.n_experts=8"],
     ["run", "--base", "BASE", "--set", "model.d_ff=16"],
     ["crosstask", "--base", "BASE", "--set", "model.d_ff=16"],
+    ["plan", "--profile", "HEAT1"],
 ], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
         "flops-plan-misfit", "ablate-empty-axes",
         "ablate-unknown-axis", "gradcheck-coords-0", "gradcheck-coords-neg",
         "finetune-base-n-experts", "run-base-n-experts", "run-base-d-ff",
-        "crosstask-base-d-ff"])
+        "crosstask-base-d-ff", "plan-heatmap-misfit"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
-    # named check fails; PLAN1 is a well-formed plan for a one-layer model
+    # named check fails; PLAN1 and HEAT1 are a well-formed plan and heatmap
+    # for a one-layer model
     plan1 = tmp_path / "plan1.csv"
     plan1.write_text("strategy=layer_hot k=2 seed=none\n0,1\n")
-    args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1)}.get(a, a)
-            for a in args]
+    heat1 = tmp_path / "heat1.csv"
+    heat1.write_text("layer,expert,count,ratio\n"
+                     + "".join(f"0,{e},3,0.25\n" for e in range(4)))
+    args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1),
+             "HEAT1": str(heat1)}.get(a, a) for a in args]
     out = tmp_path / "out"
     assert main(args[:1] + ["--config", CFG, "--out-dir", str(out)] + args[1:]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")

@@ -79,6 +79,15 @@ def test_unknown_mixture_kind_rejected():
         TaskConfig(mixture=("mod_add", "sorting"), target="mod_add")
 
 
+def test_repeated_mixture_kind_rejected(tmp_path):
+    # tasks are keyed by kind downstream, so a repeat would silently collapse
+    with pytest.raises(ConfigError, match="repeated"):
+        TaskConfig(mixture=("mod_add", "mod_add"), target="mod_add")
+    p = write(tmp_path, "[task]\nmixture = mod_add, transduce, mod_add\n")
+    with pytest.raises(ConfigError, match="repeated"):
+        load_config(p)
+
+
 def test_task_specs_share_sizes():
     tc = TaskConfig(train_size=50, test_size=10, modulus=9,
                     mixture=("mod_add", "transduce"), target="mod_add")

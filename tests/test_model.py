@@ -307,10 +307,10 @@ class TestPretrain:
         cfg = tiny_config()
         model = MoEModel(cfg, seed=0)
         train, _ = make_task(TaskSpec("mod_add", seed=0, train_size=30, test_size=5))
-        counts, tokens_seen = profile_counts(model, train, batch_size=8)
+        prof = profile_counts(model, train, batch_size=8)
         # mod_add rows are "a b SEP c": packed four wide, no PAD positions
-        assert tokens_seen == 30 * 4
-        assert (counts.sum(axis=1) == tokens_seen * cfg.k_route).all()
+        assert prof.tokens_seen == 30 * 4
+        prof.check_conservation(cfg.k_route)
 
     def test_profile_counts_skip_padding(self):
         cfg = tiny_config()
@@ -318,10 +318,10 @@ class TestPretrain:
         # ragged prompts (length 2..5) pack with PAD; only content counts
         train, _ = make_task(TaskSpec("transduce", seed=0, train_size=20,
                                       test_size=4, min_len=2, max_len=5))
-        counts, tokens_seen = profile_counts(model, train, batch_size=8)
+        prof = profile_counts(model, train, batch_size=8)
         content = int((train.tokens != PAD).sum())
-        assert tokens_seen == content < train.tokens.size
-        assert (counts.sum(axis=1) == tokens_seen * cfg.k_route).all()
+        assert prof.tokens_seen == content < train.tokens.size
+        prof.check_conservation(cfg.k_route)
 
     def test_competence_stop(self):
         cfg = tiny_config()

@@ -14,6 +14,7 @@ from hotmoe import pipeline
 from hotmoe.adapters import build_mask
 from hotmoe.errors import ConfigError, InvariantViolation, NumericalError
 from hotmoe.model import ModelConfig, MoEModel
+from hotmoe.optim import Adam
 from hotmoe.pipeline import (RunConfig, WarmupResult, ablate, build_plan,
                              check_frozen_integrity, clone_model,
                              cross_task_matrix, finetune, frozen_param_hashes,
@@ -108,6 +109,22 @@ def test_warmup_forward_only_trains_nothing(base, modadd):
     # forward-only profiling is a pure function of base + subset
     res2 = run_warmup(cfg, state, train, tiny_run(warmup_forward_only=True))
     assert np.array_equal(res.profile.counts, res2.profile.counts)
+
+
+def test_warmup_checks_frozen_base(base, modadd, monkeypatch):
+    # the warm-up is a fine-tune, so a step that moves a frozen base
+    # tensor is caught by the same hash check
+    cfg, state = base
+    train, _ = modadd
+    step = Adam.step
+
+    def leaky_step(self):
+        step(self)
+        self.registry["embed.tok"].tensor.data[0, 0] += 1.0
+
+    monkeypatch.setattr(Adam, "step", leaky_step)
+    with pytest.raises(InvariantViolation, match="embed.tok"):
+        run_warmup(cfg, state, train, tiny_run())
 
 
 def test_warmup_full_fraction_uses_whole_split(base, modadd):
@@ -273,6 +290,26 @@ def test_finetune_lori_s_round_trip(base, modadd):
     for name, pair in model.adapters.items():
         off = ~masks[name]
         assert np.all(pair.B.data[off] == 0.0)
+
+
+@pytest.mark.parametrize("scheme", ["lora", "lori_d", "lori_s"])
+def test_finetune_profile_conserves_counts(base, modadd, scheme):
+    cfg, state = base
+    train, _ = modadd
+    run = tiny_run(scheme=scheme)
+    _, rep = finetune(cfg, state, train, {}, plan_for(cfg, state, train), run)
+    # mod_add rows hold no PAD, so every position of every step is counted
+    assert rep.profile.tokens_seen == run.epochs * train.tokens.size
+    rep.profile.check_conservation(cfg.k_route)
+
+
+def test_finetune_report_names_the_plan_strategy(base, modadd):
+    cfg, state = base
+    train, _ = modadd
+    plan = build_plan(run_warmup(cfg, state, train, tiny_run()).profile, 2, "cold")
+    _, rep = finetune(cfg, state, train, {}, plan, tiny_run(strategy="layer_hot"))
+    assert rep.strategy == "cold"
+    assert rep.format().startswith("scheme=lora strategy=cold ")
 
 
 def test_finetune_writes_artifacts(base, modadd, tmp_path):
