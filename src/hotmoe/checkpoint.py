@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError
+from .errors import IoError, read_file, write_file
 
 _MAGIC = "hotmoe-checkpoint v1"
 
@@ -38,7 +38,6 @@ def _parse_shape(tag: str) -> tuple[int, ...]:
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    path = Path(path)
     lines = [_MAGIC, f"ntensors {len(arrays)}"]
     payload_parts: list[bytes] = []
     offset = 0
@@ -48,19 +47,11 @@ def save_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
         lines.append(f"{name} f64 {_shape_tag(arr.shape)} {offset}")
         payload_parts.append(raw)
         offset += len(raw)
-    header = ("\n".join(lines) + "\n\n").encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for part in payload_parts:
-            fh.write(part)
+    write_file(path, "\n".join(lines) + "\n\n", *payload_parts)
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"checkpoint not found: {path}")
-    blob = path.read_bytes()
+    blob = read_file(path)
     # every ValueError below (bad UTF-8, a non-integer field, a record
     # without four fields) is a malformed file
     try:

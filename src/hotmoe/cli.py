@@ -25,7 +25,7 @@ import numpy as np
 from .accounting import adapter_flops, exec_counters
 from .checkpoint import load_checkpoint
 from .config import FullConfig, apply_overrides, load_config, write_resolved
-from .errors import ConfigError, HotmoeError, IoError, NumericalError
+from .errors import ConfigError, HotmoeError, NumericalError, write_file
 from .gradcheck import finite_diff_check
 from .model import MoEModel, RoutingTrace, nograd_traces, pretrain_base
 from .pipeline import (ABLATION_AXES, ablate, build_plan, check_axes,
@@ -72,15 +72,9 @@ def _prep_out(args, full, applied) -> Path | None:
     if args.out_dir is None:
         return None
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_resolved(out / "resolved.cfg", full, applied)
     stamp = datetime.now(timezone.utc).isoformat()
-    try:
-        (out / "meta.txt").write_text(
-            f"timestamp={stamp}\nargv={' '.join(sys.argv[1:])}\n",
-            encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {out / 'meta.txt'}: {e}") from e
+    write_file(out / "meta.txt", f"timestamp={stamp}\nargv={' '.join(sys.argv[1:])}\n")
     return out
 
 

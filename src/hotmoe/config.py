@@ -13,11 +13,12 @@ bytes.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, read_file, write_file
 from .model import ModelConfig
 from .pipeline import RunConfig
 from .tasks import PAD, TASK_KINDS, TaskSpec, check_shape
@@ -145,14 +146,13 @@ def load_config(path: str | Path | None) -> FullConfig:
     """Parse an INI file into a FullConfig; None means all defaults."""
     if path is None:
         return FullConfig()
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"config file not found: {path}")
+    blob = read_file(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (OSError, configparser.Error) as e:
+        # newline=None reads \r\n and \r line ends as a text-mode file does
+        parser.read_file(io.StringIO(blob.decode("utf-8"), newline=None),
+                         source=str(path))
+    except (UnicodeDecodeError, configparser.Error) as e:
         raise ConfigError(f"cannot parse config {path}: {e}") from e
     pairs = {}
     for section in parser.sections():
@@ -216,7 +216,4 @@ def render_resolved(full: FullConfig, applied: list[str] | None = None) -> str:
 
 def write_resolved(path: str | Path, full: FullConfig,
                    applied: list[str] | None = None) -> None:
-    try:
-        Path(path).write_text(render_resolved(full, applied), encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    write_file(path, render_resolved(full, applied))

@@ -1,8 +1,16 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the package's only
+filesystem access.
 
 Each class maps to one CLI exit code (see cli.py), so raising the right
-type is part of the operator contract, not just diagnostics.
+type is part of the operator contract, not just diagnostics. Every file
+the package reads or writes goes through read_file and write_file, which
+turn any OSError into IoError; callers decode and check the bytes
+themselves.
 """
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class HotmoeError(Exception):
@@ -23,3 +31,24 @@ class InvariantViolation(HotmoeError):
 
 class IoError(HotmoeError):
     """Filesystem read/write failure for run artifacts."""
+
+
+def read_file(path: str | Path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise IoError(f"cannot read {path}: {e}") from e
+
+
+def write_file(path: str | Path, *parts: str | bytes) -> None:
+    """Write the parts in order, str as UTF-8 and bytes as they are,
+    creating parent directories."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+    except OSError as e:
+        raise IoError(f"cannot write {path}: {e}") from e

@@ -24,7 +24,7 @@ from . import tensor as T
 from .adapters import AdapterPair, adapted_forward
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, InvariantViolation
-from .optim import Adam, AdamConfig
+from .optim import Adam
 from .profiler import ActivationProfile, record
 from .registry import ParamRegistry
 from .tasks import (PAD, Batch, Dataset, TaskSpec, evaluate, iter_batches,
@@ -773,7 +773,7 @@ def pretrain_base(config: ModelConfig, mixture: list[TaskSpec], steps: int,
         parts.extend([ds] * max(1, round(wmax / widths[kind])))
     combined = concat_datasets(parts)
     model = MoEModel(config, seed)
-    opt = Adam(model.registry, AdamConfig(lr=lr))
+    opt = Adam(model.registry, lr)
     epochs_needed = steps * batch_size // max(len(combined), 1) + 2
     stream = iter_batches(combined, batch_size, epochs_needed, seed)
     losses: list[float] = []

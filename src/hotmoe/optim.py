@@ -1,41 +1,33 @@
-"""Adam with decoupled weight decay over a ParamRegistry.
+"""Adam over a ParamRegistry.
 
 Freeze contract: frozen parameters are never visited; masked-off
 coordinates are restored bitwise with np.where after the update, so no
-arithmetic path can drift them (weight decay included).
+arithmetic path can drift them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .registry import ParamRegistry
 
-
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, registry: ParamRegistry, config: AdamConfig):
+    def __init__(self, registry: ParamRegistry, lr: float):
         self.registry = registry
-        self.config = config
+        self.lr = lr
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
-        cfg = self.config
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, entry in self.registry.trainable_items():
             p = entry.tensor
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -46,14 +38,13 @@ class Adam:
                 m = self._m[name] = np.zeros_like(p.data)
                 self._v[name] = np.zeros_like(p.data)
             v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            new = p.data - cfg.lr * cfg.weight_decay * p.data \
-                - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            new = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
             if entry.mask is not None:
                 new = np.where(entry.mask, new, p.data)
             p.data = new

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -23,10 +24,10 @@ import numpy as np
 from .accounting import (FlopsReport, ParamReport, adapter_flops, count_params,
                          exec_counters)
 from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
-from .errors import ConfigError, InvariantViolation, IoError
+from .errors import ConfigError, InvariantViolation, write_file
 from .model import (ModelConfig, MoEModel, RoutingTrace, forward_backward,
                     profile_counts)
-from .optim import Adam, AdamConfig
+from .optim import Adam
 from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan, coverage,
                        jaccard, record, save_plan, select)
 from .tasks import (Dataset, TaskSpec, evaluate, iter_batches, make_task,
@@ -220,7 +221,7 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
 
     acc_before = {k: evaluate(model.logits_fn(), ds) for k, ds in evals.items()}
 
-    opt = Adam(model.registry, AdamConfig(lr=run.lr))
+    opt = Adam(model.registry, run.lr)
     lb_mode = None if run.lb_during_finetune else "off"
     losses: list[float] = []
     traces: list[RoutingTrace] = []
@@ -251,10 +252,8 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
                          flops=flops, hit_rate=hit_rate, steps=steps,
                          profile=profile)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        model.save(out_dir / "adapted.ckpt")
-        _write_text(out_dir / "report.txt", report.format() + "\n")
+        model.save(Path(out_dir) / "adapted.ckpt")
+        write_file(Path(out_dir) / "report.txt", report.format() + "\n")
     return model, report
 
 
@@ -372,10 +371,8 @@ def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
 
     summary = _summarize(rows)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_rows_csv(out_dir / "ablation.csv", rows + summary)
-        write_rows_markdown(out_dir / "ablation.md", rows + summary)
+        write_rows_csv(Path(out_dir) / "ablation.csv", rows + summary)
+        write_rows_markdown(Path(out_dir) / "ablation.md", rows + summary)
     return rows + summary
 
 
@@ -407,15 +404,12 @@ def _columns(rows: list[dict]) -> list[str]:
 
 
 def write_rows_csv(path: str | Path, rows: list[dict]) -> None:
-    cols = _columns(rows)
-    try:
-        with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=cols, restval="")
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: _fmt_cell(v) for k, v in row.items()})
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
+    buf = io.StringIO()
+    w = csv.DictWriter(buf, fieldnames=_columns(rows), restval="")
+    w.writeheader()
+    for row in rows:
+        w.writerow({k: _fmt_cell(v) for k, v in row.items()})
+    write_file(path, buf.getvalue())
 
 
 def write_rows_markdown(path: str | Path, rows: list[dict]) -> None:
@@ -424,20 +418,13 @@ def write_rows_markdown(path: str | Path, rows: list[dict]) -> None:
              "| " + " | ".join("---" for _ in cols) + " |"]
     for row in rows:
         lines.append("| " + " | ".join(_fmt_cell(row.get(k, "")) for k in cols) + " |")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _write_text(path: str | Path, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
 
 
 # -- cross-task transfer ---------------------------------------------------------
@@ -466,14 +453,12 @@ def cross_task_matrix(cfg: ModelConfig, specs: list[TaskSpec],
                 _, mean_j = jaccard(plans[a], plans[b])
                 plan_j[(a, b)] = mean_j
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         rows = []
         for ev in kinds:
             row = {"eval_task": ev}
             for ad in kinds:
                 row[f"adapted_on_{ad}"] = acc[ad].get(ev, float("nan"))
             rows.append(row)
-        write_rows_csv(out_dir / "cross_task.csv", rows)
+        write_rows_csv(Path(out_dir) / "cross_task.csv", rows)
     return {"acc": acc, "plans": plans, "plan_jaccard": plan_j}
 

@@ -10,12 +10,13 @@ expert index via stable sorting.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, IoError
+from .errors import ConfigError, InvariantViolation, read_file, write_file
 from .tasks import PAD
 
 STRATEGIES = ("layer_hot", "model_hot", "cold", "random")
@@ -159,37 +160,30 @@ _HEATMAP_HEADER = ["layer", "expert", "count", "ratio"]
 
 
 def export_heatmap(profile: ActivationProfile, path: str | Path) -> None:
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_HEATMAP_HEADER)
-            for layer in range(profile.n_layers):
-                row_sum = int(profile.counts[layer].sum())
-                for expert in range(profile.n_experts):
-                    c = int(profile.counts[layer, expert])
-                    ratio = c / row_sum if row_sum else 0.0
-                    writer.writerow([layer, expert, c, repr(ratio)])
-    except OSError as exc:
-        raise IoError(f"heatmap export failed: {exc}") from exc
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(_HEATMAP_HEADER)
+    for layer in range(profile.n_layers):
+        row_sum = int(profile.counts[layer].sum())
+        for expert in range(profile.n_experts):
+            c = int(profile.counts[layer, expert])
+            ratio = c / row_sum if row_sum else 0.0
+            writer.writerow([layer, expert, c, repr(ratio)])
+    write_file(path, buf.getvalue())
 
 
 def load_heatmap(path: str | Path,
                  k_route: int | None = None) -> ActivationProfile:
     """Rebuild a profile from its CSV. The file stores only counts, so
     tokens_seen stays 0 unless k_route is supplied to derive it."""
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"heatmap not found: {path}")
+    blob = read_file(path)
     cells: dict[tuple[int, int], int] = {}
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != _HEATMAP_HEADER:
-                raise ConfigError(f"unexpected heatmap header in {path}")
-            for row in reader:
-                cells[(int(row[0]), int(row[1]))] = int(row[2])
+        reader = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
+        if next(reader, None) != _HEATMAP_HEADER:
+            raise ConfigError(f"unexpected heatmap header in {path}")
+        for row in reader:
+            cells[(int(row[0]), int(row[1]))] = int(row[2])
     except (ValueError, IndexError, csv.Error) as exc:
         raise ConfigError(f"malformed heatmap row in {path}: {exc}") from exc
     if not cells:
@@ -212,21 +206,17 @@ def load_heatmap(path: str | Path,
 
 
 def save_plan(plan: PlacementPlan, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     seed_tag = "none" if plan.seed is None else str(plan.seed)
     lines = [f"strategy={plan.strategy} k={plan.k} seed={seed_tag}"]
     for experts in plan.hot:
         lines.append(",".join(str(e) for e in experts))
-    path.write_text("\n".join(lines) + "\n")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def load_plan(path: str | Path) -> PlacementPlan:
-    path = Path(path)
-    if not path.exists():
-        raise IoError(f"plan not found: {path}")
+    blob = read_file(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = blob.decode("utf-8").splitlines()
         if not lines:
             raise ConfigError(f"empty plan file: {path}")
         fields = dict(part.split("=", 1) for part in lines[0].split())

@@ -1,5 +1,10 @@
 """Command-line behavior: artifacts, determinism, error lines, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,7 @@ from hotmoe.config import load_config
 from hotmoe.profiler import load_heatmap, load_plan
 
 CFG = "configs/tiny.cfg"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -410,3 +416,39 @@ def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     assert main(args[:1] + ["--config", CFG, "--out-dir", str(out)] + args[1:]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["out-dir-is-file", "out-dir-under-file",
+                                  "base-is-dir", "plan-is-dir", "profile-is-dir",
+                                  "config-is-dir", "config-not-utf8"])
+def test_unreadable_input_or_unwritable_out_dir(case, base_dir, tmp_path, capsys):
+    # any OSError is an IoError; bytes that read but do not decode are the
+    # loader's own error
+    afile = tmp_path / "afile"
+    afile.write_text("x\n")
+    not_utf8 = tmp_path / "bad.cfg"
+    not_utf8.write_bytes(b"[run]\nseed = 1\xff\n")
+    base = str(base_dir / "base.ckpt")
+    args = {
+        "out-dir-is-file": ["report", "--config", CFG, "--out-dir", str(afile)],
+        "out-dir-under-file": ["report", "--config", CFG,
+                               "--out-dir", str(afile / "out")],
+        "base-is-dir": ["profile", "--config", CFG, "--base", str(tmp_path)],
+        "plan-is-dir": ["finetune", "--config", CFG, "--base", base,
+                        "--plan", str(tmp_path)],
+        "profile-is-dir": ["plan", "--config", CFG, "--profile", str(tmp_path)],
+        "config-is-dir": ["report", "--config", str(tmp_path)],
+        "config-not-utf8": ["report", "--config", str(not_utf8)],
+    }[case]
+    code, category = (2, "ConfigError") if case == "config-not-utf8" else (1, "IoError")
+    assert main(args) == code
+    _one_error_line(capsys.readouterr().err, category)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "hotmoe", "report", "--config", CFG],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "report scheme=lora " in proc.stdout

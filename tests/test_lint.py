@@ -1,5 +1,6 @@
 """Static checks on the library source: no unused imports, no dead
-definitions and no test-only definitions in src/hotmoe.
+definitions, no test-only definitions, and no filesystem access outside
+errors.py in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -8,7 +9,9 @@ annotations included, also inside string annotations such as
 name appears as a word anywhere in src/, tests/ or perfbench/ besides its
 definitions, strings included (the benchmark's tracer patches functions
 by name). One that only tests/ names is library surface kept for its
-tests, and fails the test-only check.
+tests, and fails the test-only check. errors.py's read_file and
+write_file are the package's only file access, so that every OSError
+becomes an IoError in one place.
 """
 
 import ast
@@ -131,3 +134,40 @@ def test_test_only_checker_hand_case():
 def test_no_test_only_definitions():
     assert only_tested_definitions(_library(), _sources("src", "perfbench"),
                                    _sources("tests")) == []
+
+
+FILE_CALLS = {"open", "read_bytes", "read_text", "write_text", "write_bytes", "mkdir"}
+
+
+def filesystem_calls(source: str) -> list[str]:
+    """Calls of open (bare or as an attribute) and of the pathlib methods
+    that read, write or make directories."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            out.append(f"line {node.lineno}: open")
+        elif isinstance(func, ast.Attribute) and func.attr in FILE_CALLS:
+            out.append(f"line {node.lineno}: {func.attr}")
+    return sorted(out)
+
+
+def test_filesystem_checker_hand_case():
+    source = ("from pathlib import Path\n"
+              "def f(p: Path, read_text):\n"
+              "    with open(p) as fh:\n"
+              "        fh.read()\n"
+              "    p.parent.mkdir(parents=True)\n"
+              "    p.write_text(read_text(p))\n"
+              "    return p.read_bytes(), Path(p).open()\n")
+    assert filesystem_calls(source) == ["line 3: open", "line 5: mkdir",
+                                        "line 6: write_text", "line 7: open",
+                                        "line 7: read_bytes"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "errors.py"),
+                         ids=lambda p: p.name)
+def test_only_errors_touches_files(path):
+    assert filesystem_calls(path.read_text(encoding="utf-8")) == []

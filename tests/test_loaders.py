@@ -3,7 +3,9 @@
 Each loader reads bytes derived from a valid artifact by truncation, byte
 overwrites or one replaced line. It must either load them or raise its
 own error class: IoError for checkpoints, ConfigError for plans and
-heatmaps. Any other exception would escape the CLI as a traceback.
+heatmaps. Any other exception would escape the CLI as a traceback. A file
+that cannot be read or written at all is an IoError for every loader and
+writer.
 """
 
 import numpy as np
@@ -12,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hotmoe.checkpoint import load_checkpoint, save_checkpoint
+from hotmoe.config import FullConfig, load_config, write_resolved
 from hotmoe.errors import ConfigError, IoError
+from hotmoe.pipeline import write_rows_csv, write_rows_markdown
 from hotmoe.profiler import (ActivationProfile, PlacementPlan, export_heatmap,
                              load_heatmap, load_plan, save_plan)
 
@@ -139,3 +143,38 @@ def test_heatmap_fuzz(tmp_path, data):
         load_heatmap(path)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("load", [load_checkpoint, load_config, load_plan, load_heatmap],
+                         ids=lambda f: f.__name__)
+def test_loader_given_a_directory_raises_io_error(load, tmp_path):
+    with pytest.raises(IoError):
+        load(tmp_path)
+
+
+WRITERS = {
+    "save_checkpoint": lambda path: save_checkpoint(path, {"w": np.ones(2)}),
+    "write_resolved": lambda path: write_resolved(path, FullConfig()),
+    "write_rows_csv": lambda path: write_rows_csv(path, [{"a": 1.5}]),
+    "write_rows_markdown": lambda path: write_rows_markdown(path, [{"a": 1.5}]),
+    "export_heatmap": lambda path: export_heatmap(
+        ActivationProfile(np.ones((1, 2), dtype=np.int64)), path),
+    "save_plan": lambda path: save_plan(
+        PlacementPlan(hot=[[0]], k=1, strategy="layer_hot"), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_under_a_file_raises_io_error(name, tmp_path):
+    blocker = tmp_path / "afile"
+    blocker.write_text("x\n")
+    with pytest.raises(IoError):
+        WRITERS[name](blocker / "out" / "artifact")
+    assert blocker.read_text() == "x\n"
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_makes_missing_directories(name, tmp_path):
+    path = tmp_path / "a" / "b" / "artifact"
+    WRITERS[name](path)
+    assert path.stat().st_size > 0

@@ -16,7 +16,7 @@ from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingStats,
                           RoutingTrace, concat_datasets, forward_backward,
                           load_balancing_loss, pretrain_base,
                           profile_counts, route_topk)
-from hotmoe.optim import Adam, AdamConfig
+from hotmoe.optim import Adam
 from hotmoe.tasks import PAD, TaskSpec, iter_batches, make_task
 from test_moe_fused import moe_half
 
@@ -235,7 +235,7 @@ class TestLmLoss:
         mix = [TaskSpec(k, seed=0) for k in ("mod_add", "transduce", "refusal")]
         combined = concat_datasets([make_task(s, cfg.max_seq)[0] for s in mix])
         fixed = next(iter_batches(combined, 64, 1, seed=99))
-        opt = Adam(model.registry, AdamConfig(lr=1e-3))
+        opt = Adam(model.registry, 1e-3)
         vals = []
         stream = iter_batches(combined, 16, 5, seed=0)
         for _ in range(50):

@@ -15,7 +15,7 @@ from hotmoe.checkpoint import load_checkpoint, save_checkpoint
 from hotmoe.errors import InvariantViolation, IoError
 from hotmoe.gradcheck import finite_diff_check
 from hotmoe.model import MoEModel
-from hotmoe.optim import Adam, AdamConfig
+from hotmoe.optim import Adam
 from hotmoe.registry import ParamRegistry
 from hotmoe.tasks import Batch
 from hotmoe.tensor import Tensor
@@ -91,7 +91,7 @@ class TestRegistry:
         assert reg["w"].tensor.data[0] == 1.0
 
 
-def manual_adam(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.0):
+def manual_adam(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Independent scalar-loop Adam for the oracle comparison."""
     p = p0.copy()
     m = np.zeros_like(p)
@@ -101,7 +101,7 @@ def manual_adam(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.0):
         v = b2 * v + (1 - b2) * g * g
         mh = m / (1 - b1 ** t)
         vh = v / (1 - b2 ** t)
-        p = p - lr * wd * p - lr * mh / (np.sqrt(vh) + eps)
+        p = p - lr * mh / (np.sqrt(vh) + eps)
     return p
 
 
@@ -114,7 +114,7 @@ class TestAdam:
         reg = ParamRegistry()
         w = reg.add("w", Tensor(p0.copy()))
         w.grad = g.copy()
-        opt = Adam(reg, AdamConfig(lr=0.01))
+        opt = Adam(reg, 0.01)
         opt.step()
         expected = p0 - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(w.data, expected, rtol=0, atol=1e-15)
@@ -124,19 +124,19 @@ class TestAdam:
         grads = [RNG.normal(size=7) for _ in range(25)]
         reg = ParamRegistry()
         w = reg.add("w", Tensor(p0.copy()))
-        opt = Adam(reg, AdamConfig(lr=3e-3, weight_decay=0.01))
+        opt = Adam(reg, 3e-3)
         for g in grads:
             w.grad = g.copy()
             opt.step()
         np.testing.assert_allclose(
-            w.data, manual_adam(p0, grads, 3e-3, wd=0.01), rtol=0, atol=1e-14)
+            w.data, manual_adam(p0, grads, 3e-3), rtol=0, atol=1e-14)
 
     def test_frozen_param_bitwise_unchanged(self):
         p0 = RNG.normal(size=(3, 3))
         reg = ParamRegistry()
         frozen = reg.add("frozen", Tensor(p0.copy()), trainable=False)
         live = reg.add("live", Tensor(RNG.normal(size=3)))
-        opt = Adam(reg, AdamConfig(lr=0.1, weight_decay=0.05))
+        opt = Adam(reg, 0.1)
         before = frozen.data.tobytes()
         for _ in range(50):
             frozen.grad = np.ones_like(frozen.data)  # must be ignored
@@ -150,7 +150,7 @@ class TestAdam:
         reg = ParamRegistry()
         w = reg.add("w", Tensor(p0.copy()))
         reg.set_mask("w", mask)
-        opt = Adam(reg, AdamConfig(lr=0.05, weight_decay=0.1))
+        opt = Adam(reg, 0.05)
         for _ in range(40):
             w.grad = RNG.normal(size=10)
             opt.step()
@@ -162,7 +162,7 @@ class TestAdam:
         p0 = np.array([2.0])
         reg = ParamRegistry()
         w = reg.add("w", Tensor(p0.copy()))
-        opt = Adam(reg, AdamConfig(lr=0.1))
+        opt = Adam(reg, 0.1)
         opt.step()  # grad None: moments stay zero, update is 0/(0+eps)=0
         np.testing.assert_array_equal(w.data, p0)
 
