@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError, InvariantViolation
 
 
@@ -99,19 +97,18 @@ def _exec_cost(pair) -> int:
     return 2 * pair.r * (pair.A.shape[0] + pair.B.shape[1])
 
 
-def adapter_flops(trace, model) -> FlopsReport:
-    """Cost the trace's adapter executions; re-cost under experts=all as baseline."""
+def adapter_flops(routing, model) -> FlopsReport:
+    """Cost the adapter executions in `routing.counts` (one forward's trace, or
+    a profile summed over many); re-cost under experts=all as baseline."""
     cfg = model.config
-    if len(trace.layers) != cfg.n_layers:
-        raise ConfigError(
-            f"trace has {len(trace.layers)} layers, model {cfg.n_layers}")
-    if trace.n_experts != cfg.n_experts:
-        raise ConfigError(
-            f"trace n_experts {trace.n_experts} != model {cfg.n_experts}")
-    tokens = trace.n_tokens
-    counts = np.zeros((cfg.n_layers, cfg.n_experts), dtype=np.int64)
-    for l, lt in enumerate(trace.layers):
-        counts[l] = np.bincount(lt.indices.reshape(-1), minlength=cfg.n_experts)
+    counts = routing.counts
+    if counts.shape != (cfg.n_layers, cfg.n_experts):
+        raise ConfigError(f"routing counts have shape {counts.shape}, "
+                          f"model ({cfg.n_layers}, {cfg.n_experts})")
+    sums = counts.sum(axis=1)
+    tokens, rest = divmod(int(sums[0]), cfg.k_route)
+    if rest or (sums != sums[0]).any():
+        raise InvariantViolation(f"count sums {sums.tolist()} != tokens*{cfg.k_route}")
 
     attn_gate = 0
     shared = 0
@@ -166,12 +163,7 @@ class ExecCounters:
         return hits / total if total else 0.0
 
 
-def exec_counters(trace, plan) -> ExecCounters:
+def exec_counters(routing, plan) -> ExecCounters:
     """Per-layer routed-selection hit counts against the plan's hot sets."""
-    per_layer = []
-    for l, lt in enumerate(trace.layers):
-        flat = lt.indices.reshape(-1)
-        hot = np.zeros(trace.n_experts, dtype=bool)
-        hot[list(plan.hot[l])] = True
-        per_layer.append((int(hot[flat].sum()), int(flat.size)))
-    return ExecCounters(per_layer=per_layer)
+    return ExecCounters(per_layer=[(int(row[plan.hot[l]].sum()), int(row.sum()))
+                                   for l, row in enumerate(routing.counts)])

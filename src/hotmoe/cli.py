@@ -9,7 +9,8 @@ print one machine-parsable line to stderr:
     error category=<ErrorClass> message=<text>
 
 with exit codes: IoError 1, ConfigError 2, InvariantViolation 3,
-NumericalError 4.
+NumericalError 4. A stdout closed before the output is written is an
+IoError.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import numpy as np
 from .accounting import adapter_flops, exec_counters
 from .checkpoint import load_checkpoint
 from .config import FullConfig, apply_overrides, load_config, write_resolved
-from .errors import ConfigError, HotmoeError, NumericalError, write_file
+from .errors import (ConfigError, HotmoeError, IoError, NumericalError,
+                     silence_stdout, write_file)
 from .gradcheck import finite_diff_check
-from .model import MoEModel, RoutingTrace, nograd_traces, pretrain_base
+from .model import MoEModel, nograd_traces, pretrain_base
 from .pipeline import (ABLATION_AXES, ablate, build_plan, check_axes,
                        cross_task_matrix, finetune, run_end_to_end, run_warmup,
                        target_splits, write_rows_csv)
@@ -230,12 +232,14 @@ def cmd_flops(args) -> int:
     train, evals = _target_splits(full)
     model, _ = finetune(full.model, state, train, {}, plan,
                         replace(full.run, epochs=0))
-    merged = RoutingTrace.merge(list(nograd_traces(
-        model, evals[full.task.target].tokens, full.run.batch_size)))
-    rep = adapter_flops(merged, model)
+    routing = ActivationProfile.empty(full.model.n_layers, full.model.n_experts)
+    for trace in nograd_traces(model, evals[full.task.target].tokens,
+                               full.run.batch_size):
+        routing.counts += trace.counts
+    rep = adapter_flops(routing, model)
     print(rep.format())
     if plan is not None:
-        ctr = exec_counters(merged, plan)
+        ctr = exec_counters(routing, plan)
         print(f"flops hit_rate={ctr.hit_rate!r}")
     if out is not None:
         rows = [{"forward": rep.forward_flops, "train": rep.train_flops,
@@ -372,13 +376,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError as e:
+        error = IoError(f"cannot write to stdout: {e}")
     except HotmoeError as e:
-        message = " ".join(str(e).splitlines())
-        print(f"error category={type(e).__name__} message={message}",
-              file=sys.stderr)
-        return EXIT_CODES.get(type(e).__name__, 1)
+        error = e
+    message = " ".join(str(error).splitlines())
+    print(f"error category={type(error).__name__} message={message}",
+          file=sys.stderr)
+    return EXIT_CODES.get(type(error).__name__, 1)
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        silence_stdout()
+    sys.exit(code)
+
+
+if __name__ == "__main__":
+    entry()

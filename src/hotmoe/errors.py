@@ -10,6 +10,8 @@ themselves.
 
 from __future__ import annotations
 
+import os
+import sys
 from pathlib import Path
 
 
@@ -52,3 +54,9 @@ def write_file(path: str | Path, *parts: str | bytes) -> None:
                 fh.write(part.encode("utf-8") if isinstance(part, str) else part)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
+
+
+def silence_stdout() -> None:
+    """Point fd 1 at the null device. Bytes a closed pipe refused stay in
+    stdout's buffer, and shutdown would flush them into a second error."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

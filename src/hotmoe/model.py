@@ -106,9 +106,17 @@ class RoutingTrace:
     def n_tokens(self) -> int:
         return self.layers[0].indices.shape[0] if self.layers else 0
 
+    @property
+    def counts(self) -> np.ndarray:
+        """(n_layers, n_experts) int64 selections at every position, PAD included."""
+        counts = np.zeros((len(self.layers), self.n_experts), dtype=np.int64)
+        for l, lt in enumerate(self.layers):
+            counts[l] = np.bincount(lt.indices.reshape(-1), minlength=self.n_experts)
+        return counts
+
     @staticmethod
     def merge(traces: list["RoutingTrace"]) -> "RoutingTrace":
-        """Concatenate token streams; input ids are dropped."""
+        """Concatenate token streams, dropping input ids; kept for the tracer."""
         if not traces:
             raise ConfigError("cannot merge zero traces")
         first = traces[0]

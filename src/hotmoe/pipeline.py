@@ -25,8 +25,7 @@ from .accounting import (FlopsReport, ParamReport, adapter_flops, count_params,
                          exec_counters)
 from .adapters import Scheme, TargetSet, attach, build_mask, set_trainability
 from .errors import ConfigError, InvariantViolation, write_file
-from .model import (ModelConfig, MoEModel, RoutingTrace, forward_backward,
-                    profile_counts)
+from .model import ModelConfig, MoEModel, forward_backward, profile_counts
 from .optim import Adam
 from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan, coverage,
                        jaccard, record, save_plan, select)
@@ -224,27 +223,28 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
     opt = Adam(model.registry, run.lr)
     lb_mode = None if run.lb_during_finetune else "off"
     losses: list[float] = []
-    traces: list[RoutingTrace] = []
     profile = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)
+    routing = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)  # PAD included
     for batch in iter_batches(train, run.batch_size, run.epochs, run.seed):
         result = forward_backward(model, batch, lb_mode=lb_mode, want_trace=True)
         opt.step()
         losses.append(result.loss.item())
-        traces.append(result.trace)
         record(profile, result.trace)
+        routing.counts += result.trace.counts
     steps = len(losses)
-    assert steps == n_steps(len(train), run.batch_size, run.epochs)
+    expected = n_steps(len(train), run.batch_size, run.epochs)
+    if steps != expected:
+        raise InvariantViolation(f"fine-tune ran {steps} steps, expected {expected}")
 
     check_frozen_integrity(model, frozen_before)
     acc_after = {k: evaluate(model.logits_fn(), ds) for k, ds in evals.items()}
 
     flops = None
     hit_rate = None
-    if traces:
-        merged = RoutingTrace.merge(traces)
-        flops = adapter_flops(merged, model)
+    if steps:
+        flops = adapter_flops(routing, model)
         if plan is not None:
-            hit_rate = exec_counters(merged, plan).hit_rate
+            hit_rate = exec_counters(routing, plan).hit_rate
     report = TrainReport(scheme=run.scheme,
                          strategy=run.strategy if plan is None else plan.strategy,
                          plan=plan, acc_before=acc_before, acc_after=acc_after,

@@ -6,9 +6,10 @@ import pytest
 from hotmoe.accounting import (ExecCounters, adapter_flops, count_params,
                                exec_counters)
 from hotmoe.adapters import Scheme, TargetSet, attach, build_mask, set_trainability
-from hotmoe.errors import ConfigError
+from hotmoe.errors import ConfigError, InvariantViolation
 from hotmoe.model import LayerTrace, ModelConfig, MoEModel, RoutingTrace
-from hotmoe.profiler import ActivationProfile, PlacementPlan, select
+from hotmoe.profiler import ActivationProfile, PlacementPlan, record, select
+from hotmoe.tasks import PAD
 
 DESK = ModelConfig()  # d_model=32, d_ff=64, n_layers=4, n_experts=16, k_route=4
 
@@ -307,3 +308,51 @@ def test_layer_hot_hit_rate_at_least_uniform_share():
 def test_exec_counters_empty_trace():
     ctr = ExecCounters(per_layer=[])
     assert ctr.hit_rate == 0.0
+
+
+# ------------------------------------------------------ per-layer counts
+
+def test_trace_counts_include_every_position():
+    cfg = tiny_config()
+    trace = make_trace(cfg, [[[0, 1], [0, 2], [3, 1]], [[2, 0], [3, 1], [1, 2]]])
+    trace.tokens = np.array([5, 6, PAD])
+    assert trace.counts.tolist() == [[2, 2, 1, 1], [1, 2, 2, 1]]
+    assert trace.counts.dtype == np.int64
+    prof = ActivationProfile.empty(2, 4)
+    record(prof, trace)                      # the content profile skips PAD
+    assert prof.counts.sum() == 8 and trace.counts.sum() == 12
+
+
+def test_summed_profile_costs_like_merged_traces():
+    cfg = tiny_config()
+    plan = PlacementPlan(hot=[[0, 1], [2, 3]], k=2, strategy="layer_hot")
+    m = MoEModel(cfg, seed=0)
+    attach(m, TargetSet(experts="plan"), plan, Scheme("lora"), r=2, alpha=4, seed=1)
+    rng = np.random.default_rng(23)
+    traces = [make_trace(cfg, [np.stack([rng.choice(4, size=2, replace=False)
+                                         for _ in range(n)]) for _ in range(2)])
+              for n in (7, 12)]
+    summed = ActivationProfile(traces[0].counts + traces[1].counts)
+    merged = RoutingTrace.merge(traces)
+    assert adapter_flops(summed, m) == adapter_flops(merged, m)
+    assert adapter_flops(summed, m).tokens == 19
+    assert exec_counters(summed, plan) == exec_counters(merged, plan)
+
+
+@pytest.mark.parametrize("counts", [[[2, 2, 1, 1], [1, 1, 2, 1]],   # sums 6 vs 5
+                                    [[2, 2, 1, 0], [1, 1, 2, 1]]],  # 5 = 2.5 tokens
+                         ids=["uneven-layers", "not-a-multiple-of-k"])
+def test_flops_broken_count_conservation_raises(counts):
+    cfg = tiny_config()
+    m = MoEModel(cfg, seed=0)
+    attach(m, TargetSet(experts="all"), None, Scheme("lora"), r=2, alpha=4, seed=1)
+    with pytest.raises(InvariantViolation):
+        adapter_flops(ActivationProfile(np.array(counts, dtype=np.int64)), m)
+
+
+def test_flops_wrong_shape_profile_rejected():
+    cfg = tiny_config()
+    m = MoEModel(cfg, seed=0)
+    attach(m, TargetSet(experts="all"), None, Scheme("lora"), r=2, alpha=4, seed=1)
+    with pytest.raises(ConfigError):
+        adapter_flops(ActivationProfile.empty(cfg.n_layers, 8), m)

@@ -10,6 +10,7 @@ import pytest
 
 from hotmoe.cli import main
 from hotmoe.config import load_config
+from hotmoe.model import RoutingTrace
 from hotmoe.profiler import load_heatmap, load_plan
 
 CFG = "configs/tiny.cfg"
@@ -60,6 +61,25 @@ def test_profile_writes_conserving_heatmap(base_dir, tmp_path):
     assert code == 0
     prof = load_heatmap(tmp_path / "heatmap.csv", k_route=2)
     prof.check_conservation(2)
+
+
+def test_profile_forward_only(base_dir, tmp_path, capsys):
+    base = ["profile", "--config", CFG, "--base", str(base_dir / "base.ckpt")]
+    heatmaps = []
+    for tag, extra in (("a", ["--forward-only"]), ("b", ["--forward-only"]),
+                       ("c", ["--set", "run.warmup_forward_only=true"])):
+        capsys.readouterr()
+        assert main([*base, *extra, "--out-dir", str(tmp_path / tag)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("profile task=mod_add ")
+        printed = dict(field.split("=") for field in line.split()[1:])
+        heatmaps.append((tmp_path / tag / "heatmap.csv").read_bytes())
+    full = load_config(CFG)
+    # one epoch over the warm-up subset, PAD positions skipped
+    assert int(printed["steps"]) == -(-int(printed["subset"]) // full.run.batch_size)
+    counts = load_heatmap(tmp_path / "a" / "heatmap.csv").counts
+    assert (counts.sum(axis=1) == int(printed["tokens"]) * full.model.k_route).all()
+    assert heatmaps[0] == heatmaps[1] == heatmaps[2]
 
 
 def test_plan_needs_profile_flag(capsys):
@@ -216,6 +236,20 @@ def test_flops_lori_s_matches_lora(base_dir, tmp_path, capsys):
         printed[scheme] = capsys.readouterr().out
     assert "forward=" in printed["lora"]
     assert printed["lori_s"] == printed["lora"]
+
+
+def test_flops_merges_no_traces(base_dir, tmp_path, monkeypatch, capsys):
+    plan = _plan(base_dir, tmp_path / "prof")
+
+    def forbidden(traces):
+        raise AssertionError("RoutingTrace.merge called")
+
+    monkeypatch.setattr(RoutingTrace, "merge", staticmethod(forbidden))
+    capsys.readouterr()
+    assert main(["flops", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
+                 "--plan", str(plan)]) == 0
+    out = capsys.readouterr().out
+    assert "forward=" in out and "hit_rate=" in out
 
 
 def test_gradcheck_passes_and_prints(capsys):
@@ -445,10 +479,53 @@ def test_unreadable_input_or_unwritable_out_dir(case, base_dir, tmp_path, capsys
     _one_error_line(capsys.readouterr().err, category)
 
 
-def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-m", "hotmoe", "report", "--config", CFG],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "report scheme=lora " in proc.stdout
+def _python_m(module, *args):
+    """`python -m module args` with unbuffered output, so each line is
+    written to the pipe when it is printed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
+    return subprocess.Popen([sys.executable, "-m", module, *args], cwd=ROOT,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("module", ["hotmoe", "hotmoe.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = _python_m(module, "report", "--config", CFG)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert "report scheme=lora " in out
+
+
+@pytest.mark.parametrize("module", ["hotmoe", "hotmoe.cli"])
+def test_python_dash_m_rejects_a_bogus_command(module):
+    proc = _python_m(module, "bogus")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert "invalid choice: 'bogus'" in err
+
+
+class _ClosedStdout:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_is_one_io_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["report", "--config", CFG]) == 1
+    _one_error_line(capsys.readouterr().err, "IoError")
+
+
+def test_pipe_closed_after_first_line_prints_no_traceback():
+    proc = _python_m("hotmoe", "report", "--config", CFG)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.startswith("report scheme=lora ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+    # the remaining lines can still fit in the pipe before it is closed
+    if proc.returncode != 0:
+        assert proc.returncode == 1
+        _one_error_line(err, "IoError")

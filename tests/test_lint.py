@@ -1,6 +1,6 @@
 """Static checks on the library source: no unused imports, no dead
-definitions, no test-only definitions, and no filesystem access outside
-errors.py in src/hotmoe.
+definitions, no test-only definitions, no filesystem access outside
+errors.py, and no assert statements in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -11,7 +11,8 @@ definitions, strings included (the benchmark's tracer patches functions
 by name). One that only tests/ names is library surface kept for its
 tests, and fails the test-only check. errors.py's read_file and
 write_file are the package's only file access, so that every OSError
-becomes an IoError in one place.
+becomes an IoError in one place. python -O strips assert statements, so
+an invariant raises InvariantViolation instead.
 """
 
 import ast
@@ -171,3 +172,25 @@ def test_filesystem_checker_hand_case():
                          ids=lambda p: p.name)
 def test_only_errors_touches_files(path):
     assert filesystem_calls(path.read_text(encoding="utf-8")) == []
+
+
+def assert_statements(source: str) -> list[str]:
+    """assert statements, which python -O strips: an invariant the package
+    keeps must raise InvariantViolation instead."""
+    return [f"line {node.lineno}: assert" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_checker_hand_case():
+    source = ("def f(n):\n"
+              "    assert n > 0, 'positive'\n"
+              "    if n != 3:\n"
+              "        raise ValueError('assert n == 3')\n"
+              "    assert_ok = True\n"
+              "    assert (n, 'reason')\n")
+    assert assert_statements(source) == ["line 2: assert", "line 6: assert"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text(encoding="utf-8")) == []

@@ -13,7 +13,8 @@ import pytest
 from hotmoe import pipeline
 from hotmoe.adapters import build_mask
 from hotmoe.errors import ConfigError, InvariantViolation, NumericalError
-from hotmoe.model import ModelConfig, MoEModel
+from hotmoe.accounting import adapter_flops, exec_counters
+from hotmoe.model import ModelConfig, MoEModel, RoutingTrace
 from hotmoe.optim import Adam
 from hotmoe.pipeline import (RunConfig, WarmupResult, ablate, build_plan,
                              check_frozen_integrity, clone_model,
@@ -21,7 +22,7 @@ from hotmoe.pipeline import (RunConfig, WarmupResult, ablate, build_plan,
                              masks_from_donor, run_end_to_end, run_warmup,
                              write_rows_csv, write_rows_markdown)
 from hotmoe.profiler import PlacementPlan
-from hotmoe.tasks import TaskSpec, evaluate, make_task
+from hotmoe.tasks import PAD, TaskSpec, evaluate, make_task
 
 
 def tiny_config(**kw):
@@ -321,6 +322,53 @@ def test_finetune_writes_artifacts(base, modadd, tmp_path):
     assert (tmp_path / "adapted.ckpt").exists()
     text = (tmp_path / "report.txt").read_text()
     assert "scheme=lora" in text and "task=mod_add" in text
+
+
+@pytest.mark.parametrize("experts", ["plan", "all"])
+def test_finetune_accounting_matches_merged_step_traces(base, experts, monkeypatch):
+    # oracle: the per-step counts give what costing one merged trace of
+    # every step gave; transduce rows are ragged, so PAD positions count
+    cfg, state = base
+    train, _ = make_task(tiny_specs()[1], 16)
+    assert (train.tokens == PAD).any()
+    plan = plan_for(cfg, state, train) if experts == "plan" else None
+    traces = []
+    original = pipeline.forward_backward
+
+    def capturing(*args, **kwargs):
+        result = original(*args, **kwargs)
+        traces.append(result.trace)
+        return result
+
+    monkeypatch.setattr(pipeline, "forward_backward", capturing)
+    model, rep = finetune(cfg, state, train, {}, plan, tiny_run(experts=experts))
+    assert len(traces) == rep.steps > 0
+    merged = RoutingTrace.merge(traces)
+    assert rep.flops == adapter_flops(merged, model)
+    if plan is None:
+        assert rep.hit_rate is None
+    else:
+        assert rep.hit_rate == exec_counters(merged, plan).hit_rate
+
+
+def _merge_forbidden(traces):
+    raise AssertionError("RoutingTrace.merge called")
+
+
+def test_end_to_end_merges_no_traces(base, monkeypatch):
+    cfg, state = base
+    monkeypatch.setattr(RoutingTrace, "merge", staticmethod(_merge_forbidden))
+    res = run_end_to_end(cfg, tiny_specs(), "transduce", state, tiny_run())
+    assert res.report.flops is not None and res.report.hit_rate is not None
+
+
+def test_finetune_step_count_is_a_hard_check(base, modadd, monkeypatch):
+    # an invariant, so it must hold under python -O too
+    cfg, state = base
+    train, _ = modadd
+    monkeypatch.setattr(pipeline, "n_steps", lambda *args: 99)
+    with pytest.raises(InvariantViolation, match="ran 6 steps, expected 99"):
+        finetune(cfg, state, train, {}, None, tiny_run(experts="all"))
 
 
 # ------------------------------------------------------------- end to end
