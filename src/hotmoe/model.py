@@ -232,29 +232,33 @@ def _b_eff(pair: AdapterPair) -> np.ndarray:
     return pair.B.data if pair.mask_f is None else pair.B.data * pair.mask_f.data
 
 
-def _project(inp: np.ndarray, W: Tensor,
-             pair: AdapterPair | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """inp @ W plus the adapter term in adapted_forward's order, and inp @ A."""
-    out = inp @ W.data
+def _project(inp: np.ndarray, W: Tensor, pair: AdapterPair | None,
+             out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """inp @ W plus the adapter term in adapted_forward's order, and inp @ A.
+    With out, the sum is written into it."""
+    out = np.matmul(inp, W.data, out=out)
     if pair is None:
         return out, None
     xa = inp @ pair.A.data
-    return out + (xa @ _b_eff(pair)) * pair.scale, xa
+    out += (xa @ _b_eff(pair)) * pair.scale
+    return out, xa
 
 
 def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
                    pair: AdapterPair | None, xa: np.ndarray | None,
-                   want_in: bool, grads: dict) -> list[np.ndarray]:
+                   want_in: bool, grads: dict,
+                   out: np.ndarray | None = None) -> list[np.ndarray]:
     """Backward of _project: put the gradients of W, A and B that require
     one into grads (B's times the mask) and, if want_in, return inp's
     gradient terms, the base term first and the adapter term second, as
-    the tape added them. A weight's gradient from a batched inp is summed
-    over the batch axes, as matmul's backward does."""
+    the tape added them; with out, the base term is written into it. A
+    weight's gradient from a batched inp is summed over the batch axes,
+    as matmul's backward does."""
     terms = []
     if W.requires_grad:
         grads[id(W)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_out, W.shape)
     if want_in:
-        terms.append(g_out @ W.data.swapaxes(-1, -2))
+        terms.append(np.matmul(g_out, W.data.swapaxes(-1, -2), out=out))
     if pair is None:
         return terms
     g_t = g_out * pair.scale
@@ -356,6 +360,20 @@ def route(x: Tensor, router: Projection,
     return w, T._make(p, [(w, hand_over)]), trace
 
 
+def _slot_sum(slot_rows: np.ndarray, cols: np.ndarray,
+              ws: np.ndarray | None = None) -> np.ndarray:
+    """Per token, the sum of its slots' rows (times ws) into zeros, in
+    ascending expert order, as the per-expert index-adds summed them;
+    cols[j] holds each token's j-th slot."""
+    out = np.zeros((cols.shape[1], slot_rows.shape[1]))
+    for col in cols:
+        term = slot_rows[col]
+        if ws is not None:
+            term *= ws[col]
+        out += term
+    return out
+
+
 def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
                    experts: list[Expert]) -> Tensor:
     """Grouped, dropless top-k expert bank as one tape node.
@@ -364,14 +382,17 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
     (tokens, d), with E_e(x) = gelu(x W_up) W_down and each projection
     adapted as in adapted_forward where the expert has an adapter. Token
     slots are sorted by expert once (stable, so an expert's rows keep
-    ascending order) and each expert runs on its contiguous block; gelu
-    runs once over all blocks. Every operation and every accumulation
-    runs in the order of the per-expert tape graph this node replaces
-    (gather, adapted projections, gelu, weighted index-add in expert
-    order), so outputs and gradients are bitwise equal to it. The
-    backward computes every parent's gradient in one pass and skips the
-    weight gradients of tensors that do not require grad; an expert
-    without tokens is no parent at all.
+    ascending order) and each expert runs its 2-D matmuls and adapter
+    terms on its contiguous block, writing into it; gelu runs once over
+    all blocks. The weighted combine of the forward and the input-gradient
+    scatter of the backward run once per layer, as k gathered adds per
+    token in ascending expert order (_slot_sum). Every operation and every
+    accumulation runs in the order of the per-expert tape graph this node
+    replaces (gather, adapted projections, gelu, weighted index-add in
+    expert order), so outputs and gradients are bitwise equal to it, zero
+    signs included. The backward computes every parent's gradient in one
+    pass and skips the weight gradients of tensors that do not require
+    grad; an expert without tokens is no parent at all.
     """
     n_tok, k = idx.shape
     flat = idx.reshape(-1)
@@ -380,22 +401,30 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
     rows = order // k
     blocks = {e: slice(bounds[e], bounds[e + 1])
               for e in range(len(experts)) if bounds[e + 1] > bounds[e]}
+    # each token's sorted slot positions, ascending, so in expert order
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    cols = np.sort(at.reshape(n_tok, k), axis=1).T
     xs = x.data[rows]
     ws = mix_w.data.reshape(-1)[order][:, None]
     pre = np.empty((rows.size, experts[0][0].shape[1]))
     he = np.empty_like(xs)
     xa: dict[tuple[int, str], np.ndarray | None] = {}
     for e, b in blocks.items():
-        pre[b], xa[e, "up"] = _project(xs[b], experts[e][0], experts[e][2])
+        _, xa[e, "up"] = _project(xs[b], experts[e][0], experts[e][2], out=pre[b])
     cdf = T.normal_cdf(pre)
     h = pre * cdf
     for e, b in blocks.items():
-        he[b], xa[e, "down"] = _project(h[b], experts[e][1], experts[e][3])
-    y = np.zeros_like(x.data)
-    for e, b in blocks.items():
-        y[rows[b]] += he[b] * ws[b]
+        _, xa[e, "down"] = _project(h[b], experts[e][1], experts[e][3], out=he[b])
+    y = _slot_sum(he, cols, ws)
     if not T.grad_enabled():
         return Tensor(y)
+
+    def grad_into(out: np.ndarray, *args) -> None:
+        """_project_grads with inp's gradient written into out: the base
+        term, then the adapter term added."""
+        for term in _project_grads(*args, out=out)[1:]:
+            out += term
 
     def backward(g: np.ndarray) -> dict[int, np.ndarray]:
         grads: dict[int, np.ndarray] = {}
@@ -405,26 +434,22 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
             gw[order] = (gs * he).sum(axis=1)
             grads[id(mix_w)] = gw.reshape(n_tok, k)
         gs *= ws
-        g_pre = np.zeros_like(h)   # the gelu output's gradient, then pre's in place
+        g_pre = np.empty_like(h)   # the gelu output's gradient, then pre's in place
         for e, b in blocks.items():
-            for term in _project_grads(gs[b], h[b], experts[e][1], experts[e][3],
-                                       xa[e, "down"], True, grads):
-                g_pre[b] += term
+            grad_into(g_pre[b], gs[b], h[b], experts[e][1], experts[e][3],
+                      xa[e, "down"], True, grads)
+        g_pre += 0.0   # as a zero-filled accumulator would: -0.0 to +0.0
         # g_h * (cdf + pre * pdf), with the gelu pdf computed only here
         slope = T.normal_pdf(pre)
         slope *= pre
         slope += cdf
         g_pre *= slope
-        g_x = np.zeros_like(x.data) if x.requires_grad else None
-        g_xs = np.zeros_like(xs) if x.requires_grad else None
+        g_xs = np.empty_like(xs) if x.requires_grad else None
         for e, b in blocks.items():
-            for term in _project_grads(g_pre[b], xs[b], experts[e][0], experts[e][2],
-                                       xa[e, "up"], g_x is not None, grads):
-                g_xs[b] += term
-            if g_x is not None:
-                g_x[rows[b]] += g_xs[b]
-        if g_x is not None:
-            grads[id(x)] = g_x
+            grad_into(None if g_xs is None else g_xs[b], g_pre[b], xs[b],
+                      experts[e][0], experts[e][2], xa[e, "up"], g_xs is not None, grads)
+        if g_xs is not None:
+            grads[id(x)] = _slot_sum(g_xs, cols)
         return grads
 
     params = [x, mix_w]
@@ -657,27 +682,32 @@ class MoEModel:
     def logits_fn(self):
         """Gradient-free (B,S)->(B,S,V) callable for greedy decoding.
 
-        The callable keeps one KV cache. When the leading columns of
-        `tokens` equal the tokens it has consumed (same row count), it
-        forwards only the new columns; otherwise it starts a fresh cache.
-        So a decode that grows a causal prefix one column at a time
-        forwards each position once. The callable is valid only while the
-        weights do not change: cached keys, values and logits stay as the
-        weights were when they were computed.
+        The callable keeps one KV cache. When `tokens` is a leading block
+        of the rows it has consumed, equal to them in the consumed columns,
+        plus new columns, it slices each layer's cached keys and values and
+        its logits to that block (views) and forwards only the new columns;
+        any other matrix starts a fresh cache. So a decode that grows a
+        causal prefix one column at a time, dropping rows from the end as
+        their answers complete, forwards each position of a row it keeps
+        once. The callable is valid only while the weights do not change:
+        cached keys, values and logits stay as the weights were when they
+        were computed.
         """
         cache = seen = logits = None
 
         def fn(tokens: np.ndarray) -> np.ndarray:
             nonlocal cache, seen, logits
             tokens = np.asarray(tokens)
+            n, width = tokens.shape
             # a forward that raises leaves the cache half-extended: drop it
             prev, seen = seen, None
             with T.no_grad():
-                if (prev is not None and tokens.shape[0] == prev.shape[0]
-                        and tokens.shape[1] > prev.shape[1]
-                        and np.array_equal(tokens[:, :prev.shape[1]], prev)):
+                if (prev is not None and n <= prev.shape[0]
+                        and width > prev.shape[1]
+                        and np.array_equal(tokens[:, :prev.shape[1]], prev[:n])):
+                    cache.kv = {l: (k[:n], v[:n]) for l, (k, v) in cache.kv.items()}
                     new = self.forward(tokens[:, prev.shape[1]:], cache=cache)
-                    logits = np.concatenate([logits, new.logits.data], axis=1)
+                    logits = np.concatenate([logits[:n], new.logits.data], axis=1)
                 else:
                     cache = KVCache()
                     logits = self.forward(tokens, cache=cache).logits.data

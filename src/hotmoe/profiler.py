@@ -217,14 +217,24 @@ def load_plan(path: str | Path) -> PlacementPlan:
     blob = read_file(path)
     try:
         lines = blob.decode("utf-8").splitlines()
-        if not lines:
-            raise ConfigError(f"empty plan file: {path}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"malformed plan file {path}: {exc}") from exc
+    if not lines:
+        raise ConfigError(f"empty plan file: {path}")
+    at = 0   # the index of the line being parsed
+    try:
         fields = dict(part.split("=", 1) for part in lines[0].split())
         k = int(fields["k"])
         strategy = fields["strategy"]
         seed = None if fields["seed"] == "none" else int(fields["seed"])
-        hot = [[int(e) for e in line.split(",")] for line in lines[1:] if line.strip()]
+        hot = []
+        for at, line in enumerate(lines[1:], start=1):
+            if line.strip():
+                hot.append([int(e) for e in line.split(",")])
         # a row of the wrong size or with a repeated expert is a bad file here
         return PlacementPlan(hot=hot, k=k, strategy=strategy, seed=seed)
-    except (KeyError, ValueError, InvariantViolation) as exc:
-        raise ConfigError(f"malformed plan file {path}: {exc!r}") from exc
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"malformed plan file {path}: line {at + 1} does not "
+                          f"parse: {lines[at]!r}") from exc
+    except InvariantViolation as exc:
+        raise ConfigError(f"malformed plan file {path}: {exc}") from exc

@@ -258,27 +258,33 @@ def evaluate(logits_fn: Callable[[np.ndarray], np.ndarray], dataset: Dataset,
     logits_fn maps a token matrix (B, S) to logits (B, S, V). Answer
     positions are blanked to PAD before decoding so the model cannot see
     ground truth; each decoded token is written back so later answer
-    positions condition on earlier predictions. To score column t,
-    logits_fn gets only the causal prefix (columns 0..t), which grows by
-    one column per step, so a KV-cached logits_fn (MoEModel.logits_fn)
-    forwards each position once. The default batch holds a whole test
-    split of the desk tasks (120 rows), so each split decodes in one pass.
+    positions condition on earlier predictions. Each batch's rows are
+    sorted by their last answer column, descending and stable, so the
+    rows still answering at column t form a leading block. To score
+    column t, logits_fn gets only that block's causal prefix (columns
+    0..t): the prefix grows by one column per step and rows whose answer
+    is complete leave the batch, so a KV-cached logits_fn
+    (MoEModel.logits_fn) forwards each position of a row that still
+    answers once. The default batch holds a whole test split of the desk
+    tasks (120 rows), so each split decodes in one pass.
     """
     total, hits = 0, 0
     for lo in range(0, len(dataset), batch_size):
-        tokens = dataset.tokens[lo:lo + batch_size]
-        targets = dataset.targets[lo:lo + batch_size]
         mask = dataset.loss_mask[lo:lo + batch_size]
-        work = tokens.copy()
+        last = np.where(mask, np.arange(mask.shape[1]), -1).max(axis=1)
+        order = np.argsort(-last, kind="stable")
+        mask, last = mask[order], last[order]
+        targets = dataset.targets[lo:lo + batch_size][order]
+        work = dataset.tokens[lo:lo + batch_size][order]
         answer_cols = np.where(mask.any(axis=0))[0]
         for t in answer_cols:
             work[mask[:, t], t + 1] = PAD
         for t in answer_cols:
-            rows = mask[:, t]
-            logits = logits_fn(work[:, :t + 1])
+            live = int((last >= t).sum())
+            rows = mask[:live, t]
+            logits = logits_fn(work[:live, :t + 1])
             pred = logits[rows, t, :].argmax(axis=-1)
-            work[rows, t + 1] = pred
-            hits += int((pred == targets[rows, t]).sum())
+            work[:live][rows, t + 1] = pred
+            hits += int((pred == targets[:live][rows, t]).sum())
             total += int(rows.sum())
     return hits / total if total else 0.0
-

@@ -305,6 +305,19 @@ def test_malformed_heatmap_exits_2(tmp_path, capsys):
     _one_error_line(capsys.readouterr().err, "ConfigError")
 
 
+def test_profile_given_as_plan_exits_2(base_dir, capsys):
+    # a heatmap CSV is no plan: the error names the file and the line,
+    # not a Python exception repr
+    prof = base_dir / "profile_mod_add.csv"
+    code = main(["finetune", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
+                 "--plan", str(prof)])
+    assert code == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "ConfigError")
+    assert "Error(" not in err
+    assert str(prof) in err and "line 1 does not parse: 'layer,expert,count,ratio'" in err
+
+
 def test_ablate_bad_seeds_exits_2(base_dir, capsys):
     code = main(["ablate", "--config", CFG, "--base",
                  str(base_dir / "base.ckpt"), "--axes", "strategy",

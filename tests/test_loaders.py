@@ -97,6 +97,17 @@ class TestReproducedFaults:
         with pytest.raises(ConfigError):
             load_plan(path)
 
+    @pytest.mark.parametrize("old,new,where", [
+        (b"0,2", b"0,x", "line 2 does not parse: '0,x'"),
+        (b"k=2", b"k2", "line 1 does not parse: 'strategy=layer_hot k2 seed=none'"),
+        (b" seed=none", b"", "line 1 does not parse: 'strategy=layer_hot k=2'")])
+    def test_plan_error_names_the_line(self, tmp_path, old, new, where):
+        path = _plan(tmp_path)
+        _rewrite(path, old, new)
+        with pytest.raises(ConfigError) as info:
+            load_plan(path)
+        assert str(info.value) == f"malformed plan file {path}: {where}"
+
     @pytest.mark.parametrize("old,new", [(b"0,1,1,", b"0,1,one,"),
                                          (b"0,1,1,", b"0,"),
                                          (None, b""),

@@ -319,23 +319,61 @@ def bank_tensors(xf, mix_w, experts):
     return out
 
 
+def bank_bytes(bank, xf, mix_w, idx, experts, g):
+    """The bank's output and every parent's gradient under g, as bytes."""
+    tensors = bank_tensors(xf, mix_w, experts)
+    for t in tensors:
+        t.grad = None
+    y = bank(xf, mix_w, idx, experts)
+    T.tsum(y * T.Tensor(g)).backward()
+    return y.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in tensors]
+
+
 def test_expert_without_tokens():
     cfg = tiny_config()
     idx = np.array([[0, 1], [3, 1], [1, 0], [0, 3], [3, 0]])   # expert 2 idle
     xf, mix_w, experts = bank_inputs(cfg, 4, idx, adapted_experts=(1, 2))
     g = np.random.default_rng(8).normal(size=xf.shape)
-    outs = []
-    for bank in (routed_experts, loop_bank):
-        tensors = bank_tensors(xf, mix_w, experts)
-        for t in tensors:
-            t.grad = None
-        y = bank(xf, mix_w, idx, experts)
-        T.tsum(y * T.Tensor(g)).backward()
-        outs.append((y.data.tobytes(),
-                     [None if t.grad is None else t.grad.tobytes() for t in tensors]))
+    outs = [bank_bytes(bank, xf, mix_w, idx, experts, g)
+            for bank in (routed_experts, loop_bank)]
     assert outs[0] == outs[1]
     idle = [t.grad for t in bank_tensors(xf, mix_w, experts[2:3])[2:]]
     assert len(idle) == 6 and all(g is None for g in idle)
+
+
+# (config overrides, idx, adapted experts): expert 2 holds exactly one slot
+# or none; k_route 1 and k_route = n_experts; adapters on some experts only
+BANK_CASES = {
+    "one-slot-expert": ({}, [[0, 1], [2, 1], [1, 0], [0, 3], [3, 0]], (0, 2)),
+    "idle-expert": ({}, [[0, 1], [3, 1], [1, 0], [0, 3], [3, 0]], (3,)),
+    "k1": ({"k_route": 1}, [[0], [3], [0], [1], [3]], (1,)),
+    "k-all": ({"k_route": 4}, [[0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0],
+                               [1, 0, 3, 2]], (0, 3)),
+    "no-adapters": ({}, [[1, 0], [2, 3], [0, 2], [3, 1], [1, 2], [0, 3]], ()),
+    "all-adapters": ({}, [[1, 0], [2, 3], [0, 2], [3, 1], [1, 2], [0, 3]], (0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("zero_rows", (False, True), ids=("dense", "zero-rows"))
+@pytest.mark.parametrize("x_grad", (True, False), ids=("x-grad", "x-frozen"))
+@pytest.mark.parametrize("case", sorted(BANK_CASES))
+def test_bank_edge_cases_bitwise(case, x_grad, zero_rows):
+    kw, idx, adapted_experts = BANK_CASES[case]
+    cfg = tiny_config(**kw)
+    idx = np.array(idx)
+    xf, mix_w, experts = bank_inputs(cfg, 6, idx, adapted_experts=adapted_experts)
+    xf.requires_grad = x_grad
+    g = np.random.default_rng(2).normal(size=xf.shape)
+    if zero_rows:
+        # unscored positions: +0.0 and -0.0 gradient rows; a token whose
+        # mixing weights all underflowed to 0.0 sums -0.0 terms where its
+        # experts' outputs are negative
+        g[0] = 0.0
+        g[-1] = -0.0
+        mix_w.data[1] = 0.0
+    fused = bank_bytes(routed_experts, xf, mix_w, idx, experts, g)
+    assert fused == bank_bytes(loop_bank, xf, mix_w, idx, experts, g)
+    assert (fused[1][0] is None) == (not x_grad)
 
 
 def test_no_grad_forward_matches_tape():
