@@ -35,6 +35,7 @@ from .pipeline import (ABLATION_AXES, ablate, build_plan, check_axes,
                        target_splits, write_rows_csv)
 from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
                        load_heatmap, load_plan, save_plan)
+from .tasks import Batch, make_task
 
 EXIT_CODES = {
     "IoError": 1,
@@ -88,7 +89,8 @@ def _load_base(args) -> tuple[FullConfig, list[str], dict[str, np.ndarray]]:
 
 
 def _target_splits(full):
-    return target_splits(full.task.specs(), full.task.target, full.model.max_seq)
+    return target_splits({s.kind: make_task(s, full.model.max_seq)
+                          for s in full.task.specs()}, full.task.target)
 
 
 def _pretrain(full, out):
@@ -123,10 +125,7 @@ def cmd_profile(args) -> int:
     full, applied, state = _load_base(args)
     out = _prep_out(args, full, applied)
     train, _ = _target_splits(full)
-    run = full.run
-    if args.forward_only:
-        run = replace(run, warmup_forward_only=True)
-    res = run_warmup(full.model, state, train, run)
+    res = run_warmup(full.model, state, train, full.run)
     if out is not None:
         export_heatmap(res.profile, out / "heatmap.csv")
     print(f"profile task={full.task.target} subset={res.subset_size} "
@@ -194,8 +193,8 @@ def cmd_ablate(args) -> int:
         except ValueError as e:
             raise ConfigError(f"--seeds expects a comma list of integers, "
                               f"got {args.seeds!r}") from e
-        if any(s < 0 for s in seeds):
-            raise ConfigError(f"--seeds must be >= 0, got {args.seeds!r}")
+        if any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"--seeds must be distinct and >= 0, got {args.seeds!r}")
     names = [a.strip() for a in args.axes.split(",") if a.strip()]
     if not names:
         raise ConfigError("ablate needs --axes with at least one axis")
@@ -258,7 +257,6 @@ def cmd_gradcheck(args) -> int:
     model = MoEModel(full.model, seed=full.run.seed)
     train, _ = _target_splits(full)
     take = min(len(train), 8)
-    from .tasks import Batch
     batch = Batch(tokens=train.tokens[:take], targets=train.targets[:take],
                   loss_mask=train.loss_mask[:take])
 
@@ -328,8 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="warm-up activation profile for the target task")
     common(p, base=True)
-    p.add_argument("--forward-only", action="store_true",
-                   help="profile without any training steps")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("plan", help="select hot experts from a saved profile")

@@ -7,7 +7,8 @@ the warm model itself is discarded. Fine-tuning then attaches fresh
 zero-update adapters per the chosen scheme and plan on an unmodified base
 copy. Frozen base weights are hashed before and after every fine-tune,
 so any drift in cold experts (or anything else frozen) is a hard error,
-not a silent accuracy bug.
+not a silent accuracy bug. run_end_to_end, ablate and cross_task_matrix
+all run this warm-up -> plan -> fine-tune path on a Grid.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -79,13 +81,11 @@ class RunConfig:
         return TargetSet(self.attention, self.gate, self.experts)
 
 
-def target_splits(specs: list[TaskSpec], target_kind: str,
-                  max_seq: int) -> tuple[Dataset, dict[str, Dataset]]:
+def target_splits(splits: dict[str, tuple[Dataset, Dataset]],
+                  target_kind: str) -> tuple[Dataset, dict[str, Dataset]]:
     """The target task's train split, and every task's test split by kind."""
-    kinds = [s.kind for s in specs]
-    if target_kind not in kinds:
-        raise ConfigError(f"target task {target_kind} not in mixture {sorted(kinds)}")
-    splits = {s.kind: make_task(s, max_seq) for s in specs}
+    if target_kind not in splits:
+        raise ConfigError(f"target task {target_kind} not in mixture {sorted(splits)}")
     return splits[target_kind][0], {kind: test for kind, (_, test) in splits.items()}
 
 
@@ -131,25 +131,31 @@ class WarmupResult:
     losses: list[float] = field(default_factory=list)
 
 
+def warmup_run(run: RunConfig) -> RunConfig:
+    """The fine-tune that run's warm-up trains, with the fields it does not
+    read (strategy, plan_k, rho) at their defaults: the warm-up memo's key."""
+    return replace(run, scheme="lora", attention=True, gate=True, experts="all",
+                   epochs=run.warmup_epochs, lb_during_finetune=False,
+                   strategy=RunConfig.strategy, plan_k=RunConfig.plan_k, rho=RunConfig.rho)
+
+
 def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
                train: Dataset, run: RunConfig) -> WarmupResult:
     """Profile expert activations on a seeded task subset.
 
-    The warm-up is a short all-targets LoRA fine-tune (all experts,
-    attention, gate) whose profile counts every step of the trajectory,
+    The warm-up fine-tunes warmup_run(run), all-targets LoRA (all experts,
+    attention, gate), and its profile counts every step of the trajectory,
     so it reflects adaptation dynamics, not just the frozen router. With
     warmup_forward_only it is one no-grad pass of the bare base instead:
     zero-init adapters would leave every forward bitwise unchanged.
     """
+    run = warmup_run(run)
     sub = subset(train, run.warmup_pct, run.seed)
     if run.warmup_forward_only:
         profile = profile_counts(clone_model(cfg, base_state), sub, run.batch_size)
         steps, losses = n_steps(len(sub), run.batch_size, 1), []
     else:
-        _, rep = finetune(cfg, base_state, sub, {}, None,
-                          replace(run, scheme="lora", attention=True, gate=True,
-                                  experts="all", epochs=run.warmup_epochs,
-                                  lb_during_finetune=False))
+        _, rep = finetune(cfg, base_state, sub, {}, None, run)
         profile, steps, losses = rep.profile, rep.steps, rep.losses
     profile.check_conservation(cfg.k_route)
     return WarmupResult(profile=profile, subset_size=len(sub), steps=steps,
@@ -268,22 +274,45 @@ class EndToEndResult:
     model: MoEModel
 
 
+class Grid:
+    """Runs on one model, task mixture and base: every task's splits are built
+    once, and runs with equal (target, warmup_run(run)) share one WarmupResult."""
+
+    def __init__(self, cfg: ModelConfig, specs: list[TaskSpec],
+                 base_state: dict[str, np.ndarray]):
+        self.cfg, self.base_state = cfg, base_state
+        self.splits = {s.kind: make_task(s, cfg.max_seq) for s in specs}
+        self.warmups: dict[tuple[str, RunConfig], WarmupResult] = {}
+
+    def plan(self, target_kind: str, run: RunConfig) -> tuple[
+            WarmupResult | None, PlacementPlan | None]:
+        """The run's warm-up and plan; (None, None) unless experts == "plan"."""
+        if run.experts != "plan":
+            return None, None
+        key = (target_kind, warmup_run(run))
+        if key not in self.warmups:
+            train, _ = target_splits(self.splits, target_kind)
+            self.warmups[key] = run_warmup(self.cfg, self.base_state, train, run)
+        warmup = self.warmups[key]
+        return warmup, build_plan(warmup.profile, run.plan_k, run.strategy, run.seed)
+
+    def run(self, target_kind: str, run: RunConfig,
+            out_dir: str | Path | None = None) -> EndToEndResult:
+        """Warm-up, plan, adapt on one task; evaluate on every task's test split."""
+        train, evals = target_splits(self.splits, target_kind)
+        warmup, plan = self.plan(target_kind, run)
+        model, report = finetune(self.cfg, self.base_state, train, evals, plan,
+                                 run, out_dir=out_dir)
+        if out_dir is not None and plan is not None:
+            save_plan(plan, Path(out_dir) / "plan.csv")
+        return EndToEndResult(plan=plan, warmup=warmup, report=report, model=model)
+
+
 def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
                    base_state: dict[str, np.ndarray], run: RunConfig,
                    out_dir: str | Path | None = None) -> EndToEndResult:
-    """Warm-up, plan, adapt on one task; evaluate on every task's test split."""
-    train, evals = target_splits(specs, target_kind, cfg.max_seq)
-
-    warmup = None
-    plan = None
-    if run.experts == "plan":
-        warmup = run_warmup(cfg, base_state, train, run)
-        plan = build_plan(warmup.profile, run.plan_k, run.strategy, run.seed)
-    model, report = finetune(cfg, base_state, train, evals, plan, run,
-                             out_dir=out_dir)
-    if out_dir is not None and plan is not None:
-        save_plan(plan, Path(out_dir) / "plan.csv")
-    return EndToEndResult(plan=plan, warmup=warmup, report=report, model=model)
+    """One Grid.run on a fresh grid."""
+    return Grid(cfg, specs, base_state).run(target_kind, run, out_dir)
 
 
 # -- ablations ---------------------------------------------------------------
@@ -314,10 +343,10 @@ ABLATION_AXES = {
 }
 
 
-def check_axes(axes) -> None:
-    for axis in axes:
-        if axis not in ABLATION_AXES:
-            raise ConfigError(f"unknown ablation axis: {axis}")
+def check_axes(axes: list[str]) -> None:
+    for i, axis in enumerate(axes):
+        if axis not in ABLATION_AXES or axis in axes[:i]:
+            raise ConfigError(f"unknown or repeated ablation axis: {axis}")
 
 
 def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
@@ -327,37 +356,27 @@ def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
     """One-knob-at-a-time sweeps around the baseline run configuration.
 
     axes maps an ABLATION_AXES name to its values, None for the axis
-    defaults. Every value and seed fine-tunes `replace(run, seed=seed,
-    **overrides(value))`, with a plan iff experts == "plan". Warm-up
-    profiles are shared by (seed, warmup_pct), the only fields an axis sets
-    that run_warmup reads. warmup_pct rows also report plan agreement
-    against the p=100 plan.
+    defaults. Every value and seed runs `replace(run, seed=seed,
+    **overrides(value))` on one Grid, so a warm-up is shared by every
+    row whose warmup_run is equal. warmup_pct rows also report plan
+    agreement against the p=100 plan.
     """
-    check_axes(axes)
+    check_axes(list(axes))
     seeds = seeds if seeds is not None else [run.seed]
-    train, evals = target_splits(specs, target_kind, cfg.max_seq)
-    profiles: dict[tuple[int, float], ActivationProfile] = {}
-
-    def plan_for(r: RunConfig) -> PlacementPlan:
-        key = (r.seed, r.warmup_pct)
-        if key not in profiles:
-            profiles[key] = run_warmup(cfg, base_state, train, r).profile
-        return build_plan(profiles[key], r.plan_k, r.strategy, r.seed)
-
+    grid = Grid(cfg, specs, base_state)
     rows: list[dict] = []
     for axis, values in axes.items():
         defaults, overrides = ABLATION_AXES[axis]
         for value in defaults(cfg) if values is None else values:
             for seed in seeds:
                 r = replace(run, seed=seed, **overrides(value))
+                rep = grid.run(target_kind, r).report
                 row = {"axis": axis, "value": str(value), "seed": seed,
                        "task": target_kind}
-                plan = plan_for(r) if r.experts == "plan" else None
-                if axis == "warmup_pct" and plan is not None:
-                    full = plan_for(replace(r, warmup_pct=100.0))
-                    row["jaccard_vs_full"] = jaccard(plan, full)[1]
-                    row["coverage_pct"] = coverage(plan, full)
-                _, rep = finetune(cfg, base_state, train, evals, plan, r)
+                if axis == "warmup_pct" and rep.plan is not None:
+                    _, full = grid.plan(target_kind, replace(r, warmup_pct=100.0))
+                    row["jaccard_vs_full"] = jaccard(rep.plan, full)[1]
+                    row["coverage_pct"] = coverage(rep.plan, full)
                 row.update(acc_before=rep.acc_before[target_kind],
                            acc_after=rep.acc_after[target_kind],
                            delta=rep.delta(target_kind),
@@ -433,25 +452,24 @@ def _fmt_cell(v) -> str:
 def cross_task_matrix(cfg: ModelConfig, specs: list[TaskSpec],
                       base_state: dict[str, np.ndarray], run: RunConfig,
                       out_dir: str | Path | None = None) -> dict:
-    """Adapt per task, evaluate on all tasks; compare plans across tasks.
+    """Adapt per task on one Grid, evaluate on all tasks; compare plans.
 
     Returns {"acc": {adapt_task: {eval_task: acc}}, "plans": {task: plan},
     "plan_jaccard": {(a, b): mean}} with adapt tasks as columns.
     """
+    grid = Grid(cfg, specs, base_state)
     acc: dict[str, dict[str, float]] = {}
     plans: dict[str, PlacementPlan] = {}
     for spec in specs:
-        res = run_end_to_end(cfg, specs, spec.kind, base_state, run)
+        res = grid.run(spec.kind, run)
         acc[spec.kind] = res.report.acc_after
         if res.plan is not None:
             plans[spec.kind] = res.plan
     plan_j: dict[tuple[str, str], float] = {}
     kinds = [s.kind for s in specs]
-    for i, a in enumerate(kinds):
-        for b in kinds[i + 1:]:
-            if a in plans and b in plans:
-                _, mean_j = jaccard(plans[a], plans[b])
-                plan_j[(a, b)] = mean_j
+    for a, b in combinations(kinds, 2):
+        if a in plans and b in plans:
+            plan_j[(a, b)] = jaccard(plans[a], plans[b])[1]
     if out_dir is not None:
         rows = []
         for ev in kinds:

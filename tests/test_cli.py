@@ -66,10 +66,10 @@ def test_profile_writes_conserving_heatmap(base_dir, tmp_path):
 def test_profile_forward_only(base_dir, tmp_path, capsys):
     base = ["profile", "--config", CFG, "--base", str(base_dir / "base.ckpt")]
     heatmaps = []
-    for tag, extra in (("a", ["--forward-only"]), ("b", ["--forward-only"]),
-                       ("c", ["--set", "run.warmup_forward_only=true"])):
+    for tag in ("a", "b"):
         capsys.readouterr()
-        assert main([*base, *extra, "--out-dir", str(tmp_path / tag)]) == 0
+        assert main([*base, "--set", "run.warmup_forward_only=true",
+                     "--out-dir", str(tmp_path / tag)]) == 0
         line = capsys.readouterr().out.strip()
         assert line.startswith("profile task=mod_add ")
         printed = dict(field.split("=") for field in line.split()[1:])
@@ -79,7 +79,10 @@ def test_profile_forward_only(base_dir, tmp_path, capsys):
     assert int(printed["steps"]) == -(-int(printed["subset"]) // full.run.batch_size)
     counts = load_heatmap(tmp_path / "a" / "heatmap.csv").counts
     assert (counts.sum(axis=1) == int(printed["tokens"]) * full.model.k_route).all()
-    assert heatmaps[0] == heatmaps[1] == heatmaps[2]
+    assert heatmaps[0] == heatmaps[1]
+    # the resolved config records the forward-only warm-up it ran
+    resolved = (tmp_path / "a" / "resolved.cfg").read_text().splitlines()
+    assert "warmup_forward_only = true" in resolved
 
 
 def test_plan_needs_profile_flag(capsys):
@@ -209,6 +212,24 @@ def test_ablate_lori_s_reproducible(base_dir, tmp_path):
     assert a == (tmp_path / "b" / "ablation.csv").read_bytes()
     # four strategies and four target choices at two seeds, plus summaries
     assert len(a.decode().splitlines()) == 1 + 16 + 8
+
+
+def test_crosstask_reproducible(base_dir, tmp_path, capsys):
+    stdouts = []
+    for tag in ("a", "b"):
+        capsys.readouterr()
+        assert main(["crosstask", "--config", CFG, "--base",
+                     str(base_dir / "base.ckpt"), "--out-dir", str(tmp_path / tag)]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    assert ((tmp_path / "a" / "cross_task.csv").read_bytes()
+            == (tmp_path / "b" / "cross_task.csv").read_bytes())
+    kinds = sorted(spec.kind for spec in load_config(CFG).task.specs())
+    lines = stdouts[0].splitlines()
+    evals = [line.split()[1] for line in lines if line.startswith("crosstask eval=")]
+    assert evals == [f"eval={kind}" for kind in kinds]
+    pairs = [line for line in lines if line.startswith("crosstask plan_jaccard ")]
+    assert len(pairs) == len(kinds) * (len(kinds) - 1) // 2 >= 1
 
 
 def test_flops_line_and_csv(base_dir, tmp_path, capsys):
@@ -433,6 +454,8 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["flops", "--base", "BASE", "--plan", "PLAN1"],
     ["ablate", "--base", "BASE", "--axes", " , "],
     ["ablate", "--base", "BASE", "--axes", "strategy,dropout"],
+    ["ablate", "--base", "BASE", "--axes", "strategy,strategy"],
+    ["ablate", "--base", "BASE", "--seeds", "1,1"],
     ["gradcheck", "--coords", "0"],
     ["gradcheck", "--coords", "-2"],
     ["finetune", "--base", "BASE", "--set", "model.n_experts=8",
@@ -445,7 +468,8 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
         "flops-plan-misfit", "ablate-empty-axes",
-        "ablate-unknown-axis", "gradcheck-coords-0", "gradcheck-coords-neg",
+        "ablate-unknown-axis", "ablate-repeated-axis", "ablate-repeated-seed",
+        "gradcheck-coords-0", "gradcheck-coords-neg",
         "finetune-base-n-experts", "run-base-n-experts", "run-base-d-ff",
         "crosstask-base-d-ff", "plan-heatmap-misfit"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):

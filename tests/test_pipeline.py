@@ -5,7 +5,7 @@ Base models here are untrained random inits: the mechanics under test
 plumbing, determinism) do not need a pretrained backbone.
 """
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -407,6 +407,77 @@ def test_end_to_end_experts_all_skips_warmup(base):
                          tiny_run(experts="all", epochs=1))
     assert res.plan is None and res.warmup is None
     assert res.report.hit_rate is None
+
+
+# ------------------------------------------------------------------- grid
+
+# a valid value other than tiny_run()'s for every non-bool RunConfig field;
+# a bool field is flipped
+OTHER_VALUE = dict(scheme="lori_d", experts="all", rank=3, alpha=2.0, rho=0.5,
+                   strategy="cold", plan_k=1, warmup_pct=100.0, warmup_epochs=2,
+                   epochs=1, batch_size=4, lr=1e-2, seed=1)
+
+
+@pytest.mark.parametrize("forward_only", [False, True])
+def test_warmup_run_separates_every_field_the_warmup_reads(base, modadd,
+                                                           forward_only):
+    cfg, state = base
+    train, _ = modadd
+    run = tiny_run(warmup_forward_only=forward_only)
+    ref = run_warmup(cfg, state, train, run)
+    shared = set()
+    for f in fields(RunConfig):
+        value = getattr(run, f.name)
+        other = replace(run, **{f.name: (not value if isinstance(value, bool)
+                                         else OTHER_VALUE[f.name])})
+        assert getattr(other, f.name) != value, f.name
+        if pipeline.warmup_run(other) != pipeline.warmup_run(run):
+            continue
+        # equal keys share one warm-up, so it must be the same warm-up
+        shared.add(f.name)
+        got = run_warmup(cfg, state, train, other)
+        assert np.array_equal(got.profile.counts, ref.profile.counts), f.name
+        assert np.array(got.losses).tobytes() == np.array(ref.losses).tobytes()
+        assert (got.steps, got.subset_size) == (ref.steps, ref.subset_size)
+    assert shared == {"scheme", "attention", "gate", "experts", "rho", "strategy",
+                      "plan_k", "epochs", "lb_during_finetune"}
+
+
+def test_grid_warms_up_once_per_warmup_run(base, monkeypatch):
+    cfg, state = base
+    calls = []
+
+    def counting(cfg, state, train, run):
+        calls.append(run)
+        return run_warmup(cfg, state, train, run)
+
+    monkeypatch.setattr(pipeline, "run_warmup", counting)
+    grid = pipeline.Grid(cfg, tiny_specs(), state)
+    run = tiny_run(epochs=0)
+    first = grid.run("mod_add", run)
+    for change in (dict(strategy="cold"), dict(plan_k=1), dict(scheme="lori_s"),
+                   dict(experts="all")):
+        grid.run("mod_add", replace(run, **change))
+    assert calls == [run]
+    assert grid.plan("mod_add", run) == (first.warmup, first.plan)
+    grid.run("mod_add", replace(run, rank=3))
+    assert len(calls) == 2
+    # a warm-up is never shared across targets
+    grid.run("transduce", run)
+    assert len(calls) == 3
+
+
+def test_cross_task_matrix_builds_each_split_once(base, monkeypatch):
+    cfg, state = base
+    kinds = []
+
+    def counting(spec, max_seq):
+        kinds.append(spec.kind)
+        return make_task(spec, max_seq)
+
+    monkeypatch.setattr(pipeline, "make_task", counting)
+    cross_task_matrix(cfg, tiny_specs(), state, tiny_run(epochs=0))
+    assert kinds == [spec.kind for spec in tiny_specs()]
 
 
 # -------------------------------------------------------------- ablations
