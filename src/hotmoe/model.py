@@ -765,7 +765,7 @@ def nograd_traces(model: MoEModel, tokens: np.ndarray, batch_size: int):
 
 
 def profile_counts(model: MoEModel, dataset: Dataset,
-                   batch_size: int = 64) -> ActivationProfile:
+                   batch_size: int) -> ActivationProfile:
     """Forward-only activation profile of `dataset`, one no-grad pass.
 
     PAD positions are excluded by `record`: padding routes to whatever the
@@ -825,7 +825,8 @@ def pretrain_base(config: ModelConfig, mixture: list[TaskSpec], steps: int,
             fn = model.logits_fn()
             if all(evaluate(fn, te) > competence_acc for te in tests.values()):
                 break
-    profiles = {kind: profile_counts(model, ds).counts for kind, ds in trains.items()}
+    profiles = {kind: profile_counts(model, ds, batch_size).counts
+                for kind, ds in trains.items()}
     ckpt = None
     if out_dir is not None:
         ckpt = model.save(Path(out_dir) / "base.ckpt")

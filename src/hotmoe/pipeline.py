@@ -133,7 +133,12 @@ class WarmupResult:
 
 def warmup_run(run: RunConfig) -> RunConfig:
     """The fine-tune that run's warm-up trains, with the fields it does not
-    read (strategy, plan_k, rho) at their defaults: the warm-up memo's key."""
+    read (strategy, plan_k, rho) at their defaults: the warm-up memo's key.
+    A forward-only warm-up trains nothing and reads only warmup_pct, seed
+    and batch_size."""
+    if run.warmup_forward_only:
+        return RunConfig(warmup_pct=run.warmup_pct, seed=run.seed,
+                         batch_size=run.batch_size, warmup_forward_only=True)
     return replace(run, scheme="lora", attention=True, gate=True, experts="all",
                    epochs=run.warmup_epochs, lb_during_finetune=False,
                    strategy=RunConfig.strategy, plan_k=RunConfig.plan_k, rho=RunConfig.rho)

@@ -323,6 +323,17 @@ class TestPretrain:
         assert prof.tokens_seen == content < train.tokens.size
         prof.check_conservation(cfg.k_route)
 
+    def test_profile_counts_batch_invariant_on_pretrained_bases(self, pretrained,
+                                                                task_splits):
+        # pretrain_base profiles at its training batch (16); the counts it
+        # reported before were taken at 64
+        for seed, res in pretrained.items():
+            for kind, (train, _) in task_splits.items():
+                at_64 = profile_counts(res.model, train, 64).counts
+                at_16 = profile_counts(res.model, train, 16).counts
+                assert at_16.tobytes() == at_64.tobytes(), (seed, kind)
+                assert res.profiles[kind].tobytes() == at_64.tobytes(), (seed, kind)
+
     def test_competence_stop(self):
         cfg = tiny_config()
         specs = [TaskSpec("mod_add", seed=0, train_size=24, test_size=6)]

@@ -15,7 +15,7 @@ from hotmoe.checkpoint import load_checkpoint, save_checkpoint
 from hotmoe.errors import InvariantViolation, IoError
 from hotmoe.gradcheck import finite_diff_check
 from hotmoe.model import MoEModel
-from hotmoe.optim import Adam
+from hotmoe.optim import BETA1, BETA2, CHUNK, EPS, Adam
 from hotmoe.registry import ParamRegistry
 from hotmoe.tasks import Batch
 from hotmoe.tensor import Tensor
@@ -105,7 +105,119 @@ def manual_adam(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p
 
 
+def per_param_adam(params, masks, grad_steps, lr):
+    """The per-parameter Adam step that the flat buffer replaced, kept as
+    its oracle: same expression, same order, one tensor at a time."""
+    data = {n: p.copy() for n, p in params.items()}
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for name, p in data.items():
+            g = grads[name] if grads[name] is not None else np.zeros_like(p)
+            if masks.get(name) is not None:
+                g = np.where(masks[name], g, 0.0)
+            m[name] *= BETA1
+            m[name] += (1.0 - BETA1) * g
+            v[name] *= BETA2
+            v[name] += (1.0 - BETA2) * g * g
+            m_hat = m[name] / bc1
+            v_hat = v[name] / bc2
+            with np.errstate(invalid="ignore"):      # SNAN coordinates
+                new = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
+            if masks.get(name) is not None:
+                new = np.where(masks[name], new, p)
+            data[name] = new
+    return data
+
+
+# a signalling NaN: any arithmetic write quiets it, so its bytes survive
+# only if the coordinate is never written
+SNAN = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+
+
 class TestAdam:
+    def test_flat_buffer_matches_per_parameter_oracle(self):
+        rng = np.random.default_rng(5)
+        # "wide" straddles a chunk boundary, and so does its mask
+        shapes = {"mat": (3, 4), "vec": (5,), "scalar": (), "cube": (2, 3, 2),
+                  "masked": (6, 3), "sometimes": (4,),
+                  "wide": (CHUNK // 100 + 7, 100)}
+        params = {n: rng.normal(size=s) for n, s in shapes.items()}
+        masks = {"masked": rng.random((6, 3)) < 0.5,
+                 "wide": rng.random(shapes["wide"]) < 0.7}
+        for name, mask in masks.items():
+            params[name][~mask] = SNAN
+        reg = ParamRegistry()
+        frozen = reg.add("frozen", Tensor(rng.normal(size=(4, 4))), trainable=False)
+        tensors = {n: reg.add(n, Tensor(p.copy())) for n, p in params.items()}
+        for name, mask in masks.items():
+            reg.set_mask(name, mask)
+        frozen_before = frozen.data.tobytes()
+        opt = Adam(reg, 3e-3)
+        grad_steps = []
+        for step in range(31):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            if step % 3 == 1:
+                grads["sometimes"] = None
+            grad_steps.append(grads)
+            frozen.grad = np.ones((4, 4))        # must be ignored
+            for name, t in tensors.items():
+                t.grad = None if grads[name] is None else grads[name].copy()
+            with np.errstate(invalid="raise"):       # no arithmetic on SNAN
+                opt.step()
+        expected = per_param_adam(params, masks, grad_steps, 3e-3)
+        for name, t in tensors.items():
+            assert t.data.shape == shapes[name]
+            assert t.data.tobytes() == expected[name].tobytes(), name
+        assert frozen.data.tobytes() == frozen_before
+        for name, mask in masks.items():
+            off = tensors[name].data[~mask]
+            assert off.tobytes() == np.full(off.shape, SNAN).tobytes(), name
+            assert not np.isnan(tensors[name].data[mask]).any()
+
+    def test_replaced_data_raises(self):
+        reg = ParamRegistry()
+        w = reg.add("w", Tensor(np.ones(3)))
+        opt = Adam(reg, 0.1)
+        reg.load_state({"w": np.zeros(3)})
+        w.grad = np.ones(3)
+        with pytest.raises(InvariantViolation, match="w"):
+            opt.step()
+        assert w.data.tobytes() == np.zeros(3).tobytes()
+
+    def test_changed_trainability_raises(self):
+        reg = ParamRegistry()
+        reg.add("a", Tensor(np.ones(3)))
+        reg.add("b", Tensor(np.ones(2)), trainable=False)
+        opt = Adam(reg, 0.1)
+        reg.set_trainable("b", True)
+        with pytest.raises(InvariantViolation):
+            opt.step()
+        reg.set_trainable("b", False)
+        reg.set_trainable("a", False)
+        with pytest.raises(InvariantViolation):
+            opt.step()
+
+    def test_changed_mask_raises(self):
+        reg = ParamRegistry()
+        reg.add("w", Tensor(np.ones(4)))
+        reg.set_mask("w", np.array([True, False, True, False]))
+        opt = Adam(reg, 0.1)
+        reg.set_mask("w", np.array([True, True, True, False]))
+        with pytest.raises(InvariantViolation, match="parameter w"):
+            opt.step()
+
+    def test_empty_trainable_set_is_a_no_op(self):
+        reg = ParamRegistry()
+        frozen = reg.add("frozen", Tensor(np.ones(3)), trainable=False)
+        opt = Adam(reg, 0.1)
+        frozen.grad = np.ones(3)
+        opt.step()
+        assert opt.t == 0
+        assert frozen.data.tobytes() == np.ones(3).tobytes()
+
     def test_first_step_closed_form(self):
         # at t=1 bias correction gives mhat=g, vhat=g^2, so the update is
         # exactly -lr * g / (|g| + eps)

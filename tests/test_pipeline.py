@@ -439,8 +439,12 @@ def test_warmup_run_separates_every_field_the_warmup_reads(base, modadd,
         assert np.array_equal(got.profile.counts, ref.profile.counts), f.name
         assert np.array(got.losses).tobytes() == np.array(ref.losses).tobytes()
         assert (got.steps, got.subset_size) == (ref.steps, ref.subset_size)
-    assert shared == {"scheme", "attention", "gate", "experts", "rho", "strategy",
-                      "plan_k", "epochs", "lb_during_finetune"}
+    if forward_only:   # one no-grad pass reads only the subset and the batch
+        assert shared == ({f.name for f in fields(RunConfig)}
+                          - {"warmup_pct", "seed", "batch_size", "warmup_forward_only"})
+    else:
+        assert shared == {"scheme", "attention", "gate", "experts", "rho", "strategy",
+                          "plan_k", "epochs", "lb_during_finetune"}
 
 
 def test_grid_warms_up_once_per_warmup_run(base, monkeypatch):
@@ -465,6 +469,26 @@ def test_grid_warms_up_once_per_warmup_run(base, monkeypatch):
     # a warm-up is never shared across targets
     grid.run("transduce", run)
     assert len(calls) == 3
+
+
+def test_grid_shares_forward_only_warmups(base, monkeypatch):
+    cfg, state = base
+    calls = []
+
+    def counting(cfg, state, train, run):
+        calls.append(run)
+        return run_warmup(cfg, state, train, run)
+
+    monkeypatch.setattr(pipeline, "run_warmup", counting)
+    grid = pipeline.Grid(cfg, tiny_specs(), state)
+    run = tiny_run(epochs=0, warmup_forward_only=True)
+    first = grid.run("mod_add", run)
+    for change in (dict(rank=3), dict(lr=1e-3), dict(rank=2, lr=5e-3)):
+        other = grid.run("mod_add", replace(run, **change))
+        assert other.warmup is first.warmup
+    assert calls == [run]
+    grid.run("mod_add", replace(run, batch_size=3))
+    assert len(calls) == 2
 
 
 def test_cross_task_matrix_builds_each_split_once(base, monkeypatch):
