@@ -30,9 +30,9 @@ from .errors import (ConfigError, HotmoeError, IoError, NumericalError,
                      silence_stdout, write_file)
 from .gradcheck import finite_diff_check
 from .model import MoEModel, nograd_traces, pretrain_base
-from .pipeline import (ABLATION_AXES, ablate, build_plan, check_axes,
-                       cross_task_matrix, finetune, run_end_to_end, run_warmup,
-                       target_splits, write_rows_csv)
+from .pipeline import (ABLATION_AXES, ablate, ablation_runs, build_plan,
+                       check_axes, cross_task_matrix, finetune, run_end_to_end,
+                       run_warmup, target_splits, write_rows_csv)
 from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
                        load_heatmap, load_plan, save_plan)
 from .tasks import Batch, make_task
@@ -200,9 +200,12 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate needs --axes with at least one axis")
     check_axes(names)
     full, applied, state = _load_base(args)
+    axes = dict.fromkeys(names)
+    for *_, run in ablation_runs(full.model, full.run, axes, seeds):
+        replace(full, run=run)          # FullConfig checks every row
     out = _prep_out(args, full, applied)
     rows = ablate(full.model, full.task.specs(), full.task.target, state,
-                  full.run, axes=dict.fromkeys(names), seeds=seeds, out_dir=out)
+                  full.run, axes=axes, seeds=seeds, out_dir=out)
     n_summary = sum(1 for r in rows if r["seed"] == "summary")
     print(f"ablate axes={','.join(names)} rows={len(rows) - n_summary} "
           f"summaries={n_summary}")

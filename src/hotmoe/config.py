@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ConfigError, read_file, write_file
 from .model import ModelConfig
 from .pipeline import RunConfig
-from .tasks import PAD, TASK_KINDS, TaskSpec, check_shape
+from .tasks import PAD, TASK_KINDS, TaskSpec, check_shape, subset_size
 
 
 @dataclass
@@ -105,11 +105,21 @@ class FullConfig:
         if self.model.vocab <= PAD:
             raise ConfigError(f"[model] vocab {self.model.vocab} is smaller than "
                               f"the {PAD + 1} task tokens (ids 0..{PAD})")
-        if self.run.plan_k > self.model.n_experts:
-            raise ConfigError(f"plan_k {self.run.plan_k} out of "
-                              f"[1, n_experts={self.model.n_experts}]")
+        m, r = self.model, self.run
+        if r.plan_k > m.n_experts:
+            raise ConfigError(f"plan_k {r.plan_k} out of [1, n_experts={m.n_experts}]")
+        # a rank fits a weight's min(d_in, d_out); a trained warm-up adapts the gate
+        gate = r.gate or not r.warmup_forward_only
+        bound = min(m.d_model, m.d_ff, m.n_experts if gate else m.d_ff)
+        if r.rank > bound:
+            raise ConfigError(f"rank {r.rank} exceeds {bound}, the least "
+                              f"min(d_in, d_out) of an adapted weight")
+        # crosstask warms up on every mixture task
         for spec in self.task.specs():
-            check_shape(spec, self.model.max_seq)
+            check_shape(spec, m.max_seq)
+            if subset_size(spec.train_size, r.warmup_pct) < 1:
+                raise ConfigError(f"warmup_pct {r.warmup_pct}% selects 0 of the "
+                                  f"{spec.train_size} {spec.kind} train rows")
 
 
 _SECTIONS = {

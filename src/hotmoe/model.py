@@ -31,8 +31,6 @@ from .tasks import (PAD, Batch, Dataset, TaskSpec, evaluate, iter_batches,
                     make_task)
 from .tensor import Tensor
 
-LB_MODES = ("global", "per_layer", "off")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -45,7 +43,6 @@ class ModelConfig:
     n_shared: int = 0
     vocab: int = 32
     max_seq: int = 16
-    lb_mode: str = "global"
     lb_weight: float = 0.01
 
     def __post_init__(self):
@@ -61,8 +58,6 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.lb_mode not in LB_MODES:
-            raise ConfigError(f"unknown lb_mode: {self.lb_mode}")
         # nan would switch the loss off (weight > 0 is False), < 0 rewards imbalance
         if not 0.0 <= self.lb_weight < math.inf:
             raise ConfigError(f"lb_weight must be finite and >= 0: {self.lb_weight}")
@@ -136,27 +131,16 @@ class RoutingStats:
     n_experts: int
 
 
-def load_balancing_loss(stats: RoutingStats, mode: str) -> Tensor:
-    """N_E * sum_i f_i * P_i; global mode pools f and P across layers first."""
-    n_layers = len(stats.P)
-    if n_layers == 0:
+def load_balancing_loss(stats: RoutingStats) -> Tensor:
+    """N_E * sum_i f_i * P_i, with f and P pooled across layers first."""
+    if not stats.P:
         raise ConfigError("load_balancing_loss on empty stats")
-    if mode not in ("global", "per_layer"):
-        raise ConfigError(f"unknown lb mode for loss: {mode}")
     ps = [p if isinstance(p, Tensor) else Tensor(p) for p in stats.P]
-    n_e = float(stats.n_experts)
-    if mode == "global":
-        p_bar = ps[0]
-        for p in ps[1:]:
-            p_bar = p_bar + p
-        p_bar = p_bar * (1.0 / n_layers)
-        f_bar = stats.f.mean(axis=0)
-        return T.tsum(p_bar * Tensor(f_bar)) * n_e
-    total = None
-    for layer in range(n_layers):
-        term = T.tsum(ps[layer] * Tensor(stats.f[layer])) * n_e
-        total = term if total is None else total + term
-    return total * (1.0 / n_layers)
+    p_bar = ps[0]
+    for p in ps[1:]:
+        p_bar = p_bar + p
+    p_bar = p_bar * (1.0 / len(ps))
+    return T.tsum(p_bar * Tensor(stats.f.mean(axis=0))) * float(stats.n_experts)
 
 
 @dataclass
@@ -655,8 +639,7 @@ class MoEModel:
         stats = RoutingStats(f=np.stack(fs), P=ps, n_experts=c.n_experts)
         return ForwardResult(logits=logits, stats=stats, trace=trace)
 
-    def loss(self, batch: Batch, lb_mode: str | None = None,
-             want_trace: bool = False) -> LossResult:
+    def loss(self, batch: Batch, want_trace: bool = False) -> LossResult:
         c = self.config
         out = self.forward(batch.tokens, want_trace=want_trace)
         bsz, s = batch.tokens.shape
@@ -669,13 +652,10 @@ class MoEModel:
         picked = T.gather_pairs(logp, np.arange(rows.size),
                                 batch.targets.reshape(-1)[rows])
         ce = -T.tmean(picked)
-        mode = c.lb_mode if lb_mode is None else lb_mode
-        lb_value = 0.0
-        loss = ce
-        if mode != "off" and c.lb_weight > 0.0:
-            lb = load_balancing_loss(out.stats, mode)
-            loss = ce + lb * c.lb_weight
-            lb_value = lb.item()
+        loss, lb_value = ce, 0.0
+        if c.lb_weight > 0.0:
+            lb = load_balancing_loss(out.stats)
+            loss, lb_value = ce + lb * c.lb_weight, lb.item()
         T.check_finite(loss, "loss")
         return LossResult(loss=loss, ce=ce.item(), lb=lb_value, trace=out.trace)
 

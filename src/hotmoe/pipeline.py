@@ -53,7 +53,6 @@ class RunConfig:
     batch_size: int = 16
     lr: float = 4e-3
     seed: int = 0
-    lb_during_finetune: bool = False
 
     def __post_init__(self):
         if self.seed < 0:
@@ -140,8 +139,8 @@ def warmup_run(run: RunConfig) -> RunConfig:
         return RunConfig(warmup_pct=run.warmup_pct, seed=run.seed,
                          batch_size=run.batch_size, warmup_forward_only=True)
     return replace(run, scheme="lora", attention=True, gate=True, experts="all",
-                   epochs=run.warmup_epochs, lb_during_finetune=False,
-                   strategy=RunConfig.strategy, plan_k=RunConfig.plan_k, rho=RunConfig.rho)
+                   epochs=run.warmup_epochs, strategy=RunConfig.strategy,
+                   plan_k=RunConfig.plan_k, rho=RunConfig.rho)
 
 
 def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
@@ -211,6 +210,7 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
              run: RunConfig, masks: dict[str, np.ndarray] | None = None,
              out_dir: str | Path | None = None) -> tuple[MoEModel, TrainReport]:
     """Adapt a fresh copy of the base model on one task, with full accounting.
+    The copy has lb_weight 0, so its loss is the cross-entropy alone.
 
     A lori_s run without `masks` first fine-tunes a lori_d donor with the
     same run and plan, and trains under masks_from_donor of it. With
@@ -222,7 +222,7 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
         masks = masks_from_donor(finetune(cfg, base_state, train, {}, plan,
                                           replace(run, scheme="lori_d"))[0],
                                  run.rho)
-    model = clone_model(cfg, base_state)
+    model = clone_model(replace(cfg, lb_weight=0.0), base_state)
     scheme = Scheme(run.scheme, run.rho)
     attach(model, run.target_set(), plan, scheme, r=run.rank, alpha=run.alpha,
            seed=run.seed, masks=masks)
@@ -232,12 +232,11 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
     acc_before = {k: evaluate(model.logits_fn(), ds) for k, ds in evals.items()}
 
     opt = Adam(model.registry, run.lr)
-    lb_mode = None if run.lb_during_finetune else "off"
     losses: list[float] = []
     profile = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)
     routing = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)  # PAD included
     for batch in iter_batches(train, run.batch_size, run.epochs, run.seed):
-        result = forward_backward(model, batch, lb_mode=lb_mode, want_trace=True)
+        result = forward_backward(model, batch, want_trace=True)
         opt.step()
         losses.append(result.loss.item())
         record(profile, result.trace)
@@ -354,44 +353,46 @@ def check_axes(axes: list[str]) -> None:
             raise ConfigError(f"unknown or repeated ablation axis: {axis}")
 
 
+def ablation_runs(cfg: ModelConfig, run: RunConfig, axes: dict[str, list | None],
+                  seeds: list[int] | None = None) -> list[tuple]:
+    """(axis, value, seed, replace(run, seed=seed, **overrides(value))) of each
+    ablation row, in order; an axis's values None means its defaults."""
+    check_axes(list(axes))
+    return [(axis, value, seed, replace(run, seed=seed, **ABLATION_AXES[axis][1](value)))
+            for axis, values in axes.items()
+            for value in (ABLATION_AXES[axis][0](cfg) if values is None else values)
+            for seed in ([run.seed] if seeds is None else seeds)]
+
+
 def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
            base_state: dict[str, np.ndarray], run: RunConfig,
            axes: dict[str, list | None], seeds: list[int] | None = None,
            out_dir: str | Path | None = None) -> list[dict]:
     """One-knob-at-a-time sweeps around the baseline run configuration.
 
-    axes maps an ABLATION_AXES name to its values, None for the axis
-    defaults. Every value and seed runs `replace(run, seed=seed,
-    **overrides(value))` on one Grid, so a warm-up is shared by every
-    row whose warmup_run is equal. warmup_pct rows also report plan
+    Every row of ablation_runs runs on one Grid, so a warm-up is shared by
+    every row whose warmup_run is equal. warmup_pct rows also report plan
     agreement against the p=100 plan.
     """
-    check_axes(list(axes))
-    seeds = seeds if seeds is not None else [run.seed]
     grid = Grid(cfg, specs, base_state)
     rows: list[dict] = []
-    for axis, values in axes.items():
-        defaults, overrides = ABLATION_AXES[axis]
-        for value in defaults(cfg) if values is None else values:
-            for seed in seeds:
-                r = replace(run, seed=seed, **overrides(value))
-                rep = grid.run(target_kind, r).report
-                row = {"axis": axis, "value": str(value), "seed": seed,
-                       "task": target_kind}
-                if axis == "warmup_pct" and rep.plan is not None:
-                    _, full = grid.plan(target_kind, replace(r, warmup_pct=100.0))
-                    row["jaccard_vs_full"] = jaccard(rep.plan, full)[1]
-                    row["coverage_pct"] = coverage(rep.plan, full)
-                row.update(acc_before=rep.acc_before[target_kind],
-                           acc_after=rep.acc_after[target_kind],
-                           delta=rep.delta(target_kind),
-                           trainable=rep.params.trainable,
-                           fraction=rep.params.fraction)
-                if rep.flops is not None:
-                    row["reduction_pct"] = rep.flops.reduction_pct
-                if rep.hit_rate is not None:
-                    row["hit_rate"] = rep.hit_rate
-                rows.append(row)
+    for axis, value, seed, r in ablation_runs(cfg, run, axes, seeds):
+        rep = grid.run(target_kind, r).report
+        row = {"axis": axis, "value": str(value), "seed": seed, "task": target_kind}
+        if axis == "warmup_pct" and rep.plan is not None:
+            _, full = grid.plan(target_kind, replace(r, warmup_pct=100.0))
+            row["jaccard_vs_full"] = jaccard(rep.plan, full)[1]
+            row["coverage_pct"] = coverage(rep.plan, full)
+        row.update(acc_before=rep.acc_before[target_kind],
+                   acc_after=rep.acc_after[target_kind],
+                   delta=rep.delta(target_kind),
+                   trainable=rep.params.trainable,
+                   fraction=rep.params.fraction)
+        if rep.flops is not None:
+            row["reduction_pct"] = rep.flops.reduction_pct
+        if rep.hit_rate is not None:
+            row["hit_rate"] = rep.hit_rate
+        rows.append(row)
 
     summary = _summarize(rows)
     if out_dir is not None:

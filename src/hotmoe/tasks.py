@@ -237,10 +237,15 @@ def n_steps(dataset_size: int, batch_size: int, epochs: int) -> int:
     return per_epoch * epochs
 
 
+def subset_size(n: int, fraction_pct: float) -> int:
+    """Rows a fraction_pct subset of n rows holds: round(n * pct/100)."""
+    return int(round(n * fraction_pct / 100.0))
+
+
 def subset(dataset: Dataset, fraction_pct: float, seed: int) -> Dataset:
-    """Seeded example subset holding round(N * pct/100) rows."""
+    """Seeded example subset holding subset_size(N, pct) rows."""
     n = len(dataset)
-    take = int(round(n * fraction_pct / 100.0))
+    take = subset_size(n, fraction_pct)
     if not 1 <= take <= n:
         raise ConfigError(f"subset fraction {fraction_pct}% selects {take} of {n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5B5E7]))

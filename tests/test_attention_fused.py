@@ -80,8 +80,7 @@ def assert_step_matches_tape(build, batch, monkeypatch):
 SHAPES = {"tiny": tiny_config(), "desk": DESK}
 
 
-@pytest.mark.parametrize("kw", [{}, {"lb_mode": "per_layer"}, {"lb_mode": "off"},
-                                {"n_shared": 1}])
+@pytest.mark.parametrize("kw", [{}, {"lb_weight": 0.0}, {"n_shared": 1}])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_pretrain_step_matches_tape(shape, kw, monkeypatch):
     cfg = replace(SHAPES[shape], **kw)

@@ -464,6 +464,14 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["run", "--base", "BASE", "--set", "model.d_ff=16"],
     ["crosstask", "--base", "BASE", "--set", "model.d_ff=16"],
     ["plan", "--profile", "HEAT1"],
+    ["run", "--set", "run.warmup_pct=1"],
+    ["report", "--set", "run.rank=5"],
+    ["report", "--set", "run.rank=9", "--set", "run.gate=false"],
+    ["report", "--set", "run.rank=9", "--set", "run.gate=false",
+     "--set", "run.warmup_forward_only=true"],
+    ["ablate", "--base", "BASE", "--set", "task.train_size=8", "--axes", "warmup_pct"],
+    ["report", "--set", "model.lb_mode=global"],
+    ["report", "--set", "run.lb_during_finetune=true"],
 ], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
@@ -471,7 +479,9 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "ablate-unknown-axis", "ablate-repeated-axis", "ablate-repeated-seed",
         "gradcheck-coords-0", "gradcheck-coords-neg",
         "finetune-base-n-experts", "run-base-n-experts", "run-base-d-ff",
-        "crosstask-base-d-ff", "plan-heatmap-misfit"])
+        "crosstask-base-d-ff", "plan-heatmap-misfit", "warmup-subset-empty",
+        "rank-above-gate", "rank-above-trained-warmup-gate", "rank-above-d-model",
+        "ablate-row-warmup-subset", "lb-mode-unknown", "lb-during-finetune-unknown"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
     # named check fails; PLAN1 and HEAT1 are a well-formed plan and heatmap

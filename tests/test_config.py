@@ -1,5 +1,7 @@
 """INI config parsing: strict keys, typed values, override plumbing."""
 
+from pathlib import Path
+
 import pytest
 
 from hotmoe.config import (FullConfig, TaskConfig, apply_overrides,
@@ -178,7 +180,48 @@ def test_plan_k_above_n_experts_rejected(tmp_path):
         apply_overrides(FullConfig(), {"run.plan_k": "17"})
     with pytest.raises(ConfigError, match="plan_k"):
         load_config(write(tmp_path, "[model]\nn_experts = 3\nk_route = 2\n"))
+    # rank 3: the default 4 does not fit the (d_model, 3) gate
     full = load_config(write(tmp_path, "[model]\nn_experts = 3\nk_route = 2\n"
-                                        "[run]\nplan_k = 3\n"))
+                                        "[run]\nplan_k = 3\nrank = 3\n"))
     assert full.run.plan_k == full.model.n_experts == 3
 
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).parent.parent / "configs").glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    # a key dropped from the schema but left in a shipped config fails here
+    assert isinstance(load_config(path), FullConfig)
+
+
+def test_rank_bounded_by_the_smallest_adapted_weight():
+    tiny = {"model.d_model": "8", "model.n_heads": "2", "model.d_ff": "12",
+            "model.n_experts": "4", "model.k_route": "2", "run.plan_k": "2"}
+    # the gate is (d_model, n_experts): adapted when gate is set, and by a
+    # trained warm-up whatever gate says
+    for extra in ({}, {"run.gate": "false"}):
+        with pytest.raises(ConfigError, match="rank 5 exceeds"):
+            apply_overrides(FullConfig(), {**tiny, **extra, "run.rank": "5"})
+        apply_overrides(FullConfig(), {**tiny, **extra, "run.rank": "4"})
+    # without either, min(d_model, d_ff) = 8 bounds it
+    bare = {**tiny, "run.gate": "false", "run.warmup_forward_only": "true"}
+    full, _ = apply_overrides(FullConfig(), {**bare, "run.rank": "8"})
+    assert full.run.rank == 8
+    with pytest.raises(ConfigError, match="rank 9 exceeds"):
+        apply_overrides(FullConfig(), {**bare, "run.rank": "9"})
+    with pytest.raises(ConfigError, match="rank 13 exceeds"):
+        apply_overrides(FullConfig(), {**bare, "model.d_model": "16",
+                                       "run.rank": "13"})
+
+
+def test_warmup_pct_must_select_a_row_of_every_train_split():
+    # 40 rows: 1.25% rounds to 0.5 -> 0 (round half to even), 1.3% to 1
+    sizes = {"task.train_size": "40", "task.mixture": "transduce,refusal",
+             "task.target": "transduce"}
+    with pytest.raises(ConfigError, match="selects 0 of the 40 transduce"):
+        apply_overrides(FullConfig(), {**sizes, "run.warmup_pct": "1.25"})
+    full, _ = apply_overrides(FullConfig(), {**sizes, "run.warmup_pct": "1.3"})
+    assert full.run.warmup_pct == 1.3
+    # a non-target task's split counts too: mod_add's is capped at 0.8 * 5**2
+    with pytest.raises(ConfigError, match="selects 0 of the 20 mod_add"):
+        apply_overrides(FullConfig(), {"task.modulus": "5", "run.warmup_pct": "2"})

@@ -41,10 +41,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(d_model=30, n_heads=4)
 
-    def test_lb_mode_checked(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(lb_mode="sometimes")
-
 
 class TestRouteTopk:
     def test_tie_goes_to_lower_index(self):
@@ -163,25 +159,21 @@ class TestLoadBalancingLoss:
     def test_uniform_floor(self):
         stats = RoutingStats(f=np.array([[0.5, 0.5]]), P=[np.array([0.5, 0.5])],
                              n_experts=2)
-        assert load_balancing_loss(stats, "per_layer").item() == pytest.approx(1.0)
-        assert load_balancing_loss(stats, "global").item() == pytest.approx(1.0)
+        assert load_balancing_loss(stats).item() == pytest.approx(1.0)
 
     def test_collapse_doubles(self):
         stats = RoutingStats(f=np.array([[1.0, 0.0]]), P=[np.array([1.0, 0.0])],
                              n_experts=2)
-        assert load_balancing_loss(stats, "per_layer").item() == pytest.approx(2.0)
+        assert load_balancing_loss(stats).item() == pytest.approx(2.0)
 
     def test_cancelling_skew_global_vs_per_layer(self):
         # layer 0 prefers expert 0, layer 1 prefers expert 1, symmetrically:
-        # pooled usage is uniform (global = 1) but each layer is skewed
+        # pooled usage is uniform, so the loss sits at its floor of 1 although
+        # each layer alone is skewed
         f = np.array([[0.9, 0.1], [0.1, 0.9]])
         p = [np.array([0.9, 0.1]), np.array([0.1, 0.9])]
         stats = RoutingStats(f=f, P=p, n_experts=2)
-        g = load_balancing_loss(stats, "global").item()
-        pl = load_balancing_loss(stats, "per_layer").item()
-        assert g == pytest.approx(1.0)
-        assert pl == pytest.approx(2 * (0.81 + 0.01))
-        assert g < pl
+        assert load_balancing_loss(stats).item() == pytest.approx(1.0)
 
     def test_floor_property_when_f_equals_p(self):
         # N_E * sum p_i^2 >= 1 with equality iff uniform (Cauchy-Schwarz)
@@ -189,22 +181,21 @@ class TestLoadBalancingLoss:
             raw = RNG.random(8) + 1e-6
             p = raw / raw.sum()
             stats = RoutingStats(f=p[None, :], P=[p], n_experts=8)
-            val = load_balancing_loss(stats, "per_layer").item()
+            val = load_balancing_loss(stats).item()
             assert val >= 1.0 - 1e-12
         uniform = np.full(8, 1 / 8)
         stats = RoutingStats(f=uniform[None, :], P=[uniform], n_experts=8)
-        assert load_balancing_loss(stats, "per_layer").item() == pytest.approx(1.0)
+        assert load_balancing_loss(stats).item() == pytest.approx(1.0)
 
     def test_empty_stats_raises(self):
         with pytest.raises(ConfigError):
-            load_balancing_loss(RoutingStats(f=np.zeros((0, 4)), P=[], n_experts=4),
-                                "global")
+            load_balancing_loss(RoutingStats(f=np.zeros((0, 4)), P=[], n_experts=4))
 
     def test_gradient_reaches_router(self):
         cfg = tiny_config()
         model = MoEModel(cfg, seed=5)
         out = model.forward(RNG.integers(0, 32, size=(2, 4)))
-        lb = load_balancing_loss(out.stats, "global")
+        lb = load_balancing_loss(out.stats)
         model.registry.zero_grads()
         lb.backward()
         assert model.registry["layer0.router.w"].tensor.grad is not None
@@ -218,9 +209,10 @@ class TestLmLoss:
         r0 = model.loss(batch)
         assert r0.loss.item() == pytest.approx(r0.ce, abs=0)
         assert r0.lb == 0.0
-        # same weights, the default lb_weight, the balancing term switched off
-        r1 = MoEModel(tiny_config(), seed=6).loss(batch, lb_mode="off")
-        assert r1.loss.item() == r0.loss.item()
+        # same weights at the default lb_weight: the same ce plus the term
+        r1 = MoEModel(tiny_config(), seed=6).loss(batch)
+        assert r1.ce == r0.ce and r1.lb > 0.0
+        assert r1.loss.item() == pytest.approx(r1.ce + 0.01 * r1.lb, rel=1e-14)
 
     def test_untrained_ce_near_max_entropy(self):
         model = MoEModel(ModelConfig(lb_weight=0.0), seed=0)

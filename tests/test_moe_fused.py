@@ -156,7 +156,7 @@ def assert_step_matches_loop(build, batch, monkeypatch):
 
 
 @pytest.mark.parametrize("kw", [
-    {}, {"lb_mode": "per_layer"}, {"lb_mode": "off"}, {"n_shared": 1},
+    {}, {"lb_weight": 0.0}, {"n_shared": 1},
     {"k_route": 4}, {"k_route": 1, "n_experts": 3}])
 def test_pretrain_step_matches_loop(kw, monkeypatch):
     cfg = tiny_config(**kw)
@@ -166,8 +166,8 @@ def test_pretrain_step_matches_loop(kw, monkeypatch):
                if ".expert" in name or ".router" in name)
 
 
-@pytest.mark.parametrize("kw", [{}, {"lb_mode": "per_layer"}, {"lb_mode": "off"},
-                                {"n_shared": 2}, {"k_route": 16}])
+@pytest.mark.parametrize("kw", [{}, {"lb_weight": 0.0}, {"n_shared": 2},
+                                {"k_route": 16}])
 def test_desk_pretrain_step_matches_composed(kw, monkeypatch):
     cfg = replace(DESK, **kw)
     _, _, grads = assert_step_matches_loop(lambda: MoEModel(cfg, seed=2),
@@ -193,11 +193,13 @@ def test_adapted_step_matches_loop(scheme, experts, others, monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("experts", ["all", "plan"])
 @pytest.mark.parametrize("gate", [True, False])
-@pytest.mark.parametrize("lb_mode", ["global", "off"])
-def test_desk_adapted_step_matches_composed(lb_mode, gate, experts, scheme, monkeypatch):
-    # fine-tuning runs with the load-balancing loss off unless
-    # lb_during_finetune is set; both sides of P are checked
-    cfg = replace(DESK, n_shared=1, lb_mode=lb_mode)
+@pytest.mark.parametrize("lb_weight", [pytest.param(DESK.lb_weight, id="global"),
+                                       pytest.param(0.0, id="off")])
+def test_desk_adapted_step_matches_composed(lb_weight, gate, experts, scheme,
+                                            monkeypatch):
+    # fine-tuning clones its model at lb_weight 0 (off); the global case also
+    # sends the balancing loss's gradient through P, so both sides are checked
+    cfg = replace(DESK, n_shared=1, lb_weight=lb_weight)
     targets = TargetSet(attention=False, gate=gate, experts=experts)
     plan = first_half_plan(cfg) if experts == "plan" else None
     _, _, grads = assert_step_matches_loop(
@@ -207,8 +209,7 @@ def test_desk_adapted_step_matches_composed(lb_mode, gate, experts, scheme, monk
     assert len(gated) == (cfg.n_layers if gate else 0)
 
 
-@pytest.mark.parametrize("mode", ["global", "per_layer"])
-def test_lb_loss_alone_matches_composed(mode, monkeypatch):
+def test_lb_loss_alone_matches_composed(monkeypatch):
     # only P reaches this loss: the weights node's gradient comes from P alone
     cfg = tiny_config(n_shared=1)
 
@@ -219,7 +220,7 @@ def test_lb_loss_alone_matches_composed(mode, monkeypatch):
             model = MoEModel(cfg, seed=2)
             out = model.forward(batch_of(0).tokens)
             model.registry.zero_grads()
-            load_balancing_loss(out.stats, mode).backward()
+            load_balancing_loss(out.stats).backward()
         return {name: None if e.tensor.grad is None else e.tensor.grad.tobytes()
                 for name, e in model.registry.items()}
 

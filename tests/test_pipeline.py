@@ -201,6 +201,21 @@ def test_finetune_is_deterministic(base, modadd):
     assert r1.acc_after == r2.acc_after
 
 
+def test_finetune_never_balances(base, modadd):
+    # the fine-tune's loss is the cross-entropy whatever the base's lb_weight
+    cfg, state = base
+    train, _ = modadd
+    plan = plan_for(cfg, state, train)
+    ref_model, ref = finetune(cfg, state, train, {}, plan, tiny_run())
+    assert cfg.lb_weight > 0.0 and ref_model.config.lb_weight == 0.0
+    for weight in (0.0, 5.0):
+        model, rep = finetune(replace(cfg, lb_weight=weight), state, train, {},
+                              plan, tiny_run())
+        assert np.array(rep.losses).tobytes() == np.array(ref.losses).tobytes()
+        for name, arr in ref_model.registry.state_arrays().items():
+            assert model.registry[name].tensor.data.tobytes() == arr.tobytes(), name
+
+
 def test_finetune_never_touches_frozen_base(base, modadd):
     cfg, state = base
     train, test = modadd
@@ -444,7 +459,7 @@ def test_warmup_run_separates_every_field_the_warmup_reads(base, modadd,
                           - {"warmup_pct", "seed", "batch_size", "warmup_forward_only"})
     else:
         assert shared == {"scheme", "attention", "gate", "experts", "rho", "strategy",
-                          "plan_k", "epochs", "lb_during_finetune"}
+                          "plan_k", "epochs"}
 
 
 def test_grid_warms_up_once_per_warmup_run(base, monkeypatch):
