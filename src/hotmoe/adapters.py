@@ -158,8 +158,7 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
         model.registry.add(f"{name}.adapter.A", A, trainable=False)
         model.registry.add(f"{name}.adapter.B", B, trainable=False)
         if pair.mask is not None:
-            model.registry.add(f"{name}.adapter.M",
-                               Tensor(pair.mask.astype(np.float64)), trainable=False)
+            model.registry.add(f"{name}.adapter.M", pair.mask_f, trainable=False)
         model.adapters[name] = pair
     return model
 

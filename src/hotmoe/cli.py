@@ -49,7 +49,7 @@ GRADCHECK_TOL = 1e-4
 
 def _load_full(args) -> tuple[FullConfig, list[str], dict[str, np.ndarray] | None]:
     """The resolved config, the overrides applied, and the --base state if
-    the command takes one and it was given, checked against [model]."""
+    the command takes one and it was given, finite and checked against [model]."""
     full = load_config(args.config)
     overrides = {}
     for item in args.set or []:
@@ -68,6 +68,9 @@ def _load_full(args) -> tuple[FullConfig, list[str], dict[str, np.ndarray] | Non
     problem = MoEModel(full.model, seed=0).registry.mismatch(state)
     if problem is not None:
         raise ConfigError(f"--base {path} does not fit [model]: {problem}")
+    for name, arr in state.items():
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"--base {path} holds a non-finite value in {name}")
     return full, applied, state
 
 

@@ -8,7 +8,8 @@ shared experts.
 
 Routing gradient semantics: mixing weights are a softmax over the
 selected top-k logits only, so unselected logits get no gradient from the
-mixing path. The load-balancing term sees the full softmax.
+mixing path. The load-balancing term sees the full softmax, which only a
+model with lb_weight > 0 computes: its routing trace carries it.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def route_topk(logits: np.ndarray, k_route: int) -> tuple[np.ndarray, np.ndarray
 class LayerTrace:
     indices: np.ndarray            # (tokens, k_route) int64
     weights: np.ndarray            # (tokens, k_route) float64
+    p: Tensor | None = None        # (n_experts,) mean full softmax, if balancing
 
 
 @dataclass
@@ -124,23 +126,18 @@ class RoutingTrace:
         return out
 
 
-@dataclass
-class RoutingStats:
-    f: np.ndarray          # (n_layers, n_experts) assignment fractions, sum 1 per layer
-    P: list                # per layer: mean full-softmax probability, Tensor or ndarray
-    n_experts: int
-
-
-def load_balancing_loss(stats: RoutingStats) -> Tensor:
-    """N_E * sum_i f_i * P_i, with f and P pooled across layers first."""
-    if not stats.P:
-        raise ConfigError("load_balancing_loss on empty stats")
-    ps = [p if isinstance(p, Tensor) else Tensor(p) for p in stats.P]
+def load_balancing_loss(trace: RoutingTrace) -> Tensor:
+    """N_E * sum_i f_i * P_i, with f (from the trace's counts) and P (on
+    its layers, as a balancing model's forward leaves them) pooled first."""
+    ps = [lt.p for lt in trace.layers]
+    if not ps or any(p is None for p in ps):
+        raise ConfigError("load_balancing_loss needs a trace with P in every layer")
     p_bar = ps[0]
     for p in ps[1:]:
         p_bar = p_bar + p
     p_bar = p_bar * (1.0 / len(ps))
-    return T.tsum(p_bar * Tensor(stats.f.mean(axis=0))) * float(stats.n_experts)
+    f = trace.counts / (trace.n_tokens * trace.k_route)
+    return T.tsum(p_bar * Tensor(f.mean(axis=0))) * float(trace.n_experts)
 
 
 @dataclass
@@ -157,7 +154,6 @@ class KVCache:
 @dataclass
 class ForwardResult:
     logits: Tensor
-    stats: RoutingStats
     trace: RoutingTrace | None
 
 
@@ -166,7 +162,7 @@ class LossResult:
     loss: Tensor
     ce: float
     lb: float
-    trace: RoutingTrace | None
+    trace: RoutingTrace
 
 
 _NORM_EPS = 1e-6
@@ -281,23 +277,23 @@ def _one_node(out: np.ndarray, parents: list[tuple[Tensor, object]],
 Projection = tuple[Tensor, AdapterPair | None]
 
 
-def route(x: Tensor, router: Projection,
-          k_route: int) -> tuple[Tensor, Tensor, LayerTrace]:
+def route(x: Tensor, router: Projection, k_route: int,
+          balance: bool) -> tuple[Tensor, LayerTrace]:
     """Router projection, top-k selection and mixing softmax of one layer,
-    as one tape node, with the load-balancing statistic as a side output.
+    as one tape node, and the layer's trace.
 
     For x (tokens, d), logits = x W_r, adapted as in adapted_forward when
     the gate has an adapter. route_topk picks each token's k experts and
     their mixing weights w, a softmax over the selected logits; w is the
-    node's output. P, the mean full-softmax probability per expert, is a
-    child node of w whose grad fn hands its gradient to w's backward and
-    contributes zeros to w's, so w's backward runs even when only P
-    reaches the loss: pretraining, where P reaches the load-balancing
-    loss, and fine-tuning, where it does not, share one backward. Every
-    operation runs in the order of the composed tape graph this node
-    replaces (projection, take_along_last, softmax, and softmax then
-    tmean for P), and x is listed once per term that graph added into its
-    gradient (the projection, then the gate adapter), so outputs and
+    node's output. With balance, the trace also carries P, the mean
+    full-softmax probability per expert, which the load-balancing loss
+    reads: a child node of w whose grad fn hands its gradient to w's
+    backward and contributes zeros to w's, so w's backward runs even when
+    only P reaches the loss. Without balance, P and its node are not
+    built. Every operation runs in the order of the composed tape graph
+    this node replaces (projection, take_along_last, softmax, and softmax
+    then tmean for P), and x is listed once per term that graph added into
+    its gradient (the projection, then the gate adapter), so outputs and
     gradients are bitwise equal to it. The bank that consumes w stays its
     own node: with shared experts and P in the loss, the tape adds the last
     layer's shared-expert gradient into x between the bank's and the
@@ -308,13 +304,14 @@ def route(x: Tensor, router: Projection,
     logits, xa = _project(xd, W, gate)
     idx, mix = route_topk(logits, k_route)
     idx = idx.copy()
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    soft = e / e.sum(axis=-1, keepdims=True)
-    n_tok = xd.shape[0]
-    p = soft.sum(axis=0) * (1.0 / n_tok)
     trace = LayerTrace(indices=idx, weights=mix)
+    n_tok = xd.shape[0]
+    if balance:
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        soft = e / e.sum(axis=-1, keepdims=True)
+        trace.p = Tensor(soft.sum(axis=0) * (1.0 / n_tok))
     if not T.grad_enabled():
-        return Tensor(mix), Tensor(p), trace
+        return Tensor(mix), trace
     g_p: list[np.ndarray] = []
 
     def backward(g: np.ndarray) -> dict:
@@ -336,12 +333,13 @@ def route(x: Tensor, router: Projection,
     if gate is not None:
         parents += [(x, "x adapter"), (gate.A, id(gate.A)), (gate.B, id(gate.B))]
     w = _one_node(mix, parents + [(W, id(W))], backward)
+    if balance:
+        def hand_over(g: np.ndarray) -> np.ndarray:
+            g_p[:] = [g]
+            return np.zeros_like(mix)
 
-    def hand_over(g: np.ndarray) -> np.ndarray:
-        g_p[:] = [g]
-        return np.zeros_like(mix)
-
-    return w, T._make(p, [(w, hand_over)]), trace
+        trace.p = T._make(trace.p.data, [(w, hand_over)])
+    return w, trace
 
 
 def _slot_sum(slot_rows: np.ndarray, cols: np.ndarray,
@@ -595,7 +593,8 @@ class MoEModel:
                 cache: KVCache | None = None) -> ForwardResult:
         """Logits for `tokens` (B, S); with a cache, they are positions
         cache.length.. of sequences whose earlier positions the cache holds,
-        and the cache takes them in. Stats and trace cover `tokens` only."""
+        and the cache takes them in. The trace covers `tokens` only; its
+        layers carry P when lb_weight > 0."""
         c = self.config
         tokens = np.asarray(tokens)
         bsz, s = tokens.shape
@@ -611,10 +610,7 @@ class MoEModel:
         pos = T.gather_rows(self.registry["embed.pos"].tensor,
                             np.arange(start, start + s))
         x = T.reshape(tok, (bsz, s, c.d_model)) + pos
-        fs, ps = [], []
-        trace = RoutingTrace(c.n_experts, c.k_route) if want_trace else None
-        if trace is not None:
-            trace.tokens = tokens.reshape(-1).copy()
+        trace = RoutingTrace(c.n_experts, c.k_route, tokens=tokens.reshape(-1).copy())
         bias = self._causal_bias(s, start)
         for layer in range(c.n_layers):
             projs = [(self.registry[n].tensor, self.adapters.get(n))
@@ -622,26 +618,22 @@ class MoEModel:
             x = attention_sublayer(x, projs, c.n_heads, bias, cache, layer)
             xf = T.reshape(rmsnorm(x), (bsz * s, c.d_model))
             router = f"layer{layer}.router.w"
-            mix_w, p_l, lt = route(xf, (self.registry[router].tensor,
-                                        self.adapters.get(router)), c.k_route)
+            mix_w, lt = route(xf, (self.registry[router].tensor,
+                                   self.adapters.get(router)), c.k_route,
+                              c.lb_weight > 0.0)
             yf = routed_experts(xf, mix_w, lt.indices, self._bank(layer))
             for j in range(c.n_shared):
                 yf = yf + self._expert(layer, f"shared{j}", xf)
             x = x + T.reshape(yf, (bsz, s, c.d_model))
-            counts = np.bincount(lt.indices.reshape(-1), minlength=c.n_experts)
-            fs.append(counts.astype(np.float64) / (bsz * s * c.k_route))
-            ps.append(p_l)
-            if trace is not None:
-                trace.layers.append(lt)
+            trace.layers.append(lt)
         logits = rmsnorm(x) @ self.registry["head.w"].tensor
         if cache is not None:
             cache.length = start + s
-        stats = RoutingStats(f=np.stack(fs), P=ps, n_experts=c.n_experts)
-        return ForwardResult(logits=logits, stats=stats, trace=trace)
+        return ForwardResult(logits=logits, trace=trace if want_trace else None)
 
-    def loss(self, batch: Batch, want_trace: bool = False) -> LossResult:
+    def loss(self, batch: Batch) -> LossResult:
         c = self.config
-        out = self.forward(batch.tokens, want_trace=want_trace)
+        out = self.forward(batch.tokens, want_trace=True)
         bsz, s = batch.tokens.shape
         flat_logits = T.reshape(out.logits, (bsz * s, c.vocab))
         mask = batch.loss_mask.reshape(-1)
@@ -654,7 +646,7 @@ class MoEModel:
         ce = -T.tmean(picked)
         loss, lb_value = ce, 0.0
         if c.lb_weight > 0.0:
-            lb = load_balancing_loss(out.stats)
+            lb = load_balancing_loss(out.trace)
             loss, lb_value = ce + lb * c.lb_weight, lb.item()
         T.check_finite(loss, "loss")
         return LossResult(loss=loss, ce=ce.item(), lb=lb_value, trace=out.trace)
@@ -701,9 +693,9 @@ class MoEModel:
         return path
 
 
-def forward_backward(model: MoEModel, batch: Batch, **loss_kw) -> LossResult:
+def forward_backward(model: MoEModel, batch: Batch) -> LossResult:
     model.registry.zero_grads()
-    result = model.loss(batch, **loss_kw)
+    result = model.loss(batch)
     result.loss.backward()
     return result
 

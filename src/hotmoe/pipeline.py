@@ -236,7 +236,7 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
     profile = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)
     routing = ActivationProfile.empty(cfg.n_layers, cfg.n_experts)  # PAD included
     for batch in iter_batches(train, run.batch_size, run.epochs, run.seed):
-        result = forward_backward(model, batch, want_trace=True)
+        result = forward_backward(model, batch)
         opt.step()
         losses.append(result.loss.item())
         record(profile, result.trace)

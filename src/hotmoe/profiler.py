@@ -192,6 +192,8 @@ def load_heatmap(path: str | Path,
     n_experts = max(e for _, e in cells) + 1
     if min(min(cell) for cell in cells) < 0 or len(cells) != n_layers * n_experts:
         raise ConfigError(f"heatmap cells in {path} do not fill a layer x expert grid")
+    if min(cells.values()) < 0:
+        raise ConfigError(f"negative count in heatmap {path}")
     counts = np.zeros((n_layers, n_experts), dtype=np.int64)
     for (l, e), c in cells.items():
         counts[l, e] = c
@@ -227,6 +229,8 @@ def load_plan(path: str | Path) -> PlacementPlan:
         k = int(fields["k"])
         strategy = fields["strategy"]
         seed = None if fields["seed"] == "none" else int(fields["seed"])
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy in plan file {path}: {strategy}")
         hot = []
         for at, line in enumerate(lines[1:], start=1):
             if line.strip():

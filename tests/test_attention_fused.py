@@ -59,7 +59,7 @@ def step_bytes(build, batch, monkeypatch, tape):
         if tape:
             mp.setattr(model_mod, "attention_sublayer", tape_sublayer)
         model = build()
-        res = forward_backward(model, batch, want_trace=True)
+        res = forward_backward(model, batch)
     grads = {name: None if e.tensor.grad is None else e.tensor.grad.tobytes()
              for name, e in model.registry.items()}
     trace = [(lt.indices.tobytes(), lt.weights.tobytes()) for lt in res.trace.layers]

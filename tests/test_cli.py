@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hotmoe.checkpoint import load_checkpoint, save_checkpoint
 from hotmoe.cli import main
 from hotmoe.config import load_config
 from hotmoe.model import RoutingTrace
@@ -472,6 +473,11 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["ablate", "--base", "BASE", "--set", "task.train_size=8", "--axes", "warmup_pct"],
     ["report", "--set", "model.lb_mode=global"],
     ["report", "--set", "run.lb_during_finetune=true"],
+    ["profile", "--base", "BASENAN", "--set", "run.warmup_forward_only=true"],
+    ["flops", "--base", "BASENAN", "--set", "run.experts=all"],
+    ["run", "--base", "BASENAN"],
+    ["plan", "--profile", "HEATNEG"],
+    ["finetune", "--base", "BASE", "--plan", "PLANBOGUS"],
 ], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
@@ -481,18 +487,33 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "finetune-base-n-experts", "run-base-n-experts", "run-base-d-ff",
         "crosstask-base-d-ff", "plan-heatmap-misfit", "warmup-subset-empty",
         "rank-above-gate", "rank-above-trained-warmup-gate", "rank-above-d-model",
-        "ablate-row-warmup-subset", "lb-mode-unknown", "lb-during-finetune-unknown"])
+        "ablate-row-warmup-subset", "lb-mode-unknown", "lb-during-finetune-unknown",
+        "profile-base-nan", "flops-base-nan", "run-base-nan", "plan-heatmap-negative",
+        "finetune-plan-bogus-strategy"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
-    # named check fails; PLAN1 and HEAT1 are a well-formed plan and heatmap
-    # for a one-layer model
+    # named check fails, and BASENAN for it with one router weight NaN;
+    # PLAN1 and HEAT1 are a well-formed plan and heatmap for a one-layer
+    # model, HEATNEG is a heatmap of tiny's shape with a negative count and
+    # PLANBOGUS a plan of tiny's shape with an unknown strategy
     plan1 = tmp_path / "plan1.csv"
     plan1.write_text("strategy=layer_hot k=2 seed=none\n0,1\n")
     heat1 = tmp_path / "heat1.csv"
     heat1.write_text("layer,expert,count,ratio\n"
                      + "".join(f"0,{e},3,0.25\n" for e in range(4)))
+    state = load_checkpoint(base_dir / "base.ckpt")
+    state["layer0.router.w"][0, 0] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", state)
+    heatneg = tmp_path / "heatneg.csv"
+    heatneg.write_text("layer,expert,count,ratio\n" + "".join(
+        f"{l},{e},{-999 if (l, e) == (0, 2) else 3},0.25\n"
+        for l in range(2) for e in range(4)))
+    planbogus = tmp_path / "planbogus.csv"
+    planbogus.write_text("strategy=bogus k=1 seed=none\n2\n3\n")
     args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1),
-             "HEAT1": str(heat1)}.get(a, a) for a in args]
+             "HEAT1": str(heat1), "BASENAN": str(tmp_path / "nan.ckpt"),
+             "HEATNEG": str(heatneg), "PLANBOGUS": str(planbogus)}.get(a, a)
+            for a in args]
     out = tmp_path / "out"
     assert main(args[:1] + ["--config", CFG, "--out-dir", str(out)] + args[1:]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")

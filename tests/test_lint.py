@@ -1,6 +1,6 @@
 """Static checks on the library source: no unused imports, no dead
 definitions, no test-only definitions, no filesystem access outside
-errors.py, and no assert statements in src/hotmoe.
+errors.py, no assert statements and no **kwargs parameters in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -12,7 +12,9 @@ by name). One that only tests/ names is library surface kept for its
 tests, and fails the test-only check. errors.py's read_file and
 write_file are the package's only file access, so that every OSError
 becomes an IoError in one place. python -O strips assert statements, so
-an invariant raises InvariantViolation instead.
+an invariant raises InvariantViolation instead. A **kwargs parameter
+passes on arguments its signature does not name, so every parameter of a
+library function is spelled out.
 """
 
 import ast
@@ -194,3 +196,27 @@ def test_assert_checker_hand_case():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_statements(path.read_text(encoding="utf-8")) == []
+
+
+def var_keyword_parameters(source: str) -> list[str]:
+    """Function definitions that take a **kwargs parameter."""
+    return [f"line {node.lineno}: {node.name}(**{node.args.kwarg.arg})"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.args.kwarg is not None]
+
+
+def test_var_keyword_checker_hand_case():
+    source = ("def f(a, *args, key=1):\n"
+              "    return g(a, **{'key': key})\n"
+              "def g(a, **kw):\n"
+              "    return a\n"
+              "class C:\n"
+              "    async def h(self, *, b, **options):\n"
+              "        return dict(**options)\n")
+    assert var_keyword_parameters(source) == ["line 3: g(**kw)", "line 6: h(**options)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_var_keyword_parameters(path):
+    assert var_keyword_parameters(path.read_text(encoding="utf-8")) == []

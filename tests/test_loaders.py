@@ -108,6 +108,18 @@ class TestReproducedFaults:
             load_plan(path)
         assert str(info.value) == f"malformed plan file {path}: {where}"
 
+    def test_plan_unknown_strategy(self, tmp_path):
+        path = _plan(tmp_path)
+        _rewrite(path, b"strategy=layer_hot", b"strategy=bogus")
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            load_plan(path)
+
+    def test_heatmap_negative_count(self, tmp_path):
+        path = _heatmap(tmp_path)
+        _rewrite(path, b"0,1,1,", b"0,1,-999,")
+        with pytest.raises(ConfigError, match="negative count"):
+            load_heatmap(path)
+
     @pytest.mark.parametrize("old,new", [(b"0,1,1,", b"0,1,one,"),
                                          (b"0,1,1,", b"0,"),
                                          (None, b""),

@@ -3,7 +3,7 @@
 Oracles: top-k selection vs a brute-force full sort; MoE layer output
 (route and routed_experts, through test_moe_fused.moe_half) vs a straight
 replay recomputed from the trace with plain numpy; LB loss vs
-hand-constructed stats; CE at init vs the maximum-entropy baseline.
+hand-made traces; CE at init vs the maximum-entropy baseline.
 """
 
 import numpy as np
@@ -12,8 +12,8 @@ from scipy.special import erf
 
 from hotmoe import tensor as T
 from hotmoe.errors import ConfigError, NumericalError
-from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingStats,
-                          RoutingTrace, concat_datasets, forward_backward,
+from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingTrace,
+                          concat_datasets, forward_backward,
                           load_balancing_loss, pretrain_base,
                           profile_counts, route_topk)
 from hotmoe.optim import Adam
@@ -28,6 +28,11 @@ def tiny_config(**kw):
                 k_route=2, vocab=32, max_seq=16)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def fractions(lt, n_experts):
+    """A layer's assignment fractions: its selections per expert over all."""
+    return np.bincount(lt.indices.reshape(-1), minlength=n_experts) / lt.indices.size
 
 
 class TestConfig:
@@ -81,7 +86,8 @@ class TestMoELayer:
         w.data = np.zeros_like(w.data)
         w.data[:, 0] = 100.0  # with positive activations, expert 0 always wins
         x = T.Tensor(np.abs(RNG.normal(size=(2, 3, 8))) + 0.1)
-        y, f, _, _ = moe_half(model, 0, x)
+        y, lt = moe_half(model, 0, x)
+        f = fractions(lt, cfg.n_experts)
         xf = x.data.reshape(-1, 8)
         up = model.registry["layer0.expert0.w_up"].tensor.data
         down = model.registry["layer0.expert0.w_down"].tensor.data
@@ -95,7 +101,7 @@ class TestMoELayer:
         cfg = tiny_config()
         model = MoEModel(cfg, seed=3)
         x = T.Tensor(RNG.normal(size=(4, 5, 8)))
-        y, _, _, lt = moe_half(model, 1, x)
+        y, lt = moe_half(model, 1, x)
         xf = x.data.reshape(-1, 8)
         replay = np.zeros_like(xf)
         for t in range(xf.shape[0]):
@@ -112,9 +118,9 @@ class TestMoELayer:
         cfg = tiny_config(k_route=4)
         model = MoEModel(cfg, seed=1)
         x = T.Tensor(RNG.normal(size=(1, 4, 8)))
-        _, f, _, lt = moe_half(model, 0, x)
+        _, lt = moe_half(model, 0, x)
         assert sorted(lt.indices[0].tolist()) == [0, 1, 2, 3]
-        assert f.sum() == pytest.approx(1.0)
+        assert fractions(lt, cfg.n_experts).sum() == pytest.approx(1.0)
 
     def test_routing_conservation(self):
         cfg = tiny_config()
@@ -155,47 +161,75 @@ class TestMoELayer:
                                    m1.forward(tokens).logits.data, atol=1e-12)
 
 
+def hand_trace(layer_indices, layer_ps, n_experts=2):
+    """A trace whose layer l routes each token to the experts of row t of
+    layer_indices[l], with P layer_ps[l]."""
+    layers = [np.array(idx) for idx in layer_indices]
+    trace = RoutingTrace(n_experts, k_route=layers[0].shape[1])
+    for idx, p in zip(layers, layer_ps):
+        trace.layers.append(LayerTrace(indices=idx, weights=np.ones(idx.shape) / idx.shape[1],
+                                       p=T.Tensor(p)))
+    return trace
+
+
+def one_each(counts):
+    """k_route 1 indices routing counts[e] tokens to expert e."""
+    return np.repeat(np.arange(len(counts)), counts)[:, None]
+
+
 class TestLoadBalancingLoss:
     def test_uniform_floor(self):
-        stats = RoutingStats(f=np.array([[0.5, 0.5]]), P=[np.array([0.5, 0.5])],
-                             n_experts=2)
-        assert load_balancing_loss(stats).item() == pytest.approx(1.0)
+        trace = hand_trace([[[0], [1]]], [[0.5, 0.5]])
+        assert load_balancing_loss(trace).item() == pytest.approx(1.0)
 
     def test_collapse_doubles(self):
-        stats = RoutingStats(f=np.array([[1.0, 0.0]]), P=[np.array([1.0, 0.0])],
-                             n_experts=2)
-        assert load_balancing_loss(stats).item() == pytest.approx(2.0)
+        trace = hand_trace([[[0], [0]]], [[1.0, 0.0]])
+        assert load_balancing_loss(trace).item() == pytest.approx(2.0)
+
+    def test_f_counts_every_selection_of_a_token(self):
+        # k_route 2: each token selects both experts, so f is uniform
+        trace = hand_trace([[[0, 1], [1, 0]]], [[0.5, 0.5]])
+        assert load_balancing_loss(trace).item() == pytest.approx(1.0)
 
     def test_cancelling_skew_global_vs_per_layer(self):
         # layer 0 prefers expert 0, layer 1 prefers expert 1, symmetrically:
         # pooled usage is uniform, so the loss sits at its floor of 1 although
         # each layer alone is skewed
-        f = np.array([[0.9, 0.1], [0.1, 0.9]])
-        p = [np.array([0.9, 0.1]), np.array([0.1, 0.9])]
-        stats = RoutingStats(f=f, P=p, n_experts=2)
-        assert load_balancing_loss(stats).item() == pytest.approx(1.0)
+        trace = hand_trace([one_each([9, 1]), one_each([1, 9])],
+                           [[0.9, 0.1], [0.1, 0.9]])
+        assert load_balancing_loss(trace).item() == pytest.approx(1.0)
 
     def test_floor_property_when_f_equals_p(self):
         # N_E * sum p_i^2 >= 1 with equality iff uniform (Cauchy-Schwarz)
         for _ in range(50):
-            raw = RNG.random(8) + 1e-6
-            p = raw / raw.sum()
-            stats = RoutingStats(f=p[None, :], P=[p], n_experts=8)
-            val = load_balancing_loss(stats).item()
-            assert val >= 1.0 - 1e-12
-        uniform = np.full(8, 1 / 8)
-        stats = RoutingStats(f=uniform[None, :], P=[uniform], n_experts=8)
-        assert load_balancing_loss(stats).item() == pytest.approx(1.0)
+            counts = RNG.integers(1, 40, size=8)
+            trace = hand_trace([one_each(counts)], [counts / counts.sum()], n_experts=8)
+            assert load_balancing_loss(trace).item() >= 1.0 - 1e-12
+        trace = hand_trace([one_each([3] * 8)], [np.full(8, 1 / 8)], n_experts=8)
+        assert load_balancing_loss(trace).item() == pytest.approx(1.0)
 
-    def test_empty_stats_raises(self):
+    def test_empty_trace_raises(self):
         with pytest.raises(ConfigError):
-            load_balancing_loss(RoutingStats(f=np.zeros((0, 4)), P=[], n_experts=4))
+            load_balancing_loss(RoutingTrace(n_experts=4, k_route=1))
+
+    @pytest.mark.parametrize("lb_weight", [0.0, 0.01])
+    def test_only_a_balancing_model_builds_p(self, lb_weight):
+        model = MoEModel(tiny_config(lb_weight=lb_weight), seed=5)
+        tokens = RNG.integers(0, 32, size=(2, 5))
+        taped = model.forward(tokens, want_trace=True).trace
+        with T.no_grad():
+            free = model.forward(tokens, want_trace=True).trace
+        for trace in (taped, free):
+            assert [lt.p is None for lt in trace.layers] == [lb_weight == 0.0] * 2
+        if lb_weight == 0.0:
+            with pytest.raises(ConfigError):
+                load_balancing_loss(taped)
 
     def test_gradient_reaches_router(self):
         cfg = tiny_config()
         model = MoEModel(cfg, seed=5)
-        out = model.forward(RNG.integers(0, 32, size=(2, 4)))
-        lb = load_balancing_loss(out.stats)
+        out = model.forward(RNG.integers(0, 32, size=(2, 4)), want_trace=True)
+        lb = load_balancing_loss(out.trace)
         model.registry.zero_grads()
         lb.backward()
         assert model.registry["layer0.router.w"].tensor.grad is not None

@@ -2,8 +2,9 @@
 
 Each layer of MoEModel.forward normalizes with one rmsnorm node, routes
 with one model.route node (router projection with its gate adapter,
-route_topk, the mixing softmax, and the load-balancing statistic P as a
-side output) and runs its routed experts as one model.routed_experts node.
+route_topk, the mixing softmax, and, in a model that balances, the
+load-balancing statistic P on the layer's trace) and runs its routed
+experts as one model.routed_experts node.
 The oracle here is the tape graph they replaced: the composed norm, the
 router's adapted_forward, take_along_last, softmax and tmean, and the
 per-expert bank loop (per expert: gather its rows, run the expert through
@@ -12,6 +13,7 @@ output). Both run the same operations in the same order, so outputs and
 every gradient must be bitwise equal.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,14 +54,14 @@ def loop_bank(xf, mix_w, idx, experts):
     return yf
 
 
-def composed_route(xf, router, k_route):
+def composed_route(xf, router, k_route, balance):
     """The tape graph that route replaced."""
     W, gate = router
     logits = xf @ W if gate is None else adapted_forward(xf, W, gate)
     idx, _ = route_topk(logits.data, k_route)
     mix_w = T.softmax(T.take_along_last(logits, idx), axis=-1)
-    p = T.tmean(T.softmax(logits, axis=-1), axis=0)
-    return mix_w, p, LayerTrace(indices=idx.copy(), weights=mix_w.data.copy())
+    p = T.tmean(T.softmax(logits, axis=-1), axis=0) if balance else None
+    return mix_w, LayerTrace(indices=idx.copy(), weights=mix_w.data.copy(), p=p)
 
 
 def composed_rmsnorm(x):
@@ -76,20 +78,20 @@ def compose(mp):
 
 
 def moe_half(model, layer, x):
-    """The routed half of forward's layer on a normed x (B, S, d): y, the
-    assignment fractions f, P and the trace, through whichever route and
-    routed_experts the model module holds."""
+    """The routed half of forward's layer on a normed x (B, S, d): y and
+    the layer's trace, through whichever route and routed_experts the
+    model module holds."""
     c = model.config
     bsz, s, d = x.shape
     xf = T.reshape(x, (bsz * s, d))
     name = f"layer{layer}.router.w"
-    mix_w, p, lt = model_mod.route(
-        xf, (model.registry[name].tensor, model.adapters.get(name)), c.k_route)
+    mix_w, lt = model_mod.route(
+        xf, (model.registry[name].tensor, model.adapters.get(name)), c.k_route,
+        c.lb_weight > 0.0)
     yf = model_mod.routed_experts(xf, mix_w, lt.indices, model._bank(layer))
     for j in range(c.n_shared):
         yf = yf + model._expert(layer, f"shared{j}", xf)
-    counts = np.bincount(lt.indices.reshape(-1), minlength=c.n_experts)
-    return T.reshape(yf, (bsz, s, d)), counts / (bsz * s * c.k_route), p, lt
+    return T.reshape(yf, (bsz, s, d)), lt
 
 
 def tiny_config(**kw):
@@ -137,7 +139,7 @@ def step_bytes(build, batch, monkeypatch, loop):
         if loop:
             compose(mp)
         model = build()
-        res = forward_backward(model, batch, want_trace=True)
+        res = forward_backward(model, batch)
     grads = {name: None if e.tensor.grad is None else e.tensor.grad.tobytes()
              for name, e in model.registry.items()}
     trace = [(lt.indices.tobytes(), lt.weights.tobytes()) for lt in res.trace.layers]
@@ -218,9 +220,9 @@ def test_lb_loss_alone_matches_composed(monkeypatch):
             if composed:
                 compose(mp)
             model = MoEModel(cfg, seed=2)
-            out = model.forward(batch_of(0).tokens)
+            out = model.forward(batch_of(0).tokens, want_trace=True)
             model.registry.zero_grads()
-            load_balancing_loss(out.stats).backward()
+            load_balancing_loss(out.trace).backward()
         return {name: None if e.tensor.grad is None else e.tensor.grad.tobytes()
                 for name, e in model.registry.items()}
 
@@ -249,9 +251,9 @@ def test_rmsnorm_matches_composed(residual):
     assert not any(p._parents for p, _ in y._parents)   # one node over x
 
 
-@pytest.mark.parametrize("gate", [False, True])
-def test_route_no_grad_matches_tape(gate):
-    cfg = tiny_config(n_experts=6, k_route=3)
+def route_inputs(gate):
+    """x (7, d), a router weight over 6 experts and, with gate, its adapter."""
+    cfg = tiny_config()
     rng = np.random.default_rng(3)
     xf = T.Tensor(rng.normal(size=(7, cfg.d_model)), requires_grad=True)
     W = T.Tensor(rng.normal(size=(cfg.d_model, 6)), requires_grad=True)
@@ -260,16 +262,42 @@ def test_route_no_grad_matches_tape(gate):
         pair = AdapterPair(A=T.Tensor(rng.normal(size=(cfg.d_model, 2))),
                            B=T.Tensor(rng.normal(size=(2, 6)), requires_grad=True),
                            r=2, alpha=4.0, mask=rng.random((2, 6)) < 0.5)
-    taped = route(xf, (W, pair), 3)
+    return xf, (W, pair)
+
+
+@pytest.mark.parametrize("gate", [False, True])
+def test_route_no_grad_matches_tape(gate):
+    xf, router = route_inputs(gate)
+    w, lt = route(xf, router, 3, True)
     with T.no_grad():
-        free = route(xf, (W, pair), 3)
-    assert taped[0].requires_grad and taped[1].requires_grad
-    assert not free[0]._parents and not free[1]._parents
-    for a, b in zip(taped[:2], free[:2]):
-        assert a.data.tobytes() == b.data.tobytes()
-    assert taped[2].indices.tobytes() == free[2].indices.tobytes()
-    assert taped[2].weights.tobytes() == free[2].weights.tobytes()
-    assert taped[1]._parents[0][0] is taped[0]   # P is a child of the weights
+        w_free, lt_free = route(xf, router, 3, True)
+    assert w.requires_grad and lt.p.requires_grad
+    assert not w_free._parents and not lt_free.p._parents
+    assert w.data.tobytes() == w_free.data.tobytes()
+    assert lt.p.data.tobytes() == lt_free.p.data.tobytes()
+    assert lt.indices.tobytes() == lt_free.indices.tobytes()
+    assert lt.weights.tobytes() == lt_free.weights.tobytes()
+    assert lt.p._parents[0][0] is w   # P is a child of the weights
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["taped", "no-grad"])
+def test_route_without_balance_builds_no_p(grad, monkeypatch):
+    xf, router = route_inputs(gate=True)
+    made = []
+    make = T._make
+
+    def counting(data, parents):
+        made.append(data)
+        return make(data, parents)
+
+    monkeypatch.setattr(T, "_make", counting)
+    with nullcontext() if grad else T.no_grad():
+        w, lt = route(xf, router, 3, False)
+        w_p, lt_p = route(xf, router, 3, True)
+    assert lt.p is None and lt_p.p is not None
+    assert len(made) == (3 if grad else 0)   # w, then w and P
+    assert w.data.tobytes() == w_p.data.tobytes()
+    assert lt.indices.tobytes() == lt_p.indices.tobytes()
 
 
 @pytest.mark.parametrize("shape", ["tiny", "desk"])
@@ -393,8 +421,8 @@ def test_layer_adds_same_tape_nodes_for_4_and_16_experts(monkeypatch):
         cfg = tiny_config(n_experts=n_experts, k_route=2)
         model = MoEModel(cfg, seed=0)
         x = T.Tensor(np.random.default_rng(0).normal(size=(4, 8, 8)), requires_grad=True)
-        y, _, p, _ = moe_half(model, 0, model_mod.rmsnorm(x))
-        seen, stack, ops = set(), [y, p], 0
+        y, lt = moe_half(model, 0, model_mod.rmsnorm(x))
+        seen, stack, ops = set(), [y, lt.p], 0
         while stack:
             node = stack.pop()
             if id(node) in seen or node is x:
