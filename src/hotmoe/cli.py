@@ -29,7 +29,7 @@ from .config import FullConfig, apply_overrides, load_config, write_resolved
 from .errors import (ConfigError, HotmoeError, IoError, NumericalError,
                      silence_stdout, write_file)
 from .gradcheck import finite_diff_check
-from .model import MoEModel, nograd_traces, pretrain_base
+from .model import MoEModel, pretrain_base
 from .pipeline import (ABLATION_AXES, ablate, ablation_runs, build_plan,
                        check_axes, cross_task_matrix, finetune, run_end_to_end,
                        run_warmup, target_splits, write_rows_csv)
@@ -237,10 +237,11 @@ def cmd_flops(args) -> int:
     train, evals = _target_splits(full)
     model, _ = finetune(full.model, state, train, {}, plan,
                         replace(full.run, epochs=0))
+    # full-width rows: adapter FLOPs are spent on PAD positions too
     routing = ActivationProfile.empty(full.model.n_layers, full.model.n_experts)
-    for trace in nograd_traces(model, evals[full.task.target].tokens,
-                               full.run.batch_size):
-        routing.counts += trace.counts
+    tokens, bsz = evals[full.task.target].tokens, full.run.batch_size
+    for lo in range(0, len(tokens), bsz):
+        routing.counts += model.routing_trace(tokens[lo:lo + bsz]).counts
     rep = adapter_flops(routing, model)
     print(rep.format())
     if plan is not None:

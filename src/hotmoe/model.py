@@ -9,7 +9,8 @@ shared experts.
 Routing gradient semantics: mixing weights are a softmax over the
 selected top-k logits only, so unselected logits get no gradient from the
 mixing path. The load-balancing term sees the full softmax, which only a
-model with lb_weight > 0 computes: its routing trace carries it.
+traced forward of a model with lb_weight > 0 computes: its routing trace
+carries it.
 """
 
 from __future__ import annotations
@@ -533,16 +534,21 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
 
 
 class MoEModel:
-    def __init__(self, config: ModelConfig, seed: int):
+    def __init__(self, config: ModelConfig, seed: int,
+                 state: dict[str, np.ndarray] | None = None):
+        """Weights drawn from the seed, or, with state, copies of its arrays
+        (no draw), checked and loaded by ParamRegistry.load_state."""
         self.config = config
         self.seed = seed
         self.registry = ParamRegistry()
         self.adapters: dict = {}
         self._causal: dict[tuple[int, int], np.ndarray] = {}
-        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        if state is None:
+            rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
         def param(name: str, *shape: int) -> None:
-            self.registry.add(name, Tensor(rng.normal(0.0, 0.02, size=shape)))
+            data = rng.normal(0.0, 0.02, size=shape) if state is None else np.empty(shape)
+            self.registry.add(name, Tensor(data))
 
         c = config
         param("embed.tok", c.vocab, c.d_model)
@@ -558,6 +564,8 @@ class MoEModel:
                 param(f"layer{l}.shared{j}.w_up", c.d_model, c.d_ff)
                 param(f"layer{l}.shared{j}.w_down", c.d_ff, c.d_model)
         param("head.w", c.d_model, c.vocab)
+        if state is not None:
+            self.registry.load_state(state)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -589,12 +597,12 @@ class MoEModel:
 
     # -- public surface -----------------------------------------------------
 
-    def forward(self, tokens: np.ndarray, want_trace: bool = False,
-                cache: KVCache | None = None) -> ForwardResult:
-        """Logits for `tokens` (B, S); with a cache, they are positions
-        cache.length.. of sequences whose earlier positions the cache holds,
-        and the cache takes them in. The trace covers `tokens` only; its
-        layers carry P when lb_weight > 0."""
+    def _layers(self, tokens: np.ndarray, cache: KVCache | None, balance: bool,
+                route_only: bool = False) -> tuple[Tensor | None, RoutingTrace]:
+        """The embeddings and the layer loop over `tokens` (B, S): the
+        residual stream after the last layer and the routing trace, whose
+        layers carry P when balance. With route_only, the loop stops after
+        the last layer's router and the stream is None."""
         c = self.config
         tokens = np.asarray(tokens)
         bsz, s = tokens.shape
@@ -619,17 +627,36 @@ class MoEModel:
             xf = T.reshape(rmsnorm(x), (bsz * s, c.d_model))
             router = f"layer{layer}.router.w"
             mix_w, lt = route(xf, (self.registry[router].tensor,
-                                   self.adapters.get(router)), c.k_route,
-                              c.lb_weight > 0.0)
+                                   self.adapters.get(router)), c.k_route, balance)
+            trace.layers.append(lt)
+            if route_only and layer == c.n_layers - 1:
+                return None, trace
             yf = routed_experts(xf, mix_w, lt.indices, self._bank(layer))
             for j in range(c.n_shared):
                 yf = yf + self._expert(layer, f"shared{j}", xf)
             x = x + T.reshape(yf, (bsz, s, c.d_model))
-            trace.layers.append(lt)
-        logits = rmsnorm(x) @ self.registry["head.w"].tensor
         if cache is not None:
             cache.length = start + s
+        return x, trace
+
+    def forward(self, tokens: np.ndarray, want_trace: bool = False,
+                cache: KVCache | None = None) -> ForwardResult:
+        """Logits for `tokens` (B, S); with a cache, they are positions
+        cache.length.. of sequences whose earlier positions the cache holds,
+        and the cache takes them in. The trace covers `tokens` only; its
+        layers carry P when lb_weight > 0. A forward without the trace
+        builds no P."""
+        balance = want_trace and self.config.lb_weight > 0.0
+        x, trace = self._layers(tokens, cache, balance)
+        logits = rmsnorm(x) @ self.registry["head.w"].tensor
         return ForwardResult(logits=logits, trace=trace if want_trace else None)
+
+    def routing_trace(self, tokens: np.ndarray) -> RoutingTrace:
+        """The routing trace of a gradient-free forward of `tokens`, without
+        P. The layer loop stops at the last layer's router: that layer's
+        bank, the final norm and the head do not run."""
+        with T.no_grad():
+            return self._layers(tokens, None, balance=False, route_only=True)[1]
 
     def loss(self, batch: Batch) -> LossResult:
         c = self.config
@@ -729,25 +756,30 @@ def concat_datasets(datasets: list[Dataset]) -> Dataset:
     )
 
 
-def nograd_traces(model: MoEModel, tokens: np.ndarray, batch_size: int):
-    """Routing traces of gradient-free forwards over `tokens`, one per row batch."""
-    for lo in range(0, len(tokens), batch_size):
-        with T.no_grad():
-            yield model.forward(tokens[lo:lo + batch_size], want_trace=True).trace
-
-
 def profile_counts(model: MoEModel, dataset: Dataset,
                    batch_size: int) -> ActivationProfile:
-    """Forward-only activation profile of `dataset`, one no-grad pass.
+    """Activation profile of `dataset` from gradient-free routing passes
+    (MoEModel.routing_trace).
 
     PAD positions are excluded by `record`: padding routes to whatever the
     balancer left room in, so counting it dilutes the task signal in
-    proportion to how ragged the task's rows are.
+    proportion to how ragged the task's rows are. Rows run in batches of
+    batch_size in order of content length (stable), each batch cut to its
+    longest row: attention is causal, so no counted position reads a
+    column that was cut, and the counts are those of full-width forwards.
     """
     c = model.config
     profile = ActivationProfile.empty(c.n_layers, c.n_experts)
-    for trace in nograd_traces(model, dataset.tokens, batch_size):
-        record(profile, trace)
+    # a row's length: its last non-PAD position plus 1 (0 if all PAD)
+    content = dataset.tokens != PAD
+    lengths = np.where(content.any(axis=1),
+                       content.shape[1] - content[:, ::-1].argmax(axis=1), 0)
+    order = np.argsort(lengths, kind="stable")
+    for lo in range(0, len(order), batch_size):
+        rows = order[lo:lo + batch_size]
+        width = lengths[rows[-1]]
+        if width:
+            record(profile, model.routing_trace(dataset.tokens[rows, :width]))
     return profile
 
 

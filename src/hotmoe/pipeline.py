@@ -89,9 +89,7 @@ def target_splits(splits: dict[str, tuple[Dataset, Dataset]],
 
 
 def clone_model(cfg: ModelConfig, base_state: dict[str, np.ndarray]) -> MoEModel:
-    model = MoEModel(cfg, seed=0)
-    model.registry.load_state(base_state)
-    return model
+    return MoEModel(cfg, seed=0, state=base_state)
 
 
 def frozen_param_hashes(model: MoEModel) -> dict[str, str]:
@@ -150,8 +148,9 @@ def run_warmup(cfg: ModelConfig, base_state: dict[str, np.ndarray],
     The warm-up fine-tunes warmup_run(run), all-targets LoRA (all experts,
     attention, gate), and its profile counts every step of the trajectory,
     so it reflects adaptation dynamics, not just the frozen router. With
-    warmup_forward_only it is one no-grad pass of the bare base instead:
-    zero-init adapters would leave every forward bitwise unchanged.
+    warmup_forward_only it is one routing pass of the bare base instead
+    (profile_counts): zero-init adapters would leave every forward
+    bitwise unchanged.
     """
     run = warmup_run(run)
     sub = subset(train, run.warmup_pct, run.seed)

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hotmoe import tensor as T
 from hotmoe.checkpoint import load_checkpoint, save_checkpoint
 from hotmoe.cli import main
 from hotmoe.config import load_config
-from hotmoe.model import RoutingTrace
+from hotmoe.model import MoEModel, RoutingTrace
 from hotmoe.profiler import load_heatmap, load_plan
 
 CFG = "configs/tiny.cfg"
@@ -272,6 +273,33 @@ def test_flops_merges_no_traces(base_dir, tmp_path, monkeypatch, capsys):
                  "--plan", str(plan)]) == 0
     out = capsys.readouterr().out
     assert "forward=" in out and "hit_rate=" in out
+
+
+@pytest.mark.parametrize("scheme", ["lora", "lori_d", "lori_s"])
+def test_flops_equals_full_forward_oracle(base_dir, tmp_path, monkeypatch, capsys,
+                                          scheme):
+    # flops costs PAD too: its routing passes keep full width, and stopping
+    # at the last router leaves the counts of full forwards
+    plan = _plan(base_dir, tmp_path / "prof")
+    args = ["flops", "--config", CFG, "--base", str(base_dir / "base.ckpt"),
+            "--plan", str(plan), "--set", f"run.scheme={scheme}",
+            "--set", "task.target=transduce"]
+
+    def full_forward(model, tokens):
+        with T.no_grad():
+            return model.forward(tokens, want_trace=True).trace
+
+    printed = {}
+    for tag in ("routing", "oracle"):
+        if tag == "oracle":
+            monkeypatch.setattr(MoEModel, "routing_trace", full_forward)
+        capsys.readouterr()
+        assert main(args + ["--out-dir", str(tmp_path / tag)]) == 0
+        printed[tag] = capsys.readouterr().out
+    assert "forward=" in printed["routing"]
+    assert printed["routing"] == printed["oracle"]
+    assert ((tmp_path / "routing" / "flops.csv").read_bytes()
+            == (tmp_path / "oracle" / "flops.csv").read_bytes())
 
 
 def test_gradcheck_passes_and_prints(capsys):

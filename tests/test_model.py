@@ -3,13 +3,15 @@
 Oracles: top-k selection vs a brute-force full sort; MoE layer output
 (route and routed_experts, through test_moe_fused.moe_half) vs a straight
 replay recomputed from the trace with plain numpy; LB loss vs
-hand-made traces; CE at init vs the maximum-entropy baseline.
+hand-made traces; CE at init vs the maximum-entropy baseline;
+profile_counts' routing passes vs record over full-width full forwards.
 """
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+from hotmoe import model as model_mod
 from hotmoe import tensor as T
 from hotmoe.errors import ConfigError, NumericalError
 from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingTrace,
@@ -17,7 +19,8 @@ from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, RoutingTrace,
                           load_balancing_loss, pretrain_base,
                           profile_counts, route_topk)
 from hotmoe.optim import Adam
-from hotmoe.tasks import PAD, TaskSpec, iter_batches, make_task
+from hotmoe.profiler import ActivationProfile, record
+from hotmoe.tasks import PAD, Dataset, TaskSpec, iter_batches, make_task
 from test_moe_fused import moe_half
 
 RNG = np.random.default_rng(2024)
@@ -225,6 +228,27 @@ class TestLoadBalancingLoss:
             with pytest.raises(ConfigError):
                 load_balancing_loss(taped)
 
+    def test_forward_without_trace_builds_no_p(self, monkeypatch):
+        # decoding (evaluate) forwards a balancing model without its trace
+        model = MoEModel(tiny_config(), seed=5)
+        tokens = RNG.integers(0, 32, size=(2, 5))
+        balances = []
+        real_route = model_mod.route
+
+        def spy(x, router, k_route, balance):
+            balances.append(balance)
+            return real_route(x, router, k_route, balance)
+
+        monkeypatch.setattr(model_mod, "route", spy)
+        with T.no_grad():
+            bare = model.forward(tokens).logits.data
+        assert balances == [False, False]
+        balances.clear()
+        traced = model.forward(tokens, want_trace=True)
+        assert balances == [True, True]
+        assert all(lt.p is not None for lt in traced.trace.layers)
+        assert bare.tobytes() == traced.logits.data.tobytes()
+
     def test_gradient_reaches_router(self):
         cfg = tiny_config()
         model = MoEModel(cfg, seed=5)
@@ -281,6 +305,122 @@ class TestLmLoss:
         batch = next(iter_batches(train, 4, 1, seed=0))
         with pytest.raises(NumericalError):
             model.loss(batch)
+
+
+def full_forward_profile(model, ds, batch_size=16):
+    """The oracle: record over full-width, full forwards' traces in row order."""
+    c = model.config
+    profile = ActivationProfile.empty(c.n_layers, c.n_experts)
+    for lo in range(0, len(ds), batch_size):
+        with T.no_grad():
+            record(profile, model.forward(ds.tokens[lo:lo + batch_size],
+                                          want_trace=True).trace)
+    return profile
+
+
+def hand_dataset(rows, width):
+    """A dataset of token rows right-padded to width; targets and mask unused."""
+    tokens = np.full((len(rows), width), PAD, dtype=np.int64)
+    for i, row in enumerate(rows):
+        tokens[i, :len(row)] = row
+    return Dataset(tokens=tokens, targets=np.full_like(tokens, PAD),
+                   loss_mask=np.zeros(tokens.shape, dtype=bool))
+
+
+class TestRoutingPass:
+    """profile_counts runs routing passes on length-sorted, trimmed batches."""
+
+    def spied_profile(self, model, ds, batch_size, monkeypatch):
+        """profile_counts of ds, and the (rows, width) of every routing pass."""
+        shapes = []
+        real = MoEModel.routing_trace
+
+        def spy(self, tokens):
+            shapes.append(tokens.shape)
+            return real(self, tokens)
+
+        monkeypatch.setattr(MoEModel, "routing_trace", spy)
+        return profile_counts(model, ds, batch_size), shapes
+
+    def check_oracle(self, model, got, ds):
+        want = full_forward_profile(model, ds)
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.tokens_seen == want.tokens_seen
+        got.check_conservation(model.config.k_route)
+
+    def test_ragged_rows_in_batches_smaller_than_the_split(self, monkeypatch):
+        model = MoEModel(tiny_config(), seed=0)
+        train, _ = make_task(TaskSpec("transduce", seed=0, train_size=20,
+                                      test_size=4, min_len=2, max_len=5))
+        prof, shapes = self.spied_profile(model, train, 8, monkeypatch)
+        self.check_oracle(model, prof, train)
+        assert [n for n, _ in shapes] == [8, 8, 4]
+        widths = [w for _, w in shapes]
+        assert widths == sorted(widths) and widths[0] < train.tokens.shape[1]
+
+    def test_split_without_pad_runs_full_width(self, monkeypatch):
+        model = MoEModel(tiny_config(), seed=1)
+        train, _ = make_task(TaskSpec("mod_add", seed=0, train_size=30, test_size=5))
+        assert (train.tokens != PAD).all()
+        prof, shapes = self.spied_profile(model, train, 8, monkeypatch)
+        self.check_oracle(model, prof, train)
+        assert prof.tokens_seen == train.tokens.size
+        assert shapes == [(8, 4)] * 3 + [(6, 4)]
+
+    def test_interior_pad_trims_at_the_last_content_position(self, monkeypatch):
+        model = MoEModel(tiny_config(), seed=2)
+        # lengths 4, 2, 0 (all PAD) and 6: interior PAD does not end a row
+        ds = hand_dataset([[3, PAD, 5, 6], [4, 7], [], [1, PAD, PAD, 2, 9, 8]], 8)
+        prof, shapes = self.spied_profile(model, ds, 2, monkeypatch)
+        self.check_oracle(model, prof, ds)
+        assert prof.tokens_seen == 3 + 2 + 4
+        # sorted by length: (all PAD, len 2) then (len 4, len 6)
+        assert shapes == [(2, 2), (2, 6)]
+
+    def test_an_all_pad_batch_runs_no_pass(self, monkeypatch):
+        model = MoEModel(tiny_config(), seed=2)
+        ds = hand_dataset([[], [], [5, 6, 7]], 5)
+        prof, shapes = self.spied_profile(model, ds, 2, monkeypatch)
+        self.check_oracle(model, prof, ds)
+        assert shapes == [(1, 3)]
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    def test_pass_stops_at_the_last_router(self, n_layers, monkeypatch):
+        model = MoEModel(tiny_config(n_layers=n_layers), seed=3)
+        assert model.config.lb_weight > 0.0
+        head = model.registry["head.w"].tensor
+        calls = {"bank": 0, "head": 0, "balance": []}
+        real_bank, real_route, real_matmul = (model_mod.routed_experts,
+                                              model_mod.route, T.matmul)
+
+        def bank(*args):
+            calls["bank"] += 1
+            return real_bank(*args)
+
+        def route(x, router, k_route, balance):
+            calls["balance"].append(balance)
+            return real_route(x, router, k_route, balance)
+
+        def matmul(a, b):
+            calls["head"] += b is head
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(model_mod, "routed_experts", bank)
+        monkeypatch.setattr(model_mod, "route", route)
+        monkeypatch.setattr(T, "matmul", matmul)
+        train, _ = make_task(TaskSpec("transduce", seed=0, train_size=20,
+                                      test_size=4, min_len=2, max_len=5))
+        profile_counts(model, train, 8)
+        assert calls == {"bank": 3 * (n_layers - 1), "head": 0,
+                         "balance": [False] * 3 * n_layers}
+        trace = model.routing_trace(train.tokens[:2])
+        assert len(trace.layers) == n_layers
+        assert all(lt.p is None for lt in trace.layers)
+        # the counters see a full forward's bank calls and head matmul
+        calls.update(bank=0, head=0, balance=[])
+        with T.no_grad():
+            model.forward(train.tokens[:2])
+        assert (calls["bank"], calls["head"]) == (n_layers, 1)
 
 
 class TestDeterminism:
@@ -359,6 +499,16 @@ class TestPretrain:
                 at_16 = profile_counts(res.model, train, 16).counts
                 assert at_16.tobytes() == at_64.tobytes(), (seed, kind)
                 assert res.profiles[kind].tobytes() == at_64.tobytes(), (seed, kind)
+
+    def test_profile_counts_equal_full_forward_oracle_on_pretrained_bases(
+            self, pretrained, task_splits):
+        for seed, res in pretrained.items():
+            for kind, splits in task_splits.items():
+                for split, ds in zip(("train", "test"), splits):
+                    want = full_forward_profile(res.model, ds)
+                    got = profile_counts(res.model, ds, 16)
+                    assert got.counts.tobytes() == want.counts.tobytes(), (seed, kind, split)
+                    assert got.tokens_seen == want.tokens_seen, (seed, kind, split)
 
     def test_competence_stop(self):
         cfg = tiny_config()

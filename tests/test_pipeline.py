@@ -247,6 +247,37 @@ def test_cold_expert_weights_bitwise_stable(base, modadd):
     assert checked > 0
 
 
+def test_clone_model_copies_the_state_without_a_draw(base, monkeypatch):
+    cfg, state = base
+    names = [name for name, _ in MoEModel(cfg, seed=5).registry.items()]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("clone_model drew a random init")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    model = clone_model(cfg, state)
+    assert [name for name, _ in model.registry.items()] == names
+    for name, entry in model.registry.items():
+        data = entry.tensor.data
+        assert data.dtype == np.float64 and data.tobytes() == state[name].tobytes()
+        assert not np.shares_memory(data, state[name])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda st: st.pop("head.w"), "state missing parameters: ['head.w']"),
+    (lambda st: st.update(ghost=np.zeros(1)), "unknown parameter in state: ghost"),
+    (lambda st: st.update({"embed.pos": np.zeros((3, 8))}),
+     "state shape (3, 8) != param shape (16, 8) for embed.pos"),
+], ids=["missing", "unknown", "shape"])
+def test_clone_model_keeps_load_state_mismatch_errors(base, edit, message):
+    cfg, state = base
+    bad = dict(state)
+    edit(bad)
+    with pytest.raises(InvariantViolation) as err:
+        clone_model(cfg, bad)
+    assert str(err.value) == message
+
+
 def test_integrity_check_catches_mutation(base):
     cfg, state = base
     model = clone_model(cfg, state)
