@@ -14,20 +14,13 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, InvariantViolation
 
 
-def _pair_scheme(pair) -> str:
-    if pair.mask is not None:
-        return "lori_s"
-    return "lori_d" if pair.a_frozen else "lora"
-
-
 def closed_form_pair_params(pair) -> int:
     d_in, d_out = pair.A.shape[0], pair.B.shape[1]
-    scheme = _pair_scheme(pair)
-    if scheme == "lora":
+    if pair.scheme == "lora":
         return pair.r * (d_in + d_out)
-    if scheme == "lori_d":
+    if pair.scheme == "lori_d":
         return pair.r * d_out
-    return int(pair.mask.sum())  # ceil(rho*numel) by build_mask's contract
+    return int(pair.mask.sum())  # lori_s: ceil(rho*numel) by build_mask's contract
 
 
 @dataclass
@@ -46,16 +39,15 @@ class ParamReport:
 
 
 def count_params(model) -> ParamReport:
-    """Adapter-trainable counts, cross-checked closed form vs registry."""
+    """Adapter-trainable counts, cross-checked closed form vs registry. The
+    adapter tensors are the ones the pairs own: A, B and, with a mask, M."""
+    owned = {id(t) for pair in model.adapters.values()
+             for t in (pair.A, pair.B, pair.mask_f) if t is not None}
     base_total = 0
     registry_trainable = 0
-    for name, entry in model.registry.items():
-        if ".adapter." in name:
-            if entry.trainable:
-                if entry.mask is not None:
-                    registry_trainable += int(entry.mask.sum())
-                else:
-                    registry_trainable += entry.tensor.size
+    for _, entry in model.registry.items():
+        if id(entry.tensor) in owned:
+            registry_trainable += entry.n_trainable
         else:
             base_total += entry.tensor.size
     per_target: dict[str, int] = {}

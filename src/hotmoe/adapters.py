@@ -57,8 +57,8 @@ class AdapterPair:
     r: int
     alpha: float
     mask: np.ndarray | None = None  # bool r x d_out, fixed for the pair's lifetime
-    a_frozen: bool = False
-    mask_f: Tensor | None = field(default=None, repr=False)  # mask as 0/1 floats
+    mask_f: Tensor | None = field(default=None, init=False, repr=False)  # 0/1 floats
+    scheme: str = ""               # lora | lori_d | lori_s, set by attach
     kind: str = ""                 # attention | gate | experts | shared, set by attach
     layer: int = -1
     expert: int | None = None      # routed experts only
@@ -70,18 +70,14 @@ class AdapterPair:
         if self.A.shape != (d_in, self.r) or self.B.shape != (self.r, d_out):
             raise InvariantViolation("adapter pair shape mismatch")
         if self.mask is not None:
-            self.set_mask(self.mask)
+            self.mask = np.asarray(self.mask)
+            if self.mask.dtype != np.bool_ or self.mask.shape != self.B.shape:
+                raise InvariantViolation("adapter mask must be bool with B's shape")
+            self.mask_f = Tensor(self.mask.astype(np.float64))
 
     @property
     def scale(self) -> float:
         return self.alpha / self.r
-
-    def set_mask(self, mask: np.ndarray) -> None:
-        mask = np.asarray(mask)
-        if mask.dtype != np.bool_ or mask.shape != self.B.shape:
-            raise InvariantViolation("adapter mask must be bool with B's shape")
-        self.mask = mask
-        self.mask_f = Tensor(mask.astype(np.float64))
 
 
 def adapted_forward(x: Tensor, W: Tensor, pair: AdapterPair) -> Tensor:
@@ -149,12 +145,13 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
         d_in, d_out = W.shape
         A = Tensor(rng.normal(0.0, 0.02, size=(d_in, r)))
         B = Tensor(np.zeros((r, d_out)))
-        pair = AdapterPair(A=A, B=B, r=r, alpha=alpha, kind=kind, layer=layer,
-                           expert=expert)
+        mask = None
         if scheme.name == "lori_s":
             if name not in masks:
                 raise ConfigError(f"lori_s mask missing for target {name}")
-            pair.set_mask(masks[name])
+            mask = masks[name]
+        pair = AdapterPair(A=A, B=B, r=r, alpha=alpha, mask=mask, scheme=scheme.name,
+                           kind=kind, layer=layer, expert=expert)
         model.registry.add(f"{name}.adapter.A", A, trainable=False)
         model.registry.add(f"{name}.adapter.B", B, trainable=False)
         if pair.mask is not None:
@@ -164,20 +161,19 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
 
 
 def set_trainability(model, scheme: Scheme):
-    """Freeze the base model; open adapter params according to the scheme."""
+    """Freeze the base model; open each pair's adapter params according to
+    the scheme attach gave it, which `scheme` must name."""
+    for target, pair in model.adapters.items():
+        if pair.scheme != scheme.name:
+            raise InvariantViolation(
+                f"adapter on {target} was attached as {pair.scheme}, not {scheme.name}")
     reg = model.registry
     for name, _ in reg.items():
         reg.set_trainable(name, False)
     for target, pair in model.adapters.items():
-        if scheme.name == "lora":
+        if pair.scheme == "lora":
             reg.set_trainable(f"{target}.adapter.A", True)
-            pair.a_frozen = False
-        else:
-            pair.a_frozen = True
-        b_name = f"{target}.adapter.B"
-        reg.set_trainable(b_name, True)
-        if scheme.name == "lori_s":
-            if pair.mask is None:
-                raise ConfigError(f"lori_s adapter on {target} has no mask")
-            reg.set_mask(b_name, pair.mask)
+        reg.set_trainable(f"{target}.adapter.B", True)
+        if pair.mask is not None:
+            reg.set_mask(f"{target}.adapter.B", pair.mask)
     return reg

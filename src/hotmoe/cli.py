@@ -26,8 +26,8 @@ import numpy as np
 from .accounting import adapter_flops, exec_counters
 from .checkpoint import load_checkpoint
 from .config import FullConfig, apply_overrides, load_config, write_resolved
-from .errors import (ConfigError, HotmoeError, IoError, NumericalError,
-                     silence_stdout, write_file)
+from .errors import (ConfigError, HotmoeError, InvariantViolation, IoError,
+                     NumericalError, silence_stdout, write_file)
 from .gradcheck import finite_diff_check
 from .model import MoEModel, pretrain_base
 from .pipeline import (ABLATION_AXES, ablate, ablation_runs, build_plan,
@@ -65,9 +65,10 @@ def _load_full(args) -> tuple[FullConfig, list[str], dict[str, np.ndarray] | Non
     if path is None:
         return full, applied, None
     state = load_checkpoint(path)
-    problem = MoEModel(full.model, seed=0).registry.mismatch(state)
-    if problem is not None:
-        raise ConfigError(f"--base {path} does not fit [model]: {problem}")
+    try:
+        MoEModel(full.model, 0, state=state)
+    except InvariantViolation as e:
+        raise ConfigError(f"--base {path} does not fit [model]: {e}") from e
     for name, arr in state.items():
         if not np.isfinite(arr).all():
             raise ConfigError(f"--base {path} holds a non-finite value in {name}")

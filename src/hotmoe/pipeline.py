@@ -5,8 +5,8 @@ seeded subset of the task, whose profile records which routed experts
 fire over the whole trajectory. That profile drives hot expert selection;
 the warm model itself is discarded. Fine-tuning then attaches fresh
 zero-update adapters per the chosen scheme and plan on an unmodified base
-copy. Frozen base weights are hashed before and after every fine-tune,
-so any drift in cold experts (or anything else frozen) is a hard error,
+copy. Frozen weights are hashed before and after every fine-tune, so any
+drift in cold experts (or anything else frozen) is a hard error,
 not a silent accuracy bug. run_end_to_end, ablate and cross_task_matrix
 all run this warm-up -> plan -> fine-tune path on a Grid.
 """
@@ -93,13 +93,9 @@ def clone_model(cfg: ModelConfig, base_state: dict[str, np.ndarray]) -> MoEModel
 
 
 def frozen_param_hashes(model: MoEModel) -> dict[str, str]:
-    """SHA-256 of every frozen non-adapter tensor, keyed by name."""
-    out = {}
-    for name, entry in model.registry.items():
-        if ".adapter." in name or entry.trainable:
-            continue
-        out[name] = hashlib.sha256(entry.tensor.data.tobytes()).hexdigest()
-    return out
+    """SHA-256 of every frozen tensor, adapter A and M included, keyed by name."""
+    return {name: hashlib.sha256(entry.tensor.data.tobytes()).hexdigest()
+            for name, entry in model.registry.items() if not entry.trainable}
 
 
 def check_frozen_integrity(model: MoEModel, before: dict[str, str]) -> None:

@@ -23,6 +23,13 @@ class ParamEntry:
     trainable: bool
     mask: np.ndarray | None = None  # bool, True = coordinate may update
 
+    @property
+    def n_trainable(self) -> int:
+        """Coordinates the optimizer may update."""
+        if not self.trainable:
+            return 0
+        return int(self.mask.sum()) if self.mask is not None else self.tensor.size
+
 
 class ParamRegistry:
     def __init__(self) -> None:
@@ -77,31 +84,23 @@ class ParamRegistry:
         return sum(e.tensor.size for e in self._entries.values())
 
     def n_trainable(self) -> int:
-        total = 0
-        for entry in self._entries.values():
-            if not entry.trainable:
-                continue
-            total += int(entry.mask.sum()) if entry.mask is not None else entry.tensor.size
-        return total
+        return sum(e.n_trainable for e in self._entries.values())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of every tensor, in registry order."""
         return {n: e.tensor.data.copy() for n, e in self._entries.items()}
 
-    def mismatch(self, state: dict[str, np.ndarray]) -> str | None:
-        """The first name or shape in which `state` differs from this registry."""
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy state into the tensors; it must hold exactly this registry's
+        names and shapes, or nothing is loaded."""
         for name, arr in state.items():
             if name not in self._entries:
-                return f"unknown parameter in state: {name}"
+                raise InvariantViolation(f"unknown parameter in state: {name}")
             if arr.shape != self._entries[name].tensor.shape:
-                return (f"state shape {arr.shape} != param shape "
-                        f"{self._entries[name].tensor.shape} for {name}")
+                raise InvariantViolation(f"state shape {arr.shape} != param shape "
+                                         f"{self._entries[name].tensor.shape} for {name}")
         missing = [n for n in self._entries if n not in state]
-        return f"state missing parameters: {missing[:4]}" if missing else None
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        problem = self.mismatch(state)
-        if problem is not None:
-            raise InvariantViolation(problem)
+        if missing:
+            raise InvariantViolation(f"state missing parameters: {missing[:4]}")
         for name, arr in state.items():
             self._entries[name].tensor.data = np.asarray(arr, dtype=np.float64).copy()

@@ -78,11 +78,7 @@ class Dataset:
         return [hashlib.sha256(row.tobytes()).hexdigest() for row in self.tokens]
 
 
-@dataclass
-class Batch:
-    tokens: np.ndarray
-    targets: np.ndarray
-    loss_mask: np.ndarray
+Batch = Dataset  # a batch is a few rows of a Dataset
 
 
 def _pack(rows: list[list[int]], answer_starts: list[int]) -> Dataset:

@@ -245,7 +245,7 @@ class TestTrainability:
                 assert not entry.trainable
             if name.endswith(".adapter.B"):
                 assert entry.trainable and entry.mask is None
-        assert all(pair.a_frozen for pair in model.adapters.values())
+        assert all(pair.scheme == "lori_d" for pair in model.adapters.values())
 
     def test_lori_s_masked_count_closed_form(self):
         scheme = Scheme("lori_s", rho=0.1)
@@ -257,6 +257,20 @@ class TestTrainability:
         expect = sum(int(np.ceil(0.1 * pair.B.size))
                      for pair in model.adapters.values())
         assert reg.n_trainable() == expect
+
+    @pytest.mark.parametrize("attached, given", [("lora", "lori_d"), ("lori_d", "lora"),
+                                                 ("lori_d", "lori_s"), ("lori_s", "lori_d")])
+    def test_set_trainability_refuses_another_scheme(self, attached, given):
+        # a pair keeps the scheme attach gave it; training it under another
+        # would relabel its parameter count, so nothing is changed
+        ref = self.make_adapted(Scheme("lora"))
+        masks = {name: build_mask(RNG.normal(size=pair.B.shape), 0.1)
+                 for name, pair in ref.adapters.items()}
+        model = self.make_adapted(Scheme(attached), masks=masks)
+        before = [(n, e.trainable) for n, e in model.registry.items()]
+        with pytest.raises(InvariantViolation, match=f"attached as {attached}, not {given}"):
+            set_trainability(model, Scheme(given))
+        assert [(n, e.trainable) for n, e in model.registry.items()] == before
 
     def test_lori_s_requires_masks(self):
         with pytest.raises(ConfigError):

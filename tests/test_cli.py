@@ -176,6 +176,28 @@ def test_run_pretrains_like_pretrain(tmp_path):
             == (tmp_path / "b" / "base.ckpt").read_bytes())
 
 
+@pytest.mark.parametrize("args", [
+    ["profile", "--set", "run.warmup_forward_only=true"],
+    ["flops", "--set", "run.experts=all"],
+    ["run", "--set", "run.epochs=1"],
+], ids=["profile", "flops", "run"])
+def test_base_commands_draw_no_random_init(args, base_dir, monkeypatch):
+    # --base is checked against [model] by loading it into a model built
+    # from the state, and every later copy is built from the state too
+    init = MoEModel.__init__
+    draws = []
+
+    def counting(self, config, seed, state=None):
+        if state is None:
+            draws.append(seed)
+        init(self, config, seed, state)
+
+    monkeypatch.setattr(MoEModel, "__init__", counting)
+    assert main(args[:1] + ["--config", CFG, "--base", str(base_dir / "base.ckpt")]
+                + args[1:]) == 0
+    assert draws == []
+
+
 def test_ablate_rejects_unknown_axis(base_dir, capsys):
     code = main(["ablate", "--config", CFG, "--base",
                  str(base_dir / "base.ckpt"), "--axes", "dropout"])

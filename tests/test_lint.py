@@ -1,6 +1,7 @@
 """Static checks on the library source: no unused imports, no dead
 definitions, no test-only definitions, no filesystem access outside
-errors.py, no assert statements and no **kwargs parameters in src/hotmoe.
+errors.py, no assert statements, no **kwargs parameters and no adapter
+registry names outside adapters.py in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -14,7 +15,9 @@ write_file are the package's only file access, so that every OSError
 becomes an IoError in one place. python -O strips assert statements, so
 an invariant raises InvariantViolation instead. A **kwargs parameter
 passes on arguments its signature does not name, so every parameter of a
-library function is spelled out.
+library function is spelled out. adapters.py registers each adapter's
+tensors as `<target>.adapter.{A,B,M}`; every other module reaches them
+through the AdapterPair that owns them, never by parsing names.
 """
 
 import ast
@@ -220,3 +223,21 @@ def test_var_keyword_checker_hand_case():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_var_keyword_parameters(path):
     assert var_keyword_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def adapter_name_users(library: dict[str, str]) -> list[str]:
+    """Modules other than adapters.py whose text contains ".adapter."."""
+    return sorted(name for name, source in library.items()
+                  if name != "adapters.py" and ".adapter." in source)
+
+
+def test_adapter_name_checker_hand_case():
+    library = {"adapters.py": 'reg.add(f"{target}.adapter.A", A)\n',
+               "accounting.py": 'if ".adapter." in name:\n    pass\n',
+               "model.py": "from .adapters import adapted_forward\n",
+               "pipeline.py": "# frozen .adapter.M tensors are hashed\n"}
+    assert adapter_name_users(library) == ["accounting.py", "pipeline.py"]
+
+
+def test_only_adapters_names_adapter_entries():
+    assert adapter_name_users(_library()) == []

@@ -290,6 +290,31 @@ def test_integrity_check_catches_mutation(base):
         check_frozen_integrity(model, before)
 
 
+@pytest.mark.parametrize("scheme, entry", [("lori_d", "A"), ("lori_s", "A"),
+                                           ("lori_s", "M")])
+def test_finetune_checks_frozen_adapter_tensors(base, modadd, monkeypatch,
+                                                scheme, entry):
+    # a frozen A and the mask M are frozen registry tensors like the base,
+    # so a step that moves one is caught by the same hash check
+    cfg, state = base
+    train, _ = modadd
+    plan = plan_for(cfg, state, train)
+    run = tiny_run(scheme=scheme, rho=0.25)
+    donor, _ = finetune(cfg, state, train, {}, plan,
+                        replace(run, scheme="lori_d", epochs=0))
+    masks = masks_from_donor(donor, run.rho) if scheme == "lori_s" else None
+    target = f"layer0.router.w.adapter.{entry}"
+    step = Adam.step
+
+    def leaky_step(self):
+        step(self)
+        self.registry[target].tensor.data[0, 0] += 1.0
+
+    monkeypatch.setattr(Adam, "step", leaky_step)
+    with pytest.raises(InvariantViolation, match=f"frozen parameter {target} changed"):
+        finetune(cfg, state, train, {}, plan, run, masks=masks)
+
+
 def test_finetune_lori_s_trains_donor_masks(base, modadd):
     # without masks, lori_s trains under masks_from_donor of a lori_d
     # fine-tune with the same run and plan
