@@ -30,11 +30,11 @@ from .errors import (ConfigError, HotmoeError, InvariantViolation, IoError,
                      NumericalError, silence_stdout, write_file)
 from .gradcheck import finite_diff_check
 from .model import MoEModel, pretrain_base
-from .pipeline import (ABLATION_AXES, ablate, ablation_runs, build_plan,
-                       check_axes, cross_task_matrix, finetune, run_end_to_end,
-                       run_warmup, target_splits, write_rows_csv)
-from .profiler import (ActivationProfile, PlacementPlan, export_heatmap,
-                       load_heatmap, load_plan, save_plan)
+from .pipeline import (ablate, ablation_runs, build_plan, cross_task_matrix,
+                       finetune, run_end_to_end, run_warmup, target_splits,
+                       write_rows_csv)
+from .profiler import (STRATEGIES, ActivationProfile, PlacementPlan,
+                       export_heatmap, load_heatmap, load_plan, save_plan)
 from .tasks import Batch, make_task
 
 EXIT_CODES = {
@@ -189,6 +189,29 @@ def cmd_run(args) -> int:
     return 0
 
 
+TARGET_CHOICES = {
+    "attention_only": dict(attention=True, gate=False, experts="none"),
+    "gate_only": dict(attention=False, gate=True, experts="none"),
+    "experts_only": dict(attention=False, gate=False, experts="plan"),
+    "all_kinds": dict(attention=True, gate=True, experts="plan"),
+}
+
+# axis -> its values for a model config
+ABLATION_AXES = {
+    "strategy": lambda cfg: list(STRATEGIES),
+    "plan_k": lambda cfg: [1 << i for i in range(cfg.n_experts.bit_length())],
+    "warmup_pct": lambda cfg: [5.0, 10.0, 25.0, 50.0, 100.0],
+    "targets": lambda cfg: list(TARGET_CHOICES),
+}
+
+
+def axis_arms(cfg, axes: list[str]) -> dict[str, dict]:
+    """Arms named axis=value, one per value of each axis, in axis order."""
+    return {f"{axis}={value}": TARGET_CHOICES[value] if axis == "targets"
+            else {axis: value}
+            for axis in axes for value in ABLATION_AXES[axis](cfg)}
+
+
 def cmd_ablate(args) -> int:
     seeds = None
     if args.seeds:
@@ -202,14 +225,16 @@ def cmd_ablate(args) -> int:
     names = [a.strip() for a in args.axes.split(",") if a.strip()]
     if not names:
         raise ConfigError("ablate needs --axes with at least one axis")
-    check_axes(names)
+    for i, axis in enumerate(names):
+        if axis not in ABLATION_AXES or axis in names[:i]:
+            raise ConfigError(f"unknown or repeated ablation axis: {axis}")
     full, applied, state = _load_base(args)
-    axes = dict.fromkeys(names)
-    for *_, run in ablation_runs(full.model, full.run, axes, seeds):
+    arms = axis_arms(full.model, names)
+    for _, run in ablation_runs(full.run, arms, seeds):
         replace(full, run=run)          # FullConfig checks every row
     out = _prep_out(args, full, applied)
     rows = ablate(full.model, full.task.specs(), full.task.target, state,
-                  full.run, axes=axes, seeds=seeds, out_dir=out)
+                  full.run, arms, seeds, out_dir=out)
     n_summary = sum(1 for r in rows if r["seed"] == "summary")
     print(f"ablate axes={','.join(names)} rows={len(rows) - n_summary} "
           f"summaries={n_summary}")
@@ -349,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, base=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("ablate", help="one-knob sweeps around the configured run")
+    p = sub.add_parser("ablate", help="axis=value arms around the configured run")
     common(p, base=True)
     p.add_argument("--axes", default="strategy",
                    help=f"comma list: {','.join(ABLATION_AXES)}")

@@ -17,7 +17,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -183,9 +183,6 @@ class TrainReport:
     steps: int
     profile: ActivationProfile     # routing of every training step, PAD skipped
 
-    def delta(self, task: str) -> float:
-        return self.acc_after[task] - self.acc_before[task]
-
     def format(self) -> str:
         lines = [f"scheme={self.scheme} strategy={self.strategy} steps={self.steps}"]
         for task in sorted(self.acc_before):
@@ -218,13 +215,13 @@ def finetune(cfg: ModelConfig, base_state: dict[str, np.ndarray], train: Dataset
                                           replace(run, scheme="lori_d"))[0],
                                  run.rho)
     model = clone_model(replace(cfg, lb_weight=0.0), base_state)
+    # zero-init adapters leave every logit bitwise unchanged (ac09)
+    acc_before = {k: evaluate(model.logits_fn(), ds) for k, ds in evals.items()}
     scheme = Scheme(run.scheme, run.rho)
     attach(model, run.target_set(), plan, scheme, r=run.rank, alpha=run.alpha,
            seed=run.seed, masks=masks)
     set_trainability(model, scheme)
     frozen_before = frozen_param_hashes(model)
-
-    acc_before = {k: evaluate(model.logits_fn(), ds) for k, ds in evals.items()}
 
     opt = Adam(model.registry, run.lr)
     losses: list[float] = []
@@ -317,70 +314,44 @@ def run_end_to_end(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
 # -- ablations ---------------------------------------------------------------
 
 
-TARGET_CHOICES = {
-    "attention_only": dict(attention=True, gate=False, experts="none"),
-    "gate_only": dict(attention=False, gate=True, experts="none"),
-    "experts_only": dict(attention=False, gate=False, experts="plan"),
-    "all": dict(attention=True, gate=True, experts="plan"),
-}
-
-
-def _target_choice(value: str) -> dict:
-    if value not in TARGET_CHOICES:
-        raise ConfigError(f"unknown target choice: {value}")
-    return TARGET_CHOICES[value]
-
-
-# axis -> (its default values for a model config, the RunConfig fields a value sets)
-ABLATION_AXES = {
-    "strategy": (lambda cfg: list(STRATEGIES), lambda v: {"strategy": v}),
-    "plan_k": (lambda cfg: [1 << i for i in range(cfg.n_experts.bit_length())],
-               lambda v: {"plan_k": int(v)}),
-    "warmup_pct": (lambda cfg: [5.0, 10.0, 25.0, 50.0, 100.0],
-                   lambda v: {"warmup_pct": float(v)}),
-    "targets": (lambda cfg: list(TARGET_CHOICES), _target_choice),
-}
-
-
-def check_axes(axes: list[str]) -> None:
-    for i, axis in enumerate(axes):
-        if axis not in ABLATION_AXES or axis in axes[:i]:
-            raise ConfigError(f"unknown or repeated ablation axis: {axis}")
-
-
-def ablation_runs(cfg: ModelConfig, run: RunConfig, axes: dict[str, list | None],
-                  seeds: list[int] | None = None) -> list[tuple]:
-    """(axis, value, seed, replace(run, seed=seed, **overrides(value))) of each
-    ablation row, in order; an axis's values None means its defaults."""
-    check_axes(list(axes))
-    return [(axis, value, seed, replace(run, seed=seed, **ABLATION_AXES[axis][1](value)))
-            for axis, values in axes.items()
-            for value in (ABLATION_AXES[axis][0](cfg) if values is None else values)
+def ablation_runs(run: RunConfig, arms: dict[str, dict],
+                  seeds: list[int] | None = None) -> list[tuple[str, RunConfig]]:
+    """(arm, replace(run, seed=seed, **arms[arm])) of each ablation row, in
+    arm order, then seed order. An arm sets [run] fields other than seed."""
+    if not arms:
+        raise ConfigError("ablate needs at least one arm")
+    settable = {f.name for f in fields(RunConfig)} - {"seed"}
+    for name, overrides in arms.items():
+        if not set(overrides) <= settable:
+            raise ConfigError(f"arm {name} sets {sorted(set(overrides) - settable)}, "
+                              f"not a [run] field other than seed")
+    return [(name, replace(run, seed=seed, **overrides))
+            for name, overrides in arms.items()
             for seed in ([run.seed] if seeds is None else seeds)]
 
 
 def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
            base_state: dict[str, np.ndarray], run: RunConfig,
-           axes: dict[str, list | None], seeds: list[int] | None = None,
+           arms: dict[str, dict], seeds: list[int] | None = None,
            out_dir: str | Path | None = None) -> list[dict]:
-    """One-knob-at-a-time sweeps around the baseline run configuration.
+    """Each arm (a name and the RunConfig fields it overrides) under every seed.
 
-    Every row of ablation_runs runs on one Grid, so a warm-up is shared by
-    every row whose warmup_run is equal. warmup_pct rows also report plan
-    agreement against the p=100 plan.
+    The rows of ablation_runs run on one Grid, so rows with equal warmup_run
+    share a warm-up. An arm that sets warmup_pct also reports plan agreement
+    against the same row's plan at warmup_pct 100.
     """
     grid = Grid(cfg, specs, base_state)
     rows: list[dict] = []
-    for axis, value, seed, r in ablation_runs(cfg, run, axes, seeds):
+    for name, r in ablation_runs(run, arms, seeds):
         rep = grid.run(target_kind, r).report
-        row = {"axis": axis, "value": str(value), "seed": seed, "task": target_kind}
-        if axis == "warmup_pct" and rep.plan is not None:
+        row = {"arm": name, "seed": r.seed, "task": target_kind}
+        if "warmup_pct" in arms[name] and rep.plan is not None:
             _, full = grid.plan(target_kind, replace(r, warmup_pct=100.0))
             row["jaccard_vs_full"] = jaccard(rep.plan, full)[1]
             row["coverage_pct"] = coverage(rep.plan, full)
         row.update(acc_before=rep.acc_before[target_kind],
                    acc_after=rep.acc_after[target_kind],
-                   delta=rep.delta(target_kind),
+                   delta=rep.acc_after[target_kind] - rep.acc_before[target_kind],
                    trainable=rep.params.trainable,
                    fraction=rep.params.fraction)
         if rep.flops is not None:
@@ -397,14 +368,13 @@ def ablate(cfg: ModelConfig, specs: list[TaskSpec], target_kind: str,
 
 
 def _summarize(rows: list[dict]) -> list[dict]:
-    """Mean/std of acc_after per (axis, value), emitted as summary rows."""
-    groups: dict[tuple[str, str], list[float]] = {}
+    """Mean/std of acc_after per arm, emitted as summary rows."""
+    groups: dict[str, list[float]] = {}
     for row in rows:
-        groups.setdefault((row["axis"], row["value"]), []).append(row["acc_after"])
+        groups.setdefault(row["arm"], []).append(row["acc_after"])
     out = []
-    for (axis, value), accs in groups.items():
-        out.append({"axis": axis, "value": value, "seed": "summary",
-                    "task": rows[0]["task"],
+    for arm, accs in groups.items():
+        out.append({"arm": arm, "seed": "summary", "task": rows[0]["task"],
                     "acc_after": float(np.mean(accs)),
                     "acc_std": float(np.std(accs)),
                     "n": len(accs)})

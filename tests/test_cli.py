@@ -10,7 +10,8 @@ import pytest
 
 from hotmoe import tensor as T
 from hotmoe.checkpoint import load_checkpoint, save_checkpoint
-from hotmoe.cli import main
+from hotmoe.adapters import EXPERT_MODES
+from hotmoe.cli import ABLATION_AXES, TARGET_CHOICES, axis_arms, main
 from hotmoe.config import load_config
 from hotmoe.model import MoEModel, RoutingTrace
 from hotmoe.profiler import load_heatmap, load_plan
@@ -232,10 +233,27 @@ def test_ablate_lori_s_reproducible(base_dir, tmp_path):
                      str(base_dir / "base.ckpt"), "--axes", "strategy,targets",
                      "--seeds", "0,1", "--set", "run.scheme=lori_s",
                      "--set", "run.epochs=1", "--out-dir", str(tmp_path / tag)]) == 0
-    a = (tmp_path / "a" / "ablation.csv").read_bytes()
-    assert a == (tmp_path / "b" / "ablation.csv").read_bytes()
+    for name in ("ablation.csv", "ablation.md"):
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
+    lines = (tmp_path / "a" / "ablation.csv").read_text().splitlines()
     # four strategies and four target choices at two seeds, plus summaries
-    assert len(a.decode().splitlines()) == 1 + 16 + 8
+    assert len(lines) == 1 + 16 + 8
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_axis_arm_names_are_unique(path):
+    model = load_config(path).model
+    names = [f"{axis}={value}" for axis, values in ABLATION_AXES.items()
+             for value in values(model)]
+    assert len(set(names)) == len(names)
+    assert list(axis_arms(model, list(ABLATION_AXES))) == names
+
+
+def test_target_choice_names_are_not_expert_modes():
+    # targets=all would read as experts=all
+    assert not set(TARGET_CHOICES) & set(EXPERT_MODES)
 
 
 def test_crosstask_reproducible(base_dir, tmp_path, capsys):
@@ -521,6 +539,8 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["report", "--set", "run.rank=9", "--set", "run.gate=false",
      "--set", "run.warmup_forward_only=true"],
     ["ablate", "--base", "BASE", "--set", "task.train_size=8", "--axes", "warmup_pct"],
+    ["ablate", "--base", "BASE", "--axes", "targets", "--set", "run.gate=false",
+     "--set", "run.warmup_forward_only=true", "--set", "run.rank=5"],
     ["report", "--set", "model.lb_mode=global"],
     ["report", "--set", "run.lb_during_finetune=true"],
     ["profile", "--base", "BASENAN", "--set", "run.warmup_forward_only=true"],
@@ -537,7 +557,8 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "finetune-base-n-experts", "run-base-n-experts", "run-base-d-ff",
         "crosstask-base-d-ff", "plan-heatmap-misfit", "warmup-subset-empty",
         "rank-above-gate", "rank-above-trained-warmup-gate", "rank-above-d-model",
-        "ablate-row-warmup-subset", "lb-mode-unknown", "lb-during-finetune-unknown",
+        "ablate-row-warmup-subset", "ablate-arm-rank-above-gate",
+        "lb-mode-unknown", "lb-during-finetune-unknown",
         "profile-base-nan", "flops-base-nan", "run-base-nan", "plan-heatmap-negative",
         "finetune-plan-bogus-strategy"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from hotmoe import pipeline
 from hotmoe.adapters import build_mask
+from hotmoe.cli import TARGET_CHOICES, axis_arms
 from hotmoe.errors import ConfigError, InvariantViolation, NumericalError
 from hotmoe.accounting import adapter_flops, exec_counters
 from hotmoe.model import ModelConfig, MoEModel, RoutingTrace
@@ -166,6 +167,26 @@ def test_finetune_zero_epochs_is_identity(base, modadd):
     assert rep.flops is None
     base_acc = evaluate(clone_model(cfg, state).logits_fn(), test)
     assert rep.acc_before["mod_add"] == base_acc
+
+
+@pytest.mark.parametrize("scheme", ["lora", "lori_s"])
+def test_acc_before_evaluates_the_bare_base(base, modadd, scheme, monkeypatch):
+    # every acc_before decode runs on a model with no adapters attached
+    cfg, state = base
+    train, test = modadd
+    seen = []
+    logits_fn = MoEModel.logits_fn
+
+    def recording(self):
+        seen.append(len(self.adapters))
+        return logits_fn(self)
+
+    monkeypatch.setattr(MoEModel, "logits_fn", recording)
+    evals = {"mod_add": test, "again": test}
+    finetune(cfg, state, train, evals, None,
+             tiny_run(epochs=1, scheme=scheme, experts="all"))
+    assert seen[:2] == [0, 0]
+    assert len(seen) == 4 and all(seen[2:])
 
 
 def test_finetune_nan_base_raises_numerical(base, modadd):
@@ -577,48 +598,56 @@ def test_cross_task_matrix_builds_each_split_once(base, monkeypatch):
 
 # -------------------------------------------------------------- ablations
 
-def test_ablate_rejects_unknown_axis(base):
+def test_ablate_rejects_unknown_field_and_empty_arms(base, monkeypatch):
     cfg, state = base
-    with pytest.raises(ConfigError):
-        ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(),
-               axes={"rank": [2, 4]})
+    ran = []
+    monkeypatch.setattr(pipeline, "finetune", lambda *a, **k: ran.append(a))
+    for arms in ({"plan_k=1": {"plan_k": 1}, "dropout=0.1": {"dropout": 0.1}},
+                 {"seed=3": {"seed": 3}}, {}):
+        with pytest.raises(ConfigError):
+            ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(), arms)
+    assert ran == []
 
 
 def test_ablate_plan_k_axis_rows_and_summary(base, tmp_path):
     cfg, state = base
-    rows = ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=1),
-                  axes={"plan_k": [1, 2]}, out_dir=tmp_path)
+    arms = {"plan_k=1": {"plan_k": 1}, "plan_k=2": {"plan_k": 2}}
+    rows = ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=1), arms,
+                  out_dir=tmp_path)
     value_rows = [r for r in rows if r["seed"] != "summary"]
     summaries = [r for r in rows if r["seed"] == "summary"]
-    assert len(value_rows) == 2 and len(summaries) == 2
-    assert {r["value"] for r in value_rows} == {"1", "2"}
+    assert [r["arm"] for r in value_rows] == [r["arm"] for r in summaries] == list(arms)
     for r in value_rows:
         assert "acc_after" in r and "hit_rate" in r
-    assert (tmp_path / "ablation.csv").exists()
+    assert (tmp_path / "ablation.csv").read_text().startswith("arm,seed,task,")
     assert (tmp_path / "ablation.md").exists()
 
 
 def test_ablate_warmup_axis_reports_plan_agreement(base):
     cfg, state = base
     rows = ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=1),
-                  axes={"warmup_pct": [5.0, 100.0]})
-    low, row = [r for r in rows if r["seed"] != "summary"]
+                  {"warmup_pct=5.0": {"warmup_pct": 5.0},
+                   "warmup_pct=100.0": {"warmup_pct": 100.0},
+                   "plan_k=1": {"plan_k": 1}})
+    low, row, other = [r for r in rows if r["seed"] != "summary"]
     # p=100 against the p=100 reference plan must agree perfectly
     assert row["jaccard_vs_full"] == 1.0
     assert row["coverage_pct"] == 100.0
     # at this base the p=5 plan differs from the p=100 one in a third of a layer
     assert low["jaccard_vs_full"] == pytest.approx(2 / 3)
     assert low["coverage_pct"] == 75.0
+    # an arm that leaves warmup_pct alone reports no agreement
+    assert not {"jaccard_vs_full", "coverage_pct"} & set(other)
 
 
 def test_ablate_targets_axis(base):
     cfg, state = base
     rows = ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=1),
-                  axes={"targets": ["attention_only", "all"]})
-    by_value = {r["value"]: r for r in rows if r["seed"] != "summary"}
-    assert "hit_rate" not in by_value["attention_only"]
-    assert "hit_rate" in by_value["all"]
-    assert by_value["attention_only"]["trainable"] < by_value["all"]["trainable"]
+                  {name: TARGET_CHOICES[name] for name in ("attention_only", "all_kinds")})
+    by_arm = {r["arm"]: r for r in rows if r["seed"] != "summary"}
+    assert "hit_rate" not in by_arm["attention_only"]
+    assert "hit_rate" in by_arm["all_kinds"]
+    assert by_arm["attention_only"]["trainable"] < by_arm["all_kinds"]["trainable"]
 
 
 @pytest.mark.parametrize("axis,values", [("plan_k", [1, 2]),
@@ -626,11 +655,14 @@ def test_ablate_targets_axis(base):
                                          ("warmup_pct", [50.0])])
 def test_ablate_random_strategy_on_every_axis(base, axis, values):
     cfg, state = base
+    names = [f"{axis}={v}" for v in values]
+    generated = axis_arms(cfg, [axis])
+    arms = {name: generated[name] for name in names}
     rows = ablate(cfg, tiny_specs(), "mod_add", state,
-                  tiny_run(epochs=1, strategy="random"), axes={axis: values})
+                  tiny_run(epochs=1, strategy="random"), arms)
     value_rows = [r for r in rows if r["seed"] != "summary"]
-    assert [r["value"] for r in value_rows] == [str(v) for v in values]
-    assert all("hit_rate" in r for r in value_rows if r["value"] != "gate_only")
+    assert [r["arm"] for r in value_rows] == names
+    assert all("hit_rate" in r for r in value_rows if r["arm"] != "targets=gate_only")
 
 
 def test_ablate_warms_up_once_per_seed_and_fraction(base, monkeypatch):
@@ -643,37 +675,47 @@ def test_ablate_warms_up_once_per_seed_and_fraction(base, monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_warmup", counting)
     ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=0),
-           axes={"strategy": ["layer_hot", "cold"],
-                 "warmup_pct": [25.0, 50.0, 100.0]}, seeds=[0, 1])
+           {**{f"strategy={s}": {"strategy": s} for s in ("layer_hot", "cold")},
+            **{f"warmup_pct={p}": {"warmup_pct": p} for p in (25.0, 50.0, 100.0)}},
+           seeds=[0, 1])
     assert sorted(calls) == [(s, p) for s in (0, 1) for p in (25.0, 50.0, 100.0)]
     # without a plan there is nothing to warm up for, and no plan columns
     calls.clear()
     rows = ablate(cfg, tiny_specs(), "mod_add", state,
                   tiny_run(epochs=1, experts="all"),
-                  axes={"strategy": ["layer_hot"], "warmup_pct": [50.0]})
+                  {"strategy=layer_hot": {"strategy": "layer_hot"},
+                   "warmup_pct=50.0": {"warmup_pct": 50.0}})
     assert calls == []
     for row in rows:
         assert not {"hit_rate", "jaccard_vs_full", "coverage_pct"} & set(row)
 
 
-def test_ablate_plan_k_row_matches_run_end_to_end(base):
+def _assert_arm_row_matches_run_end_to_end(base, overrides):
     cfg, state = base
     for scheme in ("lora", "lori_s"):
         run = tiny_run(epochs=1, scheme=scheme)
-        row = ablate(cfg, tiny_specs(), "mod_add", state, run,
-                     axes={"plan_k": [1]})[0]
+        row = ablate(cfg, tiny_specs(), "mod_add", state, run, {"arm": overrides})[0]
         rep = run_end_to_end(cfg, tiny_specs(), "mod_add", state,
-                             replace(run, plan_k=1)).report
+                             replace(run, **overrides)).report
         assert row["acc_after"] == rep.acc_after["mod_add"], scheme
         assert row["trainable"] == rep.params.trainable, scheme
         assert row["reduction_pct"] == rep.flops.reduction_pct, scheme
-        assert row["hit_rate"] == rep.hit_rate, scheme
+        assert row.get("hit_rate") == rep.hit_rate, scheme
+
+
+def test_ablate_plan_k_row_matches_run_end_to_end(base):
+    _assert_arm_row_matches_run_end_to_end(base, {"plan_k": 1})
+
+
+def test_ablate_multi_field_arm_matches_run_end_to_end(base):
+    # LoRA on every expert at rank 1: the budget-matched baseline arm
+    _assert_arm_row_matches_run_end_to_end(base, {"experts": "all", "rank": 1})
 
 
 def test_ablate_multi_seed_summary_stats(base):
     cfg, state = base
     rows = ablate(cfg, tiny_specs(), "mod_add", state, tiny_run(epochs=1),
-                  axes={"strategy": ["layer_hot"]}, seeds=[0, 1])
+                  {"strategy=layer_hot": {"strategy": "layer_hot"}}, seeds=[0, 1])
     summaries = [r for r in rows if r["seed"] == "summary"]
     assert len(summaries) == 1
     assert summaries[0]["n"] == 2
