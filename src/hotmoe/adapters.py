@@ -1,4 +1,4 @@
-"""Low-rank adapter schemes and their attachment to model weight targets.
+"""Low-rank adapter schemes, their arithmetic, and their attachment to targets.
 
 Three schemes over the same (A, B) pair shape:
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 SCHEME_NAMES = ("lora", "lori_d", "lori_s")
 EXPERT_MODES = ("all", "plan", "none")
@@ -80,10 +80,33 @@ class AdapterPair:
         return self.alpha / self.r
 
 
-def adapted_forward(x: Tensor, W: Tensor, pair: AdapterPair) -> Tensor:
-    base = x @ W
-    b_eff = pair.B if pair.mask_f is None else pair.B * pair.mask_f
-    return base + ((x @ pair.A) @ b_eff) * pair.scale
+def _b_eff(pair: AdapterPair) -> np.ndarray:
+    return pair.B.data if pair.mask_f is None else pair.B.data * pair.mask_f.data
+
+
+def adapted_forward(inp: np.ndarray, pair: AdapterPair, out: np.ndarray) -> np.ndarray:
+    """Add the adapter term s * (inp A)(B * M) into out, which holds inp @ W,
+    and return inp A for adapted_backward."""
+    xa = inp @ pair.A.data
+    out += (xa @ _b_eff(pair)) * pair.scale
+    return xa
+
+
+def adapted_backward(g_out: np.ndarray, inp: np.ndarray, pair: AdapterPair,
+                     xa: np.ndarray, want_in: bool, grads: dict) -> np.ndarray | None:
+    """Backward of adapted_forward for out's gradient g_out: put the
+    gradients of A and B that require one into grads, by id (B's times the
+    mask), and, if want_in, return the adapter's term of inp's gradient."""
+    g_t = g_out * pair.scale
+    if pair.B.requires_grad:
+        g_b = _unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
+        grads[id(pair.B)] = g_b if pair.mask_f is None else g_b * pair.mask_f.data
+    if not (want_in or pair.A.requires_grad):
+        return None
+    g_xa = g_t @ _b_eff(pair).swapaxes(-1, -2)
+    if pair.A.requires_grad:
+        grads[id(pair.A)] = _unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape)
+    return g_xa @ pair.A.data.swapaxes(-1, -2) if want_in else None
 
 
 def build_mask(b_ref: np.ndarray, rho: float) -> np.ndarray:

@@ -164,6 +164,8 @@ def load_config(path: str | Path | None) -> FullConfig:
                          source=str(path))
     except (UnicodeDecodeError, configparser.Error) as e:
         raise ConfigError(f"cannot parse config {path}: {e}") from e
+    if parser.defaults():   # items(section) would mix its keys into every section
+        raise ConfigError("unknown config section: [DEFAULT]")
     pairs = {}
     for section in parser.sections():
         # checked here too: a section with no keys gives apply_overrides no pair

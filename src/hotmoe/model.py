@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .adapters import AdapterPair, adapted_forward
+from .adapters import AdapterPair, adapted_backward, adapted_forward
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, InvariantViolation
 from .optim import Adam
@@ -205,24 +205,12 @@ def rmsnorm(x: Tensor) -> Tensor:
     return _one_node(xn, [(x, "x*scale"), (x, "x*x a"), (x, "x*x b")], backward)
 
 
-# One routed expert: (w_up, w_down, adapter on w_up or None, adapter on w_down or None).
-Expert = tuple[Tensor, Tensor, AdapterPair | None, AdapterPair | None]
-
-
-def _b_eff(pair: AdapterPair) -> np.ndarray:
-    return pair.B.data if pair.mask_f is None else pair.B.data * pair.mask_f.data
-
-
 def _project(inp: np.ndarray, W: Tensor, pair: AdapterPair | None,
              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """inp @ W plus the adapter term in adapted_forward's order, and inp @ A.
-    With out, the sum is written into it."""
+    """inp @ W plus the adapter term (adapted_forward) where pair is set,
+    and inp @ A. With out, the sum is written into it."""
     out = np.matmul(inp, W.data, out=out)
-    if pair is None:
-        return out, None
-    xa = inp @ pair.A.data
-    out += (xa @ _b_eff(pair)) * pair.scale
-    return out, xa
+    return out, None if pair is None else adapted_forward(inp, pair, out)
 
 
 def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
@@ -230,29 +218,17 @@ def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
                    want_in: bool, grads: dict,
                    out: np.ndarray | None = None) -> list[np.ndarray]:
     """Backward of _project: put the gradients of W, A and B that require
-    one into grads (B's times the mask) and, if want_in, return inp's
-    gradient terms, the base term first and the adapter term second, as
-    the tape added them; with out, the base term is written into it. A
-    weight's gradient from a batched inp is summed over the batch axes,
-    as matmul's backward does."""
+    one into grads (A's and B's by adapted_backward) and, if want_in,
+    return inp's gradient terms, the base term first and the adapter term
+    second, as the tape added them; with out, the base term is written
+    into it. W's gradient is summed over inp's batch axes, as matmul's."""
     terms = []
     if W.requires_grad:
         grads[id(W)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_out, W.shape)
     if want_in:
         terms.append(np.matmul(g_out, W.data.swapaxes(-1, -2), out=out))
-    if pair is None:
-        return terms
-    g_t = g_out * pair.scale
-    if pair.B.requires_grad:
-        g_b = T._unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
-        grads[id(pair.B)] = g_b if pair.mask_f is None else g_b * pair.mask_f.data
-    if want_in or pair.A.requires_grad:
-        g_xa = g_t @ _b_eff(pair).swapaxes(-1, -2)
-        if pair.A.requires_grad:
-            grads[id(pair.A)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape)
-        if want_in:
-            terms.append(g_xa @ pair.A.data.swapaxes(-1, -2))
-    return terms
+    g_in = None if pair is None else adapted_backward(g_out, inp, pair, xa, want_in, grads)
+    return terms if g_in is None else terms + [g_in]
 
 
 def _one_node(out: np.ndarray, parents: list[tuple[Tensor, object]],
@@ -276,6 +252,8 @@ def _one_node(out: np.ndarray, parents: list[tuple[Tensor, object]],
 
 # A projection: its weight and the weight's adapter or None.
 Projection = tuple[Tensor, AdapterPair | None]
+# An expert: its up and its down projection.
+Expert = tuple[Projection, Projection]
 
 
 def route(x: Tensor, router: Projection, k_route: int,
@@ -295,10 +273,9 @@ def route(x: Tensor, router: Projection, k_route: int,
     this node replaces (projection, take_along_last, softmax, and softmax
     then tmean for P), and x is listed once per term that graph added into
     its gradient (the projection, then the gate adapter), so outputs and
-    gradients are bitwise equal to it. The bank that consumes w stays its
-    own node: with shared experts and P in the loss, the tape adds the last
-    layer's shared-expert gradient into x between the bank's and the
-    router's, which no single node could reproduce.
+    gradients are bitwise equal to it. The bank that consumes w, shared
+    experts included, is its own node (routed_experts): a routing pass
+    runs the router of the last layer without it.
     """
     W, gate = router
     xd = x.data
@@ -343,12 +320,11 @@ def route(x: Tensor, router: Projection, k_route: int,
     return w, trace
 
 
-def _slot_sum(slot_rows: np.ndarray, cols: np.ndarray,
+def _slot_sum(out: np.ndarray, slot_rows: np.ndarray, cols: np.ndarray,
               ws: np.ndarray | None = None) -> np.ndarray:
-    """Per token, the sum of its slots' rows (times ws) into zeros, in
+    """Per token, the sum of its slots' rows (times ws) into out, in
     ascending expert order, as the per-expert index-adds summed them;
     cols[j] holds each token's j-th slot."""
-    out = np.zeros((cols.shape[1], slot_rows.shape[1]))
     for col in cols:
         term = slot_rows[col]
         if ws is not None:
@@ -357,55 +333,67 @@ def _slot_sum(slot_rows: np.ndarray, cols: np.ndarray,
     return out
 
 
-def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
-                   experts: list[Expert]) -> Tensor:
-    """Grouped, dropless top-k expert bank as one tape node.
+def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray, experts: list[Expert],
+                   shared: list[Expert] = ()) -> Tensor:
+    """Grouped, dropless top-k expert bank with the shared experts, as one node.
 
-    y[t] = sum over slots j of mix_w[t, j] * E_{idx[t, j]}(x[t]) for x
-    (tokens, d), with E_e(x) = gelu(x W_up) W_down and each projection
-    adapted as in adapted_forward where the expert has an adapter. Token
-    slots are sorted by expert once (stable, so an expert's rows keep
-    ascending order) and each expert runs its 2-D matmuls and adapter
-    terms on its contiguous block, writing into it; gelu runs once over
-    all blocks. The weighted combine of the forward and the input-gradient
-    scatter of the backward run once per layer, as k gathered adds per
-    token in ascending expert order (_slot_sum). Every operation and every
-    accumulation runs in the order of the per-expert tape graph this node
-    replaces (gather, adapted projections, gelu, weighted index-add in
-    expert order), so outputs and gradients are bitwise equal to it, zero
-    signs included. The backward computes every parent's gradient in one
-    pass and skips the weight gradients of tensors that do not require
-    grad; an expert without tokens is no parent at all.
+    y[t] = sum over shared s of E_s(x[t]) + sum over j of mix_w[t, j] *
+    E_{idx[t, j]}(x[t]) for x (tokens, d), with E(x) = gelu(x W_up) W_down
+    and each projection adapted (adapted_forward) where it has an adapter:
+    a shared expert is a slot of every token at weight 1.0, with no mixing
+    gradient. Routed slots are sorted by expert once (stable, so an expert's
+    rows keep ascending order), each shared expert's block of every token
+    follows them, and each expert runs its 2-D matmuls and adapter terms on
+    its contiguous block, writing into it; gelu runs once over all blocks.
+    The forward's combine and the backward's input-gradient scatter add the
+    shared experts' terms first (in x's gradient each one's projection term,
+    then its adapter term, as x feeds them directly) and then, once per
+    layer, each token's routed slots in ascending expert order (_slot_sum).
+    Every operation and every accumulation runs in the order of the tape
+    graph this node replaces (shared experts added first, then per routed
+    expert: gather, adapted projections, gelu, weighted index-add), so
+    outputs and gradients are bitwise equal to it, zero signs included.
+    The backward computes every parent's gradient in one pass and skips
+    the gradients of weights that do not require grad; a routed expert
+    without tokens is no parent at all.
     """
     n_tok, k = idx.shape
     flat = idx.reshape(-1)
     order = np.argsort(flat, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(experts)))])
+    sizes = np.bincount(flat, minlength=len(experts))
     rows = order // k
-    blocks = {e: slice(bounds[e], bounds[e + 1])
-              for e in range(len(experts)) if bounds[e + 1] > bounds[e]}
     # each token's sorted slot positions, ascending, so in expert order
     at = np.empty_like(order)
     at[order] = np.arange(order.size)
     cols = np.sort(at.reshape(n_tok, k), axis=1).T
-    xs = x.data[rows]
     ws = mix_w.data.reshape(-1)[order][:, None]
-    pre = np.empty((rows.size, experts[0][0].shape[1]))
+    bank = experts + list(shared)
+    if shared:   # one block of every token each, after the routed blocks
+        sizes = np.append(sizes, [n_tok] * len(shared))
+        rows = np.concatenate([rows, np.tile(np.arange(n_tok), len(shared))])
+        ws = np.vstack([ws, np.ones((len(shared) * n_tok, 1))])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    blocks = {e: slice(bounds[e], bounds[e + 1])
+              for e in range(len(bank)) if bounds[e + 1] > bounds[e]}
+    xs = x.data[rows]
+    pre = np.empty((rows.size, experts[0][0][0].shape[1]))
     he = np.empty_like(xs)
     xa: dict[tuple[int, str], np.ndarray | None] = {}
     for e, b in blocks.items():
-        _, xa[e, "up"] = _project(xs[b], experts[e][0], experts[e][2], out=pre[b])
+        _, xa[e, "up"] = _project(xs[b], *bank[e][0], out=pre[b])
     cdf = T.normal_cdf(pre)
     h = pre * cdf
     for e, b in blocks.items():
-        _, xa[e, "down"] = _project(h[b], experts[e][1], experts[e][3], out=he[b])
-    y = _slot_sum(he, cols, ws)
+        _, xa[e, "down"] = _project(h[b], *bank[e][1], out=he[b])
+    y = np.zeros(x.shape)
+    for e in range(len(experts), len(bank)):   # the shared experts
+        y += he[blocks[e]]
+    _slot_sum(y, he, cols, ws)
     if not T.grad_enabled():
         return Tensor(y)
 
     def grad_into(out: np.ndarray, *args) -> None:
-        """_project_grads with inp's gradient written into out: the base
-        term, then the adapter term added."""
+        """_project_grads with inp's gradient (base, then adapter term) in out."""
         for term in _project_grads(*args, out=out)[1:]:
             out += term
 
@@ -414,33 +402,34 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray,
         gs = g[rows]
         if mix_w.requires_grad:
             gw = np.zeros(flat.size)
-            gw[order] = (gs * he).sum(axis=1)
+            gw[order] = ((gs[:flat.size] * he[:flat.size]) if shared else gs * he).sum(axis=1)
             grads[id(mix_w)] = gw.reshape(n_tok, k)
         gs *= ws
         g_pre = np.empty_like(h)   # the gelu output's gradient, then pre's in place
         for e, b in blocks.items():
-            grad_into(g_pre[b], gs[b], h[b], experts[e][1], experts[e][3],
-                      xa[e, "down"], True, grads)
+            grad_into(g_pre[b], gs[b], h[b], *bank[e][1], xa[e, "down"], True, grads)
         g_pre += 0.0   # as a zero-filled accumulator would: -0.0 to +0.0
         # g_h * (cdf + pre * pdf), with the gelu pdf computed only here
         slope = T.normal_pdf(pre)
         slope *= pre
         slope += cdf
         g_pre *= slope
-        g_xs = np.empty_like(xs) if x.requires_grad else None
+        g_xs, g_x = (np.empty_like(xs), np.zeros(x.shape)) if x.requires_grad else (None, None)
         for e, b in blocks.items():
-            grad_into(None if g_xs is None else g_xs[b], g_pre[b], xs[b],
-                      experts[e][0], experts[e][2], xa[e, "up"], g_xs is not None, grads)
-        if g_xs is not None:
-            grads[id(x)] = _slot_sum(g_xs, cols)
+            args = (g_pre[b], xs[b], *bank[e][0], xa[e, "up"], g_x is not None, grads)
+            if e < len(experts) or g_x is None:
+                grad_into(None if g_xs is None else g_xs[b], *args)
+            else:   # a shared expert reads x: its terms go in one by one, as on the tape
+                for term in _project_grads(*args):
+                    g_x += term
+        if g_x is not None:
+            grads[id(x)] = _slot_sum(g_x, g_xs, cols)
         return grads
 
     params = [x, mix_w]
     for e in blocks:
-        w_up, w_down, a_up, a_down = experts[e]
-        params += [w_up, w_down]
-        params += [t for pair in (a_up, a_down) if pair is not None
-                   for t in (pair.A, pair.B)]
+        for W, pair in bank[e]:
+            params += [W] if pair is None else [W, pair.A, pair.B]
     return _one_node(y, [(t, id(t)) for t in params], backward)
 
 
@@ -539,7 +528,6 @@ class MoEModel:
         """Weights drawn from the seed, or, with state, copies of its arrays
         (no draw), checked and loaded by ParamRegistry.load_state."""
         self.config = config
-        self.seed = seed
         self.registry = ParamRegistry()
         self.adapters: dict = {}
         self._causal: dict[tuple[int, int], np.ndarray] = {}
@@ -569,13 +557,6 @@ class MoEModel:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _proj(self, name: str, x: Tensor) -> Tensor:
-        W = self.registry[name].tensor
-        pair = self.adapters.get(name)
-        if pair is None:
-            return x @ W
-        return adapted_forward(x, W, pair)
-
     def _causal_bias(self, s: int, start: int) -> np.ndarray:
         """(s, start + s) bias for queries at positions start..start+s-1."""
         if (s, start) not in self._causal:
@@ -583,17 +564,15 @@ class MoEModel:
             self._causal[(s, start)] = bias
         return self._causal[(s, start)]
 
-    def _expert(self, layer: int, tag: str, x: Tensor) -> Tensor:
-        h = T.gelu(self._proj(f"layer{layer}.{tag}.w_up", x))
-        return self._proj(f"layer{layer}.{tag}.w_down", h)
+    def _projection(self, name: str) -> Projection:
+        return self.registry[name].tensor, self.adapters.get(name)
 
-    def _bank(self, layer: int) -> list[Expert]:
-        experts = []
-        for e in range(self.config.n_experts):
-            up, down = f"layer{layer}.expert{e}.w_up", f"layer{layer}.expert{e}.w_down"
-            experts.append((self.registry[up].tensor, self.registry[down].tensor,
-                            self.adapters.get(up), self.adapters.get(down)))
-        return experts
+    def _bank(self, layer: int) -> tuple[list[Expert], list[Expert]]:
+        """The layer's routed experts and its shared experts."""
+        def experts(tag: str, n: int) -> list[Expert]:
+            return [(self._projection(f"layer{layer}.{tag}{e}.w_up"),
+                     self._projection(f"layer{layer}.{tag}{e}.w_down")) for e in range(n)]
+        return experts("expert", self.config.n_experts), experts("shared", self.config.n_shared)
 
     # -- public surface -----------------------------------------------------
 
@@ -621,19 +600,15 @@ class MoEModel:
         trace = RoutingTrace(c.n_experts, c.k_route, tokens=tokens.reshape(-1).copy())
         bias = self._causal_bias(s, start)
         for layer in range(c.n_layers):
-            projs = [(self.registry[n].tensor, self.adapters.get(n))
-                     for n in (f"layer{layer}.attn.{p}" for p in ("wq", "wk", "wv", "wo"))]
+            projs = [self._projection(f"layer{layer}.attn.{p}") for p in ("wq", "wk", "wv", "wo")]
             x = attention_sublayer(x, projs, c.n_heads, bias, cache, layer)
             xf = T.reshape(rmsnorm(x), (bsz * s, c.d_model))
-            router = f"layer{layer}.router.w"
-            mix_w, lt = route(xf, (self.registry[router].tensor,
-                                   self.adapters.get(router)), c.k_route, balance)
+            mix_w, lt = route(xf, self._projection(f"layer{layer}.router.w"), c.k_route,
+                              balance)
             trace.layers.append(lt)
             if route_only and layer == c.n_layers - 1:
                 return None, trace
-            yf = routed_experts(xf, mix_w, lt.indices, self._bank(layer))
-            for j in range(c.n_shared):
-                yf = yf + self._expert(layer, f"shared{j}", xf)
+            yf = routed_experts(xf, mix_w, lt.indices, *self._bank(layer))
             x = x + T.reshape(yf, (bsz, s, c.d_model))
         if cache is not None:
             cache.length = start + s

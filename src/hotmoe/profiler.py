@@ -94,7 +94,7 @@ def record(profile: ActivationProfile, trace) -> ActivationProfile:
         raise ConfigError(
             f"trace n_experts {trace.n_experts} != profile {profile.n_experts}")
     keep = None
-    if getattr(trace, "tokens", None) is not None:
+    if trace.tokens is not None:
         keep = trace.tokens != PAD
     for l, lt in enumerate(trace.layers):
         idx = lt.indices if keep is None else lt.indices[keep]
@@ -183,8 +183,8 @@ def load_heatmap(path: str | Path,
         if next(reader, None) != _HEATMAP_HEADER:
             raise ConfigError(f"unexpected heatmap header in {path}")
         for row in reader:
-            cells[(int(row[0]), int(row[1]))] = int(row[2])
-    except (ValueError, IndexError, csv.Error) as exc:
+            cells[(int(row[0]), int(row[1]))] = np.int64(row[2])   # the grid's type
+    except (ValueError, IndexError, OverflowError, csv.Error) as exc:
         raise ConfigError(f"malformed heatmap row in {path}: {exc}") from exc
     if not cells:
         return ActivationProfile.empty(0, 0, source=str(path))

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from hotmoe import tensor as T
-from hotmoe.adapters import (AdapterPair, Scheme, TargetSet, adapted_forward,
-                             attach, build_mask, set_trainability)
+from composed import project
+from hotmoe.adapters import (AdapterPair, Scheme, TargetSet, adapted_backward,
+                             adapted_forward, attach, build_mask, set_trainability)
 from hotmoe.errors import ConfigError, InvariantViolation
 from hotmoe.model import ModelConfig, MoEModel
 from hotmoe.profiler import PlacementPlan
@@ -62,40 +63,71 @@ class TestTypes:
         assert pair.scale == 2.0
 
 
+def adapted(x, W, pair):
+    """x @ W with pair's adapter term added by adapted_forward, and x @ A."""
+    out = x @ W
+    return out, adapted_forward(x, pair, out)
+
+
 class TestAdaptedForward:
     def test_hand_case(self):
-        # x=[1,0], W=I, A=[[1],[0]], B=[[0,2]], s=1 -> h=[1,2]
-        x = Tensor(np.array([[1.0, 0.0]]))
-        W = Tensor(np.eye(2))
+        # x=[1,0], W=I, A=[[1],[0]], B=[[0,2]], s=1 -> h=[1,2], xA=[1]
+        x = np.array([[1.0, 0.0]])
         pair = AdapterPair(A=Tensor(np.array([[1.0], [0.0]])),
                            B=Tensor(np.array([[0.0, 2.0]])), r=1, alpha=1.0)
-        np.testing.assert_array_equal(adapted_forward(x, W, pair).data, [[1.0, 2.0]])
+        out, xa = adapted(x, np.eye(2), pair)
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
+        np.testing.assert_array_equal(xa, [[1.0]])
 
     def test_hand_case_masked(self):
-        x = Tensor(np.array([[1.0, 0.0]]))
-        W = Tensor(np.eye(2))
+        x = np.array([[1.0, 0.0]])
         pair = AdapterPair(A=Tensor(np.array([[1.0], [0.0]])),
                            B=Tensor(np.array([[0.0, 2.0]])), r=1, alpha=1.0,
                            mask=np.array([[True, False]]))
-        np.testing.assert_array_equal(adapted_forward(x, W, pair).data, [[1.0, 0.0]])
+        np.testing.assert_array_equal(adapted(x, np.eye(2), pair)[0], [[1.0, 0.0]])
 
     def test_zero_b_is_exact_identity(self):
-        x = Tensor(RNG.normal(size=(5, 8)))
-        W = Tensor(RNG.normal(size=(8, 6)))
+        x = RNG.normal(size=(5, 8))
+        W = RNG.normal(size=(8, 6))
         pair = AdapterPair(A=Tensor(RNG.normal(size=(8, 3))),
                            B=Tensor(np.zeros((3, 6))), r=3, alpha=6.0)
-        assert adapted_forward(x, W, pair).data.tobytes() == (x @ W).data.tobytes()
+        assert adapted(x, W, pair)[0].tobytes() == (x @ W).tobytes()
 
     def test_output_linear_in_scale(self):
-        x = Tensor(RNG.normal(size=(4, 8)))
-        W = Tensor(RNG.normal(size=(8, 8)))
+        x = RNG.normal(size=(4, 8))
+        W = RNG.normal(size=(8, 8))
         A, B = RNG.normal(size=(8, 2)), RNG.normal(size=(2, 8))
         one = AdapterPair(A=Tensor(A), B=Tensor(B), r=2, alpha=2.0)   # s=1
         two = AdapterPair(A=Tensor(A), B=Tensor(B), r=2, alpha=4.0)   # s=2
-        base = (x @ W).data
-        d1 = adapted_forward(x, W, one).data - base
-        d2 = adapted_forward(x, W, two).data - base
+        base = x @ W
+        d1 = adapted(x, W, one)[0] - base
+        d2 = adapted(x, W, two)[0] - base
         np.testing.assert_allclose(d2, 2.0 * d1, rtol=1e-12)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("want_in", [True, False])
+    def test_backward_matches_tape(self, masked, want_in):
+        # the adapter's gradients and input term are the tape's for the
+        # composed projection, bitwise
+        x = Tensor(RNG.normal(size=(5, 8)), requires_grad=True)
+        W = Tensor(RNG.normal(size=(8, 6)))
+        pair = AdapterPair(A=Tensor(RNG.normal(size=(8, 3)), requires_grad=True),
+                           B=Tensor(RNG.normal(size=(3, 6)), requires_grad=True),
+                           r=3, alpha=6.0, mask=RNG.random((3, 6)) < 0.5 if masked else None)
+        g = RNG.normal(size=(5, 6))
+        out, xa = adapted(x.data, W.data, pair)
+        grads = {}
+        g_in = adapted_backward(g, x.data, pair, xa, want_in, grads)
+        taped = project(x, W, pair)
+        T.tsum(taped * Tensor(g)).backward()
+        assert out.tobytes() == taped.data.tobytes()
+        # + 0.0: the tape's first gradient of a leaf turns -0.0 into +0.0
+        assert (grads[id(pair.A)] + 0.0).tobytes() == pair.A.grad.tobytes()
+        assert (grads[id(pair.B)] + 0.0).tobytes() == pair.B.grad.tobytes()
+        if want_in:   # the tape added the base term first
+            assert (g @ W.data.T + g_in).tobytes() == x.grad.tobytes()
+        else:
+            assert g_in is None
 
 
 class TestBuildMask:

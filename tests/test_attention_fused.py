@@ -3,7 +3,7 @@
 MoEModel.forward runs each attention sublayer (pre-norm, adapted q/k/v/o
 projections, causal softmax attention, residual add) as one tape node,
 model.attention_sublayer. The oracle here is the tape graph it replaced,
-built from rmsnorm, adapted_forward and the tape's shape and softmax ops.
+built from rmsnorm, composed.project and the tape's shape and softmax ops.
 Both run the same operations in the same order on arrays of the same
 memory layout, so outputs and every gradient must be bitwise equal.
 """
@@ -16,7 +16,8 @@ import pytest
 
 from hotmoe import model as model_mod
 from hotmoe import tensor as T
-from hotmoe.adapters import AdapterPair, TargetSet, adapted_forward
+from composed import project
+from hotmoe.adapters import AdapterPair, TargetSet
 from hotmoe.gradcheck import finite_diff_check
 from hotmoe.model import (KVCache, MoEModel, attention_sublayer, forward_backward,
                           rmsnorm)
@@ -31,16 +32,13 @@ def tape_sublayer(x, projs, n_heads, bias, cache, layer):
     hd = d // n_heads
     xn = rmsnorm(x)
 
-    def proj(t, W, pair):
-        return t @ W if pair is None else adapted_forward(t, W, pair)
-
     def split(t):
         return T.swapaxes(T.reshape(t, (bsz, s, n_heads, hd)), 1, 2)
 
     (wq, aq), (wk, ak), (wv, av), (wo, ao) = projs
-    q = split(proj(xn, wq, aq))
-    k = split(proj(xn, wk, ak))
-    v = split(proj(xn, wv, av))
+    q = split(project(xn, wq, aq))
+    k = split(project(xn, wk, ak))
+    v = split(project(xn, wv, av))
     if cache is not None:
         if cache.length:
             k_old, v_old = cache.kv[layer]
@@ -50,7 +48,7 @@ def tape_sublayer(x, projs, n_heads, bias, cache, layer):
     scores = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(hd))
     att = T.softmax(scores + T.Tensor(bias), axis=-1)
     out = T.reshape(T.swapaxes(att @ v, 1, 2), (bsz, s, d))
-    return x + proj(out, wo, ao)
+    return x + project(out, wo, ao)
 
 
 def step_bytes(build, batch, monkeypatch, tape):

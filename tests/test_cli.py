@@ -547,6 +547,7 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["flops", "--base", "BASENAN", "--set", "run.experts=all"],
     ["run", "--base", "BASENAN"],
     ["plan", "--profile", "HEATNEG"],
+    ["plan", "--profile", "HEATBIG"],
     ["finetune", "--base", "BASE", "--plan", "PLANBOGUS"],
 ], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
@@ -560,13 +561,14 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "ablate-row-warmup-subset", "ablate-arm-rank-above-gate",
         "lb-mode-unknown", "lb-during-finetune-unknown",
         "profile-base-nan", "flops-base-nan", "run-base-nan", "plan-heatmap-negative",
-        "finetune-plan-bogus-strategy"])
+        "plan-heatmap-beyond-int64", "finetune-plan-bogus-strategy"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
     # named check fails, and BASENAN for it with one router weight NaN;
     # PLAN1 and HEAT1 are a well-formed plan and heatmap for a one-layer
-    # model, HEATNEG is a heatmap of tiny's shape with a negative count and
-    # PLANBOGUS a plan of tiny's shape with an unknown strategy
+    # model, HEATNEG and HEATBIG are heatmaps of tiny's shape with a negative
+    # count and one beyond int64, and PLANBOGUS a plan of tiny's shape with an
+    # unknown strategy
     plan1 = tmp_path / "plan1.csv"
     plan1.write_text("strategy=layer_hot k=2 seed=none\n0,1\n")
     heat1 = tmp_path / "heat1.csv"
@@ -575,20 +577,33 @@ def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     state = load_checkpoint(base_dir / "base.ckpt")
     state["layer0.router.w"][0, 0] = np.nan
     save_checkpoint(tmp_path / "nan.ckpt", state)
-    heatneg = tmp_path / "heatneg.csv"
-    heatneg.write_text("layer,expert,count,ratio\n" + "".join(
-        f"{l},{e},{-999 if (l, e) == (0, 2) else 3},0.25\n"
-        for l in range(2) for e in range(4)))
+    for name, count in (("heatneg", -999), ("heatbig", 10 ** 20 - 1)):
+        (tmp_path / f"{name}.csv").write_text("layer,expert,count,ratio\n" + "".join(
+            f"{l},{e},{count if (l, e) == (0, 2) else 3},0.25\n"
+            for l in range(2) for e in range(4)))
     planbogus = tmp_path / "planbogus.csv"
     planbogus.write_text("strategy=bogus k=1 seed=none\n2\n3\n")
     args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1),
              "HEAT1": str(heat1), "BASENAN": str(tmp_path / "nan.ckpt"),
-             "HEATNEG": str(heatneg), "PLANBOGUS": str(planbogus)}.get(a, a)
+             "HEATNEG": str(tmp_path / "heatneg.csv"),
+             "HEATBIG": str(tmp_path / "heatbig.csv"), "PLANBOGUS": str(planbogus)}.get(a, a)
             for a in args]
     out = tmp_path / "out"
     assert main(args[:1] + ["--config", CFG, "--out-dir", str(out)] + args[1:]) == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nrank = 99\n",
+                                  "[DEFAULT]\nseed = 3\n\n[run]\nrank = 2\n"],
+                         ids=["alone", "next-to-run"])
+def test_default_section_exits_2_and_writes_no_file(text, tmp_path, capsys):
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    _one_error_line(capsys.readouterr().err, "ConfigError")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["out-dir-is-file", "out-dir-under-file",

@@ -40,6 +40,23 @@ def test_unknown_empty_section_rejected(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nrank = 99\n",                  # was ignored: rank stayed 4
+    "[DEFAULT]\nseed = 3\n\n[run]\nrank = 2\n",  # was run.seed = 3
+    "[DEFAULT]\nbogus = 1\n",                  # was "unknown key in [task]"
+], ids=["alone", "next-to-run", "unknown-key"])
+def test_default_section_rejected(tmp_path, text):
+    # configparser mixes [DEFAULT]'s keys into every section it reads
+    p = write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"^unknown config section: \[DEFAULT\]$"):
+        load_config(p)
+
+
+def test_empty_default_section_sets_nothing(tmp_path):
+    assert load_config(write(tmp_path, "[DEFAULT]\n\n[run]\nrank = 2\n")) == \
+        apply_overrides(FullConfig(), {"run.rank": "2"})[0]
+
+
 def test_unknown_key_rejected(tmp_path):
     p = write(tmp_path, "[model]\nn_layerz = 4\n")
     with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 """Static checks on the library source: no unused imports, no dead
 definitions, no test-only definitions, no filesystem access outside
-errors.py, no assert statements, no **kwargs parameters and no adapter
-registry names outside adapters.py in src/hotmoe.
+errors.py, no assert statements, no **kwargs parameters, and no adapter
+registry names and no adapter scale outside adapters.py in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -17,7 +17,9 @@ an invariant raises InvariantViolation instead. A **kwargs parameter
 passes on arguments its signature does not name, so every parameter of a
 library function is spelled out. adapters.py registers each adapter's
 tensors as `<target>.adapter.{A,B,M}`; every other module reaches them
-through the AdapterPair that owns them, never by parsing names.
+through the AdapterPair that owns them, never by parsing names. The
+adapter arithmetic (scale, mask and their backward) lives in adapters.py
+alone: no other module reads an attribute named `scale`.
 """
 
 import ast
@@ -241,3 +243,25 @@ def test_adapter_name_checker_hand_case():
 
 def test_only_adapters_names_adapter_entries():
     assert adapter_name_users(_library()) == []
+
+
+def scale_readers(library: dict[str, str]) -> list[str]:
+    """Modules other than adapters.py that read an attribute named scale;
+    a local or a word in a string does not count."""
+    return sorted(name for name, source in library.items()
+                  if name != "adapters.py"
+                  and any(isinstance(node, ast.Attribute) and node.attr == "scale"
+                          for node in ast.walk(ast.parse(source))))
+
+
+def test_scale_checker_hand_case():
+    library = {"adapters.py": "out += (xa @ b_eff) * pair.scale\n",
+               "model.py": ('ms, scale, xn = _norm(xd)\n'
+                            'g = g_xn * scale  # not pair.scale\n'
+                            '"""adapted as s * (x A)(B * M), s = pair.scale"""\n'),
+               "accounting.py": "flops = 2 * self.adapters[t].scale\n"}
+    assert scale_readers(library) == ["accounting.py"]
+
+
+def test_only_adapters_reads_adapter_scale():
+    assert scale_readers(_library()) == []

@@ -120,6 +120,13 @@ class TestReproducedFaults:
         with pytest.raises(ConfigError, match="negative count"):
             load_heatmap(path)
 
+    def test_heatmap_count_beyond_int64(self, tmp_path):
+        # was an OverflowError traceback from storing it in the int64 grid
+        path = _heatmap(tmp_path)
+        _rewrite(path, b"0,1,1,", b"0,1,99999999999999999999,")
+        with pytest.raises(ConfigError, match="malformed heatmap row"):
+            load_heatmap(path)
+
     @pytest.mark.parametrize("old,new", [(b"0,1,1,", b"0,1,one,"),
                                          (b"0,1,1,", b"0,"),
                                          (None, b""),

@@ -100,22 +100,30 @@ class TestMoELayer:
         assert f[0] == 1.0 and f[1:].sum() == 0.0
 
     def test_replay_oracle(self):
-        # recompute the layer output from the trace with plain numpy
-        cfg = tiny_config()
-        model = MoEModel(cfg, seed=3)
-        x = T.Tensor(RNG.normal(size=(4, 5, 8)))
-        y, lt = moe_half(model, 1, x)
-        xf = x.data.reshape(-1, 8)
-        replay = np.zeros_like(xf)
-        for t in range(xf.shape[0]):
-            for slot in range(cfg.k_route):
-                e = lt.indices[t, slot]
-                up = model.registry[f"layer1.expert{e}.w_up"].tensor.data
-                down = model.registry[f"layer1.expert{e}.w_down"].tensor.data
+        # recompute the layer output from the trace with plain numpy; each
+        # shared expert adds gelu(x W_up) W_down at weight 1
+        for n_shared in (0, 1):
+            cfg = tiny_config(n_shared=n_shared)
+            model = MoEModel(cfg, seed=3)
+            x = T.Tensor(RNG.normal(size=(4, 5, 8)))
+            y, lt = moe_half(model, 1, x)
+            xf = x.data.reshape(-1, 8)
+
+            def expert(tag, t):
+                up = model.registry[f"layer1.{tag}.w_up"].tensor.data
+                down = model.registry[f"layer1.{tag}.w_down"].tensor.data
                 h = xf[t] @ up
-                g = h * 0.5 * (1 + erf(h / np.sqrt(2)))
-                replay[t] += lt.weights[t, slot] * (g @ down)
-        np.testing.assert_allclose(replay, y.data.reshape(-1, 8), atol=1e-12)
+                return (h * 0.5 * (1 + erf(h / np.sqrt(2)))) @ down
+
+            replay = np.zeros_like(xf)
+            shared = np.zeros_like(xf)
+            for t in range(xf.shape[0]):
+                for j in range(n_shared):
+                    shared[t] += expert(f"shared{j}", t)
+                for slot in range(cfg.k_route):
+                    replay[t] += lt.weights[t, slot] * expert(f"expert{lt.indices[t, slot]}", t)
+            np.testing.assert_allclose(shared + replay, y.data.reshape(-1, 8), atol=1e-12)
+            assert (np.abs(shared).max() > 1e-6) == (n_shared > 0)
 
     def test_dense_when_k_equals_n(self):
         cfg = tiny_config(k_route=4)
@@ -150,10 +158,8 @@ class TestMoELayer:
         shared_cfg = tiny_config(n_shared=1)
         m0 = MoEModel(base_cfg, seed=7)
         m1 = MoEModel(shared_cfg, seed=7)
-        # same routed weights by construction order, then zero the shared expert
-        for name, entry in m0.registry.items():
-            if name in m1.registry:
-                pass  # seeded draws diverge after the first shared param; rebuild below
+        # m0's weights in m1 (seeded draws diverge after the first shared
+        # param), and the shared expert's down projection zeroed
         for name, _ in m1.registry.items():
             if ".shared0.w_down" in name:
                 m1.registry[name].tensor.data[:] = 0.0

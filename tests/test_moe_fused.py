@@ -3,14 +3,15 @@
 Each layer of MoEModel.forward normalizes with one rmsnorm node, routes
 with one model.route node (router projection with its gate adapter,
 route_topk, the mixing softmax, and, in a model that balances, the
-load-balancing statistic P on the layer's trace) and runs its routed
-experts as one model.routed_experts node.
+load-balancing statistic P on the layer's trace) and runs its routed and
+shared experts as one model.routed_experts node.
 The oracle here is the tape graph they replaced: the composed norm, the
-router's adapted_forward, take_along_last, softmax and tmean, and the
-per-expert bank loop (per expert: gather its rows, run the expert through
-(adapted) projections and gelu on the tape, index-add its weighted
-output). Both run the same operations in the same order, so outputs and
-every gradient must be bitwise equal.
+router's (adapted) projection, take_along_last, softmax and tmean, and
+the per-expert bank loop (each shared expert run on every token and
+added first, then per routed expert: gather its rows, run the expert
+through (adapted) projections and gelu on the tape, index-add its
+weighted output). Both run the same operations in the same order, so
+outputs and every gradient must be bitwise equal.
 """
 
 from contextlib import nullcontext
@@ -22,8 +23,9 @@ import pytest
 
 from hotmoe import model as model_mod
 from hotmoe import tensor as T
-from hotmoe.adapters import (AdapterPair, Scheme, TargetSet, adapted_forward,
-                             attach, build_mask, set_trainability)
+from composed import project
+from hotmoe.adapters import (AdapterPair, Scheme, TargetSet, attach, build_mask,
+                             set_trainability)
 from hotmoe.config import load_config
 from hotmoe.gradcheck import finite_diff_check
 from hotmoe.model import (LayerTrace, ModelConfig, MoEModel, forward_backward,
@@ -37,18 +39,21 @@ SCHEMES = ("lora", "lori_d", "lori_s")
 DESK = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg").model
 
 
-def loop_bank(xf, mix_w, idx, experts):
-    """The per-expert tape loop that routed_experts replaced."""
-    def proj(x, W, pair):
-        return x @ W if pair is None else adapted_forward(x, W, pair)
+def loop_bank(xf, mix_w, idx, experts, shared=()):
+    """The per-expert tape loop that routed_experts replaced: the shared
+    experts, always on, ahead of the routed ones."""
+    def run(x, expert):
+        (w_up, a_up), (w_down, a_down) = expert
+        return project(T.gelu(project(x, w_up, a_up)), w_down, a_down)
 
     yf = T.Tensor(np.zeros(xf.shape))
-    for e, (w_up, w_down, a_up, a_down) in enumerate(experts):
+    for expert in shared:
+        yf = yf + run(xf, expert)
+    for e, expert in enumerate(experts):
         rows, slots = np.where(idx == e)
         if rows.size == 0:
             continue
-        xe = T.gather_rows(xf, rows)
-        he = proj(T.gelu(proj(xe, w_up, a_up)), w_down, a_down)
+        he = run(T.gather_rows(xf, rows), expert)
         we = T.reshape(T.gather_pairs(mix_w, rows, slots), (rows.size, 1))
         yf = T.index_add_rows(yf, rows, he * we)
     return yf
@@ -57,7 +62,7 @@ def loop_bank(xf, mix_w, idx, experts):
 def composed_route(xf, router, k_route, balance):
     """The tape graph that route replaced."""
     W, gate = router
-    logits = xf @ W if gate is None else adapted_forward(xf, W, gate)
+    logits = project(xf, W, gate)
     idx, _ = route_topk(logits.data, k_route)
     mix_w = T.softmax(T.take_along_last(logits, idx), axis=-1)
     p = T.tmean(T.softmax(logits, axis=-1), axis=0) if balance else None
@@ -78,19 +83,15 @@ def compose(mp):
 
 
 def moe_half(model, layer, x):
-    """The routed half of forward's layer on a normed x (B, S, d): y and
-    the layer's trace, through whichever route and routed_experts the
-    model module holds."""
+    """The MoE half of forward's layer on a normed x (B, S, d): y and the
+    layer's trace, through whichever route and routed_experts the model
+    module holds."""
     c = model.config
     bsz, s, d = x.shape
     xf = T.reshape(x, (bsz * s, d))
-    name = f"layer{layer}.router.w"
-    mix_w, lt = model_mod.route(
-        xf, (model.registry[name].tensor, model.adapters.get(name)), c.k_route,
-        c.lb_weight > 0.0)
-    yf = model_mod.routed_experts(xf, mix_w, lt.indices, model._bank(layer))
-    for j in range(c.n_shared):
-        yf = yf + model._expert(layer, f"shared{j}", xf)
+    mix_w, lt = model_mod.route(xf, model._projection(f"layer{layer}.router.w"),
+                                c.k_route, c.lb_weight > 0.0)
+    yf = model_mod.routed_experts(xf, mix_w, lt.indices, *model._bank(layer))
     return T.reshape(yf, (bsz, s, d)), lt
 
 
@@ -211,6 +212,19 @@ def test_desk_adapted_step_matches_composed(lb_weight, gate, experts, scheme,
     assert len(gated) == (cfg.n_layers if gate else 0)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("lb_weight", [0.01, 0.0])
+def test_two_adapted_shared_experts_match_loop(lb_weight, scheme, monkeypatch):
+    # configs/shared.cfg's shape: each shared expert reads x itself, so the
+    # tape adds its projection and adapter terms into x's gradient one by one
+    cfg = tiny_config(n_shared=2, lb_weight=lb_weight)
+    _, _, grads = assert_step_matches_loop(
+        lambda: adapted(cfg, scheme, TargetSet(True, True, "plan"), first_half_plan(cfg)),
+        batch_of(1), monkeypatch)
+    assert all(grads[f"layer{l}.shared{j}.{w}.adapter.B"] is not None
+               for l in range(cfg.n_layers) for j in range(2) for w in ("w_up", "w_down"))
+
+
 def test_lb_loss_alone_matches_composed(monkeypatch):
     # only P reaches this loss: the weights node's gradient comes from P alone
     cfg = tiny_config(n_shared=1)
@@ -316,8 +330,9 @@ def test_no_grad_model_forward_matches_tape(shape, monkeypatch):
 
 
 def bank_inputs(cfg, seed, idx, adapted_experts=()):
-    """x, mixing weights and layer 0's expert bank, with masked adapters
-    (trainable A and B) on both projections of `adapted_experts`."""
+    """x, mixing weights, layer 0's expert bank and its shared experts, with
+    masked adapters (trainable A and B) on both projections of
+    `adapted_experts` (routed indices, and "shared" for every shared one)."""
     rng = np.random.default_rng(seed)
     model = MoEModel(cfg, seed=seed)
 
@@ -328,19 +343,20 @@ def bank_inputs(cfg, seed, idx, adapted_experts=()):
 
     xf = T.Tensor(rng.normal(size=(idx.shape[0], cfg.d_model)), requires_grad=True)
     mix_w = T.Tensor(rng.random(idx.shape), requires_grad=True)
-    experts = []
-    for e in range(cfg.n_experts):
-        on = e in adapted_experts
-        experts.append((model.registry[f"layer0.expert{e}.w_up"].tensor,
-                        model.registry[f"layer0.expert{e}.w_down"].tensor,
-                        pair(cfg.d_model, cfg.d_ff) if on else None,
-                        pair(cfg.d_ff, cfg.d_model) if on else None))
-    return xf, mix_w, experts
+    def expert(tag, on):
+        return ((model.registry[f"layer0.{tag}.w_up"].tensor,
+                 pair(cfg.d_model, cfg.d_ff) if on else None),
+                (model.registry[f"layer0.{tag}.w_down"].tensor,
+                 pair(cfg.d_ff, cfg.d_model) if on else None))
+
+    experts = [expert(f"expert{e}", e in adapted_experts) for e in range(cfg.n_experts)]
+    shared = [expert(f"shared{j}", "shared" in adapted_experts) for j in range(cfg.n_shared)]
+    return xf, mix_w, experts, shared
 
 
 def bank_tensors(xf, mix_w, experts):
     out = [xf, mix_w]
-    for w_up, w_down, a_up, a_down in experts:
+    for (w_up, a_up), (w_down, a_down) in experts:
         out += [w_up, w_down]
         for pair in (a_up, a_down):
             if pair is not None:
@@ -348,12 +364,12 @@ def bank_tensors(xf, mix_w, experts):
     return out
 
 
-def bank_bytes(bank, xf, mix_w, idx, experts, g):
+def bank_bytes(bank, xf, mix_w, idx, experts, g, shared=()):
     """The bank's output and every parent's gradient under g, as bytes."""
-    tensors = bank_tensors(xf, mix_w, experts)
+    tensors = bank_tensors(xf, mix_w, experts + list(shared))
     for t in tensors:
         t.grad = None
-    y = bank(xf, mix_w, idx, experts)
+    y = bank(xf, mix_w, idx, experts, shared)
     T.tsum(y * T.Tensor(g)).backward()
     return y.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in tensors]
 
@@ -361,7 +377,7 @@ def bank_bytes(bank, xf, mix_w, idx, experts, g):
 def test_expert_without_tokens():
     cfg = tiny_config()
     idx = np.array([[0, 1], [3, 1], [1, 0], [0, 3], [3, 0]])   # expert 2 idle
-    xf, mix_w, experts = bank_inputs(cfg, 4, idx, adapted_experts=(1, 2))
+    xf, mix_w, experts, _ = bank_inputs(cfg, 4, idx, adapted_experts=(1, 2))
     g = np.random.default_rng(8).normal(size=xf.shape)
     outs = [bank_bytes(bank, xf, mix_w, idx, experts, g)
             for bank in (routed_experts, loop_bank)]
@@ -371,7 +387,8 @@ def test_expert_without_tokens():
 
 
 # (config overrides, idx, adapted experts): expert 2 holds exactly one slot
-# or none; k_route 1 and k_route = n_experts; adapters on some experts only
+# or none; k_route 1 and k_route = n_experts; adapters on some experts only;
+# shared experts, adapted or not, next to an idle expert and at k_route 1
 BANK_CASES = {
     "one-slot-expert": ({}, [[0, 1], [2, 1], [1, 0], [0, 3], [3, 0]], (0, 2)),
     "idle-expert": ({}, [[0, 1], [3, 1], [1, 0], [0, 3], [3, 0]], (3,)),
@@ -380,6 +397,10 @@ BANK_CASES = {
                                [1, 0, 3, 2]], (0, 3)),
     "no-adapters": ({}, [[1, 0], [2, 3], [0, 2], [3, 1], [1, 2], [0, 3]], ()),
     "all-adapters": ({}, [[1, 0], [2, 3], [0, 2], [3, 1], [1, 2], [0, 3]], (0, 1, 2, 3)),
+    "shared": ({"n_shared": 1}, [[0, 1], [3, 1], [1, 0], [0, 3], [3, 0]], (1, "shared")),
+    "two-shared": ({"n_shared": 2}, [[1, 0], [2, 3], [0, 2], [3, 1], [1, 2], [0, 3]],
+                   (0, "shared")),
+    "plain-shared-k1": ({"n_shared": 2, "k_route": 1}, [[0], [3], [0], [1], [3]], (1,)),
 }
 
 
@@ -390,7 +411,7 @@ def test_bank_edge_cases_bitwise(case, x_grad, zero_rows):
     kw, idx, adapted_experts = BANK_CASES[case]
     cfg = tiny_config(**kw)
     idx = np.array(idx)
-    xf, mix_w, experts = bank_inputs(cfg, 6, idx, adapted_experts=adapted_experts)
+    xf, mix_w, experts, shared = bank_inputs(cfg, 6, idx, adapted_experts=adapted_experts)
     xf.requires_grad = x_grad
     g = np.random.default_rng(2).normal(size=xf.shape)
     if zero_rows:
@@ -400,15 +421,15 @@ def test_bank_edge_cases_bitwise(case, x_grad, zero_rows):
         g[0] = 0.0
         g[-1] = -0.0
         mix_w.data[1] = 0.0
-    fused = bank_bytes(routed_experts, xf, mix_w, idx, experts, g)
-    assert fused == bank_bytes(loop_bank, xf, mix_w, idx, experts, g)
+    fused = bank_bytes(routed_experts, xf, mix_w, idx, experts, g, shared)
+    assert fused == bank_bytes(loop_bank, xf, mix_w, idx, experts, g, shared)
     assert (fused[1][0] is None) == (not x_grad)
 
 
 def test_no_grad_forward_matches_tape():
     cfg = tiny_config(n_experts=6, k_route=3)
     idx = np.argsort(np.random.default_rng(2).random((7, 6)), axis=1)[:, :3]
-    xf, mix_w, experts = bank_inputs(cfg, 1, idx)
+    xf, mix_w, experts, _ = bank_inputs(cfg, 1, idx)
     taped = routed_experts(xf, mix_w, idx, experts)
     with T.no_grad():
         free = routed_experts(xf, mix_w, idx, experts)

@@ -5,8 +5,10 @@ hotmoe.tensor (index_add_rows and gather_pairs among them, though the
 model no longer calls them), the model, pipeline, optimizer and checkpoint
 entry points. A name renamed or deleted in src/ makes a traced benchmark
 run fail with KeyError. This installs the tracer on the live modules, runs
-a two-step pretrain under it, derives the per-pass statistics, and checks
-that uninstalling puts every original back.
+a two-step pretrain and one adapted fine-tune step under it, derives the
+per-pass statistics, and checks that uninstalling puts every original
+back. The fine-tune step guards that model.adapted_forward, which the
+tracer wraps by name, is what adds the adapter terms.
 """
 
 import importlib.util
@@ -18,8 +20,9 @@ import hotmoe.model
 import hotmoe.optim
 import hotmoe.pipeline
 import hotmoe.tensor
+from hotmoe.adapters import Scheme, TargetSet, attach, set_trainability
 from hotmoe.model import ModelConfig
-from hotmoe.tasks import TaskSpec
+from hotmoe.tasks import TaskSpec, iter_batches, make_task
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -46,15 +49,26 @@ def test_tracer_installs_runs_and_uninstalls():
         cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=12,
                           n_experts=4, k_route=2, max_seq=16)
         spec = TaskSpec(kind="mod_add", seed=0, train_size=8, test_size=4, modulus=5)
-        hm.model.pretrain_base(cfg, [spec], steps=2, seed=0, batch_size=4)
+        base = hm.model.pretrain_base(cfg, [spec], steps=2, seed=0, batch_size=4)
+        spans = tracer.reset()
+        attach(base.model, TargetSet(True, True, "all"), None, Scheme("lora"), r=2,
+               alpha=4.0, seed=0)
+        set_trainability(base.model, Scheme("lora"))
+        batch = next(iter_batches(make_task(spec, cfg.max_seq)[0], 4, 1, 0))
+        hm.model.forward_backward(base.model, batch)
+        hm.optim.Adam(base.model.registry, 1e-3).step()
     finally:
         tracer.uninstall()
-    spans = tracer.reset()
+    finetune = tracer.reset()
     names = {span[0] for span in spans}
     assert {"pretrain_base", "forward_backward", "Tensor.backward",
             "MoEModel.forward", "Adam.step", "matmul"} <= names
     stats = tracing.pass_stats(spans)
     assert len(stats["samples"]["step_ms"]) == 2
+    calls = sum(span[0] == "adapted_forward" for span in finetune)
+    assert calls > 0
+    assert tracing.pass_stats(finetune)["counts"][
+        "adapters.adapted_forward_calls_per_step"] == calls
     for owner, old in zip(owners, before):
         now = vars(owner)
         assert now.keys() == old.keys()
