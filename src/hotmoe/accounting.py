@@ -132,8 +132,10 @@ def adapter_flops(routing, model) -> FlopsReport:
     expert_reduction = 0.0
     if baseline_expert > 0:
         expert_reduction = 100.0 * (1.0 - expert / baseline_expert)
-    if not 0.0 <= reduction < 100.0:
-        raise InvariantViolation(f"reduction out of [0,100): {reduction}")
+    # 100 is reachable: no attention, gate or shared adapter, and no planned
+    # expert ever selected
+    if not 0.0 <= reduction <= 100.0:
+        raise InvariantViolation(f"reduction out of [0,100]: {reduction}")
     return FlopsReport(
         forward_flops=forward, train_flops=3 * forward,
         attention_gate_flops=attn_gate, expert_flops=expert, shared_flops=shared,

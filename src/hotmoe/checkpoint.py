@@ -5,7 +5,8 @@ Layout:
     line 2: "ntensors <N>"
     N records: "<name> f64 <d0>x<d1>x... <byte offset into payload>"
     one blank line, then little-endian float64 bytes, row-major,
-    concatenated in manifest order.
+    concatenated in manifest order: each name once, each offset where the
+    previous tensor ended, and no byte after the last.
 
 Round-trips are bit-exact by construction: bytes in, identical bytes out.
 """
@@ -79,10 +80,20 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         raise IoError(f"missing manifest terminator in {path}")
     payload = blob[pos + 1:]
     out: dict[str, np.ndarray] = {}
+    end = 0
     for name, shape, off in records:
         n = math.prod(shape)
-        if off < 0 or off + 8 * n > len(payload):
+        if name in out:
+            raise IoError(f"repeated tensor {name} in checkpoint {path}")
+        if off != end:
+            raise IoError(f"checkpoint tensor {name} in {path} starts at byte "
+                          f"{off}, not {end}")
+        end += 8 * n
+        if end > len(payload):
             raise IoError(f"checkpoint payload in {path} too short for {name}")
         arr = np.frombuffer(payload, dtype="<f8", count=n, offset=off)
         out[name] = arr.astype(np.float64).reshape(shape)
+    if end != len(payload):
+        raise IoError(f"checkpoint payload in {path} runs {len(payload) - end} "
+                      f"bytes past its last tensor")
     return out

@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import ConfigError, read_file, write_file
 from .model import ModelConfig
 from .pipeline import RunConfig
-from .tasks import PAD, TASK_KINDS, TaskSpec, check_shape, subset_size
+from .tasks import TASK_KINDS, TaskSpec, check_shape, subset_size
 
 
 @dataclass
@@ -32,8 +32,6 @@ class TaskConfig:
     train_size: int = 480
     test_size: int = 120
     modulus: int = 11
-    min_len: int = 3
-    max_len: int = 6
 
     def __post_init__(self):
         for kind in self.mixture:
@@ -64,8 +62,7 @@ class TaskConfig:
         for k in self.mixture:
             train, test = self._sizes(k)
             out.append(TaskSpec(kind=k, seed=self.seed, train_size=train,
-                                test_size=test, modulus=self.modulus,
-                                min_len=self.min_len, max_len=self.max_len))
+                                test_size=test, modulus=self.modulus))
         return out
 
 
@@ -101,10 +98,6 @@ class FullConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
 
     def __post_init__(self):
-        # the tasks emit token ids 0..PAD, and the embedding has vocab rows
-        if self.model.vocab <= PAD:
-            raise ConfigError(f"[model] vocab {self.model.vocab} is smaller than "
-                              f"the {PAD + 1} task tokens (ids 0..{PAD})")
         m, r = self.model, self.run
         if r.plan_k > m.n_experts:
             raise ConfigError(f"plan_k {r.plan_k} out of [1, n_experts={m.n_experts}]")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -43,13 +43,12 @@ class ModelConfig:
     n_experts: int = 16
     k_route: int = 4
     n_shared: int = 0
-    vocab: int = 32
-    max_seq: int = 16
     lb_weight: float = 0.01
+    vocab: ClassVar[int] = PAD + 1   # constant: the tasks emit token ids 0..PAD
+    max_seq: ClassVar[int] = 16      # constant: embed.pos rows; task rows reach 13
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "n_heads", "d_ff", "n_experts",
-                     "vocab", "max_seq"):
+        for name in ("n_layers", "d_model", "n_heads", "d_ff", "n_experts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_shared < 0:

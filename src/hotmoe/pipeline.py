@@ -47,7 +47,6 @@ class RunConfig:
     strategy: str = "layer_hot"
     plan_k: int = 4                # <= n_experts is FullConfig's check
     warmup_pct: float = 25.0       # share of the train split used for warm-up
-    warmup_epochs: int = 1
     warmup_forward_only: bool = False
     epochs: int = 3
     batch_size: int = 16
@@ -65,8 +64,8 @@ class RunConfig:
             raise ConfigError(f"unknown strategy: {self.strategy}")
         if self.rank < 1:
             raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.epochs < 0 or self.warmup_epochs < 1:
-            raise ConfigError("epochs must be >= 0 and warmup_epochs >= 1")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # alpha = 0 zeroes every adapter gradient; nan and inf diverge
@@ -125,15 +124,15 @@ class WarmupResult:
 
 
 def warmup_run(run: RunConfig) -> RunConfig:
-    """The fine-tune that run's warm-up trains, with the fields it does not
-    read (strategy, plan_k, rho) at their defaults: the warm-up memo's key.
-    A forward-only warm-up trains nothing and reads only warmup_pct, seed
-    and batch_size."""
+    """The one-epoch fine-tune that run's warm-up trains, with the fields it
+    does not read (strategy, plan_k, rho) at their defaults: the warm-up
+    memo's key. A forward-only warm-up trains nothing and reads only
+    warmup_pct, seed and batch_size."""
     if run.warmup_forward_only:
         return RunConfig(warmup_pct=run.warmup_pct, seed=run.seed,
                          batch_size=run.batch_size, warmup_forward_only=True)
     return replace(run, scheme="lora", attention=True, gate=True, experts="all",
-                   epochs=run.warmup_epochs, strategy=RunConfig.strategy,
+                   epochs=1, strategy=RunConfig.strategy,
                    plan_k=RunConfig.plan_k, rho=RunConfig.rho)
 
 

@@ -183,7 +183,10 @@ def load_heatmap(path: str | Path,
         if next(reader, None) != _HEATMAP_HEADER:
             raise ConfigError(f"unexpected heatmap header in {path}")
         for row in reader:
-            cells[(int(row[0]), int(row[1]))] = np.int64(row[2])   # the grid's type
+            cell = (int(row[0]), int(row[1]))
+            if cell in cells:
+                raise ConfigError(f"repeated heatmap cell {cell} in {path}")
+            cells[cell] = np.int64(row[2])   # the grid's type
     except (ValueError, IndexError, OverflowError, csv.Error) as exc:
         raise ConfigError(f"malformed heatmap row in {path}: {exc}") from exc
     if not cells:

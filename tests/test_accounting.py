@@ -16,7 +16,7 @@ DESK = ModelConfig()  # d_model=32, d_ff=64, n_layers=4, n_experts=16, k_route=4
 
 def tiny_config(**kw):
     base = dict(d_model=8, n_heads=2, d_ff=12, n_layers=2, n_experts=4,
-                k_route=2, vocab=32, max_seq=16)
+                k_route=2)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -176,6 +176,19 @@ def test_flops_no_expert_adapters_identical_to_baseline():
     assert rep.forward_flops == rep.baseline_forward_flops
     assert rep.reduction_pct == 0.0
     assert rep.expert_reduction_pct == 0.0
+
+
+def test_flops_unselected_plan_costs_nothing():
+    # the only adapted expert is never routed to: a 100% reduction is a result
+    cfg = tiny_config(n_layers=1)
+    m = MoEModel(cfg, seed=0)
+    attach(m, TargetSet(attention=False, gate=False, experts="plan"),
+           PlacementPlan(hot=[[0]], k=1, strategy="layer_hot"),
+           Scheme("lora"), r=2, alpha=4, seed=1)
+    rep = adapter_flops(make_trace(cfg, [[[1, 2], [3, 1], [2, 3]]]), m)
+    assert rep.forward_flops == 0 and rep.exec_per_layer == [0]
+    assert rep.baseline_expert_flops == 6 * 160
+    assert rep.reduction_pct == rep.expert_reduction_pct == 100.0
 
 
 def test_flops_full_plan_matches_baseline():

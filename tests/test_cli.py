@@ -436,13 +436,29 @@ def test_zero_heads_exits_2(capsys):
     _one_error_line(capsys.readouterr().err, "ConfigError")
 
 
-@pytest.mark.parametrize("cmd", ["report", "pretrain"])
-def test_vocab_below_task_tokens_exits_2(cmd, tmp_path, capsys):
-    args = [cmd, "--config", CFG, "--set", "model.vocab=5"]
-    if cmd == "pretrain":
-        args += ["--set", "pretrain.steps=1", "--out-dir", str(tmp_path)]
-    assert main(args) == 2
-    _one_error_line(capsys.readouterr().err, "ConfigError")
+# keys that held one value in every config: vocab and max_seq are now
+# ModelConfig constants, the prompt lengths TaskSpec defaults, and the
+# warm-up always trains one epoch
+REMOVED_KEYS = {"model.vocab": "32", "model.max_seq": "16", "task.min_len": "3",
+                "task.max_len": "6", "run.warmup_epochs": "1"}
+
+
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("key", list(REMOVED_KEYS))
+def test_removed_key_exits_2_as_unknown(key, via, tmp_path, capsys):
+    section, name = key.split(".")
+    if via == "file":
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"[{section}]\n{name} = {REMOVED_KEYS[key]}\n")
+        args = ["report", "--config", str(cfg)]
+    else:
+        args = ["report", "--config", CFG, "--set", f"{key}={REMOVED_KEYS[key]}"]
+    out = tmp_path / "out"
+    assert main(args + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    _one_error_line(err, "ConfigError")
+    assert f"unknown key in [{section}]: {name}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -499,7 +515,7 @@ def test_run_rejects_bad_run_value_before_pretrain(setting, tmp_path, capsys):
     assert not (tmp_path / "base.ckpt").exists()
 
 
-@pytest.mark.parametrize("setting", ["task.test_size=0", "task.min_len=7",
+@pytest.mark.parametrize("setting", ["task.test_size=0",
                                      "task.mixture=mod_add,mod_add"])
 def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     assert main(["run", "--config", CFG, "--set", setting,
@@ -509,7 +525,6 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["run", "--set", "task.max_len=40"],
     ["run", "--set", "task.train_size=200000"],
     ["plan"],
     ["profile"],
@@ -548,8 +563,9 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["run", "--base", "BASENAN"],
     ["plan", "--profile", "HEATNEG"],
     ["plan", "--profile", "HEATBIG"],
+    ["plan", "--profile", "HEATREP"],
     ["finetune", "--base", "BASE", "--plan", "PLANBOGUS"],
-], ids=["row-width", "prompt-space", "plan-no-profile", "profile-no-base",
+], ids=["prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
         "flops-plan-misfit", "ablate-empty-axes",
@@ -561,14 +577,15 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "ablate-row-warmup-subset", "ablate-arm-rank-above-gate",
         "lb-mode-unknown", "lb-during-finetune-unknown",
         "profile-base-nan", "flops-base-nan", "run-base-nan", "plan-heatmap-negative",
-        "plan-heatmap-beyond-int64", "finetune-plan-bogus-strategy"])
+        "plan-heatmap-beyond-int64", "plan-heatmap-repeated-cell",
+        "finetune-plan-bogus-strategy"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
     # named check fails, and BASENAN for it with one router weight NaN;
     # PLAN1 and HEAT1 are a well-formed plan and heatmap for a one-layer
     # model, HEATNEG and HEATBIG are heatmaps of tiny's shape with a negative
-    # count and one beyond int64, and PLANBOGUS a plan of tiny's shape with an
-    # unknown strategy
+    # count and one beyond int64, HEATREP one that lists cell 0,3 twice, and
+    # PLANBOGUS a plan of tiny's shape with an unknown strategy
     plan1 = tmp_path / "plan1.csv"
     plan1.write_text("strategy=layer_hot k=2 seed=none\n0,1\n")
     heat1 = tmp_path / "heat1.csv"
@@ -581,12 +598,16 @@ def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
         (tmp_path / f"{name}.csv").write_text("layer,expert,count,ratio\n" + "".join(
             f"{l},{e},{count if (l, e) == (0, 2) else 3},0.25\n"
             for l in range(2) for e in range(4)))
+    (tmp_path / "heatrep.csv").write_text("layer,expert,count,ratio\n" + "".join(
+        f"{l},{e},{5 if (l, e) == (0, 3) else 3},0.25\n"
+        for l in range(2) for e in range(4)) + "0,3,999,0.25\n")
     planbogus = tmp_path / "planbogus.csv"
     planbogus.write_text("strategy=bogus k=1 seed=none\n2\n3\n")
     args = [{"BASE": str(base_dir / "base.ckpt"), "PLAN1": str(plan1),
              "HEAT1": str(heat1), "BASENAN": str(tmp_path / "nan.ckpt"),
              "HEATNEG": str(tmp_path / "heatneg.csv"),
-             "HEATBIG": str(tmp_path / "heatbig.csv"), "PLANBOGUS": str(planbogus)}.get(a, a)
+             "HEATBIG": str(tmp_path / "heatbig.csv"),
+             "HEATREP": str(tmp_path / "heatrep.csv"), "PLANBOGUS": str(planbogus)}.get(a, a)
             for a in args]
     out = tmp_path / "out"
     assert main(args[:1] + ["--config", CFG, "--out-dir", str(out)] + args[1:]) == 2

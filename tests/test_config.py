@@ -1,5 +1,7 @@
 """INI config parsing: strict keys, typed values, override plumbing."""
 
+import configparser
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from hotmoe.config import (FullConfig, TaskConfig, apply_overrides,
                            load_config, render_resolved)
 from hotmoe.errors import ConfigError, IoError
+from hotmoe.model import ModelConfig
+from hotmoe.tasks import PAD
 
 
 def write(tmp_path, text):
@@ -163,7 +167,7 @@ def test_pretrain_validation():
 
 
 @pytest.mark.parametrize("key", ["n_layers", "d_model", "n_heads", "d_ff",
-                                 "n_experts", "vocab", "max_seq"])
+                                 "n_experts"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_non_positive_model_size_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -173,15 +177,6 @@ def test_non_positive_model_size_rejected(key, value):
 def test_negative_shared_experts_rejected():
     with pytest.raises(ConfigError, match="n_shared"):
         apply_overrides(FullConfig(), {"model.n_shared": "-1"})
-
-
-def test_vocab_must_cover_task_tokens(tmp_path):
-    with pytest.raises(ConfigError, match="vocab"):
-        apply_overrides(FullConfig(), {"model.vocab": "31"})
-    with pytest.raises(ConfigError, match="vocab"):
-        load_config(write(tmp_path, "[model]\nvocab = 5\n"))
-    full, _ = apply_overrides(FullConfig(), {"model.vocab": "32"})
-    assert full.model.vocab == 32
 
 
 @pytest.mark.parametrize("section", ["task", "run", "pretrain"])
@@ -242,3 +237,19 @@ def test_warmup_pct_must_select_a_row_of_every_train_split():
     # a non-target task's split counts too: mod_add's is capped at 0.8 * 5**2
     with pytest.raises(ConfigError, match="selects 0 of the 20 mod_add"):
         apply_overrides(FullConfig(), {"task.modulus": "5", "run.warmup_pct": "2"})
+
+
+def test_default_cfg_lists_every_key():
+    # the README points to configs/default.cfg for the full set of keys
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(Path(__file__).resolve().parent.parent / "configs" / "default.cfg")
+    sections = {f.name: f.default_factory for f in fields(FullConfig)}
+    assert parser.sections() == list(sections)
+    for name, cls in sections.items():
+        assert list(parser[name]) == [f.name for f in fields(cls)], name
+
+
+def test_model_sizes_fixed_by_the_tasks_are_constants():
+    cfg = ModelConfig(n_layers=1)
+    assert (cfg.vocab, cfg.max_seq) == (PAD + 1, 16)
+    assert not {"vocab", "max_seq"} & {f.name for f in fields(ModelConfig)}

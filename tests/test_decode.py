@@ -197,7 +197,7 @@ def test_evaluate_forwards_only_rows_still_answering(kind, batch_size):
 
 def small_model():
     cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=12, n_experts=4,
-                      k_route=2, vocab=32, max_seq=16)
+                      k_route=2)
     return MoEModel(cfg, seed=3)
 
 

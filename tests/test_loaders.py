@@ -89,6 +89,23 @@ class TestReproducedFaults:
         with pytest.raises(IoError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("manifest,tail,match", [
+        (b"ntensors 4\nw f64 2x3 0\nb f64 4 48\ns f64 0d 80\nw f64 2x3 88\n", 48,
+         "repeated tensor w"),
+        (b"ntensors 3\nw f64 2x3 0\nb f64 4 0\ns f64 0d 80\n", 0,
+         "b .* starts at byte 0, not 48"),
+        (b"ntensors 3\nw f64 2x3 0\nb f64 4 48\ns f64 0d 80\n", 8,
+         "runs 8 bytes past its last tensor")],
+        ids=["repeated-name", "shared-offset", "trailing-bytes"])
+    def test_checkpoint_manifest_must_tile_payload(self, tmp_path, manifest, tail, match):
+        # each loaded before: the second w replaced the first, b read w's
+        # bytes, and the appended bytes went unread
+        path = _checkpoint(tmp_path)
+        _rewrite(path, b"ntensors 3\nw f64 2x3 0\nb f64 4 48\ns f64 0d 80\n", manifest)
+        path.write_bytes(path.read_bytes() + b"\0" * tail)
+        with pytest.raises(IoError, match=match):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("old,new", [(b"0,2", b"0,x"),
                                          (b"k=2", b"k2")])
     def test_plan_bad_cell_or_header_token(self, tmp_path, old, new):
@@ -118,6 +135,13 @@ class TestReproducedFaults:
         path = _heatmap(tmp_path)
         _rewrite(path, b"0,1,1,", b"0,1,-999,")
         with pytest.raises(ConfigError, match="negative count"):
+            load_heatmap(path)
+
+    def test_heatmap_repeated_cell(self, tmp_path):
+        # the last copy used to win, so 0,3 loaded as 999
+        path = _heatmap(tmp_path)
+        path.write_bytes(path.read_bytes() + b"0,3,999,0.5\n")
+        with pytest.raises(ConfigError, match=r"repeated heatmap cell \(0, 3\)"):
             load_heatmap(path)
 
     def test_heatmap_count_beyond_int64(self, tmp_path):

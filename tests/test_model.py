@@ -28,7 +28,7 @@ RNG = np.random.default_rng(2024)
 
 def tiny_config(**kw):
     base = dict(n_layers=2, d_model=8, n_heads=2, d_ff=12, n_experts=4,
-                k_route=2, vocab=32, max_seq=16)
+                k_route=2)
     base.update(kw)
     return ModelConfig(**base)
 

@@ -97,7 +97,7 @@ def moe_half(model, layer, x):
 
 def tiny_config(**kw):
     base = dict(n_layers=2, d_model=8, n_heads=2, d_ff=12, n_experts=4,
-                k_route=2, vocab=32, max_seq=16)
+                k_route=2)
     base.update(kw)
     return ModelConfig(**base)
 

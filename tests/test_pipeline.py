@@ -28,13 +28,13 @@ from hotmoe.tasks import PAD, TaskSpec, evaluate, make_task
 
 def tiny_config(**kw):
     base = dict(d_model=8, n_heads=2, d_ff=12, n_layers=2, n_experts=4,
-                k_route=2, vocab=32, max_seq=16)
+                k_route=2)
     base.update(kw)
     return ModelConfig(**base)
 
 
 def tiny_run(**kw):
-    base = dict(rank=2, alpha=4.0, plan_k=2, warmup_pct=50.0, warmup_epochs=1,
+    base = dict(rank=2, alpha=4.0, plan_k=2, warmup_pct=50.0,
                 epochs=2, batch_size=8, lr=4e-3, seed=0)
     base.update(kw)
     return RunConfig(**base)
@@ -65,7 +65,7 @@ def test_runconfig_rejects_bad_values():
     for kw in (dict(warmup_pct=0.0), dict(warmup_pct=101.0), dict(plan_k=0),
                dict(plan_k=-1), dict(lr=0.0), dict(lr=float("nan")),
                dict(alpha=0.0), dict(alpha=-8.0), dict(alpha=float("inf")),
-               dict(rank=0), dict(batch_size=0), dict(warmup_epochs=0),
+               dict(rank=0), dict(batch_size=0), dict(epochs=-1),
                dict(scheme="dora"), dict(experts="some"),
                dict(strategy="bogus"), dict(rho=0.0),
                dict(attention=False, gate=False, experts="none")):
@@ -506,7 +506,7 @@ def test_end_to_end_experts_all_skips_warmup(base):
 # a valid value other than tiny_run()'s for every non-bool RunConfig field;
 # a bool field is flipped
 OTHER_VALUE = dict(scheme="lori_d", experts="all", rank=3, alpha=2.0, rho=0.5,
-                   strategy="cold", plan_k=1, warmup_pct=100.0, warmup_epochs=2,
+                   strategy="cold", plan_k=1, warmup_pct=100.0,
                    epochs=1, batch_size=4, lr=1e-2, seed=1)
 
 

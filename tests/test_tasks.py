@@ -76,6 +76,20 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             TaskSpec("mystery")
 
+    def test_bad_length_range_rejected(self):
+        for lens in ({"min_len": 7}, {"min_len": 0}, {"min_len": 4, "max_len": 3}):
+            with pytest.raises(ConfigError, match="length range"):
+                TaskSpec("transduce", **lens)
+
+    def test_row_longer_than_seq_len_rejected(self):
+        # a prompt of max_len tokens, SEP and its answer: 2 * 7 + 1 = 15 tokens
+        make_task(TaskSpec("transduce", max_len=7), 15)
+        for kind in ("transduce", "refusal"):
+            with pytest.raises(ConfigError, match="exceed max_seq 16"):
+                make_task(TaskSpec(kind, max_len=8), 16)
+        with pytest.raises(ConfigError, match="4 tokens would exceed"):
+            make_task(TaskSpec("mod_add", train_size=20, test_size=5), 3)
+
     def test_empty_split_rejected(self):
         # an empty split would reach _pack's max() over zero rows
         for sizes in ({"train_size": 0}, {"test_size": 0}, {"train_size": -3}):

@@ -47,7 +47,7 @@ def test_tracer_installs_runs_and_uninstalls():
     try:
         assert hm.tensor.gelu is not before[0]["gelu"]
         cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_ff=12,
-                          n_experts=4, k_route=2, max_seq=16)
+                          n_experts=4, k_route=2)
         spec = TaskSpec(kind="mod_add", seed=0, train_size=8, test_size=4, modulus=5)
         base = hm.model.pretrain_base(cfg, [spec], steps=2, seed=0, batch_size=4)
         spans = tracer.reset()
