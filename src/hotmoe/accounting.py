@@ -40,9 +40,8 @@ class ParamReport:
 
 def count_params(model) -> ParamReport:
     """Adapter-trainable counts, cross-checked closed form vs registry. The
-    adapter tensors are the ones the pairs own: A, B and, with a mask, M."""
-    owned = {id(t) for pair in model.adapters.values()
-             for t in (pair.A, pair.B, pair.mask_f) if t is not None}
+    adapter tensors are the ones the pairs own: A and B."""
+    owned = {id(t) for pair in model.adapters.values() for t in (pair.A, pair.B)}
     base_total = 0
     registry_trainable = 0
     for _, entry in model.registry.items():

@@ -1,11 +1,13 @@
 """Low-rank adapter schemes, their arithmetic, and their attachment to targets.
 
-Three schemes over the same (A, B) pair shape:
+Every scheme computes h = xW + s*(xA)B, s = alpha/r, over the same (A, B)
+pair shape; a scheme decides only what trains:
 
-  lora    h = xW + s*xAB, A and B trainable, s = alpha/r
+  lora    A and B trainable
   lori_d  A frozen at its random init, B dense-trainable
-  lori_s  A frozen, B trainable only on a fixed binary mask M built from
-          the magnitudes of a prior lori_d run's B (h = xW + s*xA(B.M))
+  lori_s  A frozen, B trainable only on a fixed bool mask built from the
+          magnitudes of a prior lori_d run's B; the optimizer alone keeps
+          B at its zero init off the mask
 
 B always starts at zero, so a freshly adapted model computes bit-identical
 outputs to the base model. Cold experts get no adapter objects at all.
@@ -14,7 +16,7 @@ outputs to the base model. Cold experts get no adapter objects at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +54,10 @@ class TargetSet:
 
 @dataclass
 class AdapterPair:
-    A: Tensor                      # d_in x r
+    A: Tensor                      # d_in x r, r the rank
     B: Tensor                      # r x d_out
-    r: int
     alpha: float
     mask: np.ndarray | None = None  # bool r x d_out, fixed for the pair's lifetime
-    mask_f: Tensor | None = field(default=None, init=False, repr=False)  # 0/1 floats
     scheme: str = ""               # lora | lori_d | lori_s, set by attach
     kind: str = ""                 # attention | gate | experts | shared, set by attach
     layer: int = -1
@@ -67,43 +67,41 @@ class AdapterPair:
         d_in, d_out = self.A.shape[0], self.B.shape[1]
         if self.r > min(d_in, d_out):
             raise ConfigError(f"rank {self.r} exceeds min(d_in={d_in}, d_out={d_out})")
-        if self.A.shape != (d_in, self.r) or self.B.shape != (self.r, d_out):
+        if self.B.shape[0] != self.r:
             raise InvariantViolation("adapter pair shape mismatch")
         if self.mask is not None:
             self.mask = np.asarray(self.mask)
             if self.mask.dtype != np.bool_ or self.mask.shape != self.B.shape:
                 raise InvariantViolation("adapter mask must be bool with B's shape")
-            self.mask_f = Tensor(self.mask.astype(np.float64))
+
+    @property
+    def r(self) -> int:
+        return self.A.shape[1]
 
     @property
     def scale(self) -> float:
         return self.alpha / self.r
 
 
-def _b_eff(pair: AdapterPair) -> np.ndarray:
-    return pair.B.data if pair.mask_f is None else pair.B.data * pair.mask_f.data
-
-
 def adapted_forward(inp: np.ndarray, pair: AdapterPair, out: np.ndarray) -> np.ndarray:
-    """Add the adapter term s * (inp A)(B * M) into out, which holds inp @ W,
+    """Add the adapter term s * (inp A) B into out, which holds inp @ W,
     and return inp A for adapted_backward."""
     xa = inp @ pair.A.data
-    out += (xa @ _b_eff(pair)) * pair.scale
+    out += (xa @ pair.B.data) * pair.scale
     return xa
 
 
 def adapted_backward(g_out: np.ndarray, inp: np.ndarray, pair: AdapterPair,
                      xa: np.ndarray, want_in: bool, grads: dict) -> np.ndarray | None:
     """Backward of adapted_forward for out's gradient g_out: put the
-    gradients of A and B that require one into grads, by id (B's times the
-    mask), and, if want_in, return the adapter's term of inp's gradient."""
+    gradients of A and B that require one into grads, by id, and, if
+    want_in, return the adapter's term of inp's gradient."""
     g_t = g_out * pair.scale
     if pair.B.requires_grad:
-        g_b = _unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
-        grads[id(pair.B)] = g_b if pair.mask_f is None else g_b * pair.mask_f.data
+        grads[id(pair.B)] = _unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
     if not (want_in or pair.A.requires_grad):
         return None
-    g_xa = g_t @ _b_eff(pair).swapaxes(-1, -2)
+    g_xa = g_t @ pair.B.data.swapaxes(-1, -2)
     if pair.A.requires_grad:
         grads[id(pair.A)] = _unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape)
     return g_xa @ pair.A.data.swapaxes(-1, -2) if want_in else None
@@ -164,21 +162,16 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
         raise ConfigError("lori_s needs masks built from a prior lori_d run")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA]))
     for name, kind, layer, expert in _target_sites(model, targets, plan):
-        W = model.registry[name].tensor
-        d_in, d_out = W.shape
+        d_in, d_out = model.registry[name].tensor.shape
         A = Tensor(rng.normal(0.0, 0.02, size=(d_in, r)))
         B = Tensor(np.zeros((r, d_out)))
-        mask = None
-        if scheme.name == "lori_s":
-            if name not in masks:
-                raise ConfigError(f"lori_s mask missing for target {name}")
-            mask = masks[name]
-        pair = AdapterPair(A=A, B=B, r=r, alpha=alpha, mask=mask, scheme=scheme.name,
+        if scheme.name == "lori_s" and name not in masks:
+            raise ConfigError(f"lori_s mask missing for target {name}")
+        mask = masks[name] if scheme.name == "lori_s" else None
+        pair = AdapterPair(A=A, B=B, alpha=alpha, mask=mask, scheme=scheme.name,
                            kind=kind, layer=layer, expert=expert)
         model.registry.add(f"{name}.adapter.A", A, trainable=False)
         model.registry.add(f"{name}.adapter.B", B, trainable=False)
-        if pair.mask is not None:
-            model.registry.add(f"{name}.adapter.M", pair.mask_f, trainable=False)
         model.adapters[name] = pair
     return model
 

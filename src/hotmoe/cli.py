@@ -405,7 +405,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with np.errstate(all="ignore"):    # divergence is the loss's NumericalError
+            code = args.func(args)
         sys.stdout.flush()      # a closed stdout fails here, not at shutdown
         return code
     except BrokenPipeError as e:

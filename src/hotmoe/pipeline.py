@@ -5,10 +5,10 @@ seeded subset of the task, whose profile records which routed experts
 fire over the whole trajectory. That profile drives hot expert selection;
 the warm model itself is discarded. Fine-tuning then attaches fresh
 zero-update adapters per the chosen scheme and plan on an unmodified base
-copy. Frozen weights are hashed before and after every fine-tune, so any
-drift in cold experts (or anything else frozen) is a hard error,
-not a silent accuracy bug. run_end_to_end, ablate and cross_task_matrix
-all run this warm-up -> plan -> fine-tune path on a Grid.
+copy. Frozen weights are hashed before and after every fine-tune, and a
+lori_s B must stay zero off its mask, so drift in anything frozen is a
+hard error, not a silent accuracy bug. run_end_to_end, ablate and
+cross_task_matrix all run this warm-up -> plan -> fine-tune path on a Grid.
 """
 
 from __future__ import annotations
@@ -92,16 +92,20 @@ def clone_model(cfg: ModelConfig, base_state: dict[str, np.ndarray]) -> MoEModel
 
 
 def frozen_param_hashes(model: MoEModel) -> dict[str, str]:
-    """SHA-256 of every frozen tensor, adapter A and M included, keyed by name."""
+    """SHA-256 of every frozen tensor, a frozen adapter A included, keyed by name."""
     return {name: hashlib.sha256(entry.tensor.data.tobytes()).hexdigest()
             for name, entry in model.registry.items() if not entry.trainable}
 
 
 def check_frozen_integrity(model: MoEModel, before: dict[str, str]) -> None:
+    """Frozen tensors hash as before; a masked B is still zero off its mask."""
     after = frozen_param_hashes(model)
     for name, digest in before.items():
         if after.get(name) != digest:
             raise InvariantViolation(f"frozen parameter {name} changed during training")
+    for target, pair in model.adapters.items():
+        if pair.mask is not None and pair.B.data[~pair.mask].any():
+            raise InvariantViolation(f"adapter B on {target} moved off its mask")
 
 
 def masks_from_donor(model: MoEModel, rho: float) -> dict[str, np.ndarray]:

@@ -11,8 +11,7 @@ from hotmoe.tensor import Tensor
 
 
 def project(x: Tensor, W: Tensor, pair: AdapterPair | None) -> Tensor:
-    """x @ W plus, with pair, the adapter term s * (x A)(B * M), on the tape."""
+    """x @ W plus, with pair, the adapter term s * (x A) B, on the tape."""
     if pair is None:
         return x @ W
-    b_eff = pair.B if pair.mask_f is None else pair.B * pair.mask_f
-    return x @ W + ((x @ pair.A) @ b_eff) * pair.scale
+    return x @ W + ((x @ pair.A) @ pair.B) * pair.scale

@@ -119,6 +119,25 @@ def test_lori_s_counts_mask_popcount():
     assert rep.trainable == want == rep.closed_form
 
 
+def test_closed_form_differs_from_registry_raises():
+    # a registry mask other than the pair's trains a different count than
+    # the closed form (the pair's mask popcount) reports
+    cfg = tiny_config()
+    donor = MoEModel(cfg, seed=0)
+    attach(donor, TargetSet(experts="all"), None, Scheme("lori_d"), r=2, alpha=4, seed=1)
+    rng = np.random.default_rng(7)
+    masks = {name: build_mask(rng.normal(size=pair.B.shape), 0.10)
+             for name, pair in donor.adapters.items()}
+    m = MoEModel(cfg, seed=0)
+    attach(m, TargetSet(experts="all"), None, Scheme("lori_s"), r=2, alpha=4,
+           seed=1, masks=masks)
+    reg = set_trainability(m, Scheme("lori_s"))
+    pair = m.adapters["layer0.router.w"]
+    reg.set_mask("layer0.router.w.adapter.B", np.ones(pair.B.shape, dtype=bool))
+    with pytest.raises(InvariantViolation, match="closed-form count .* != registry"):
+        count_params(m)
+
+
 def test_fraction_is_trainable_over_base():
     prof = ActivationProfile(np.tile(np.arange(16, 0, -1), (4, 1)).astype(np.int64))
     plan = select(prof, k=4, strategy="layer_hot")

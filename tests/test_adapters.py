@@ -1,5 +1,8 @@
 """Adapter scheme contracts: attachment, masks, trainability, zero-init.
 
+Every scheme's adapter term is s * (x A) B; a lori_s mask reaches only
+the registry, which keeps the optimizer off B's masked-off coordinates.
+
 Closed forms from the default config (d_model=32, d_ff=64, n_experts=16,
 r=4): per-layer adapter params are attention 4*4*(32+32)=1024, gate
 4*(32+16)=192, all-expert 16*(4*(32+64)+4*(64+32))=12288, total 13504;
@@ -55,11 +58,17 @@ class TestTypes:
     def test_rank_bound(self):
         with pytest.raises(ConfigError):
             AdapterPair(A=Tensor(np.zeros((4, 6))), B=Tensor(np.zeros((6, 5))),
-                        r=6, alpha=8.0)
+                        alpha=8.0)
+
+    def test_inner_dimension_mismatch(self):
+        # the rank is A's width, and B's height must equal it
+        with pytest.raises(InvariantViolation, match="shape mismatch"):
+            AdapterPair(A=Tensor(np.zeros((8, 4))), B=Tensor(np.zeros((3, 8))),
+                        alpha=8.0)
 
     def test_scale(self):
         pair = AdapterPair(A=Tensor(np.zeros((8, 4))), B=Tensor(np.zeros((4, 8))),
-                           r=4, alpha=8.0)
+                           alpha=8.0)
         assert pair.scale == 2.0
 
 
@@ -74,31 +83,37 @@ class TestAdaptedForward:
         # x=[1,0], W=I, A=[[1],[0]], B=[[0,2]], s=1 -> h=[1,2], xA=[1]
         x = np.array([[1.0, 0.0]])
         pair = AdapterPair(A=Tensor(np.array([[1.0], [0.0]])),
-                           B=Tensor(np.array([[0.0, 2.0]])), r=1, alpha=1.0)
+                           B=Tensor(np.array([[0.0, 2.0]])), alpha=1.0)
         out, xa = adapted(x, np.eye(2), pair)
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
         np.testing.assert_array_equal(xa, [[1.0]])
 
-    def test_hand_case_masked(self):
+    def test_hand_case_mask_is_not_arithmetic(self):
+        # the test_hand_case pair with B's second coordinate off its mask:
+        # the term is still s * (x A) B, since training keeps B zero there
         x = np.array([[1.0, 0.0]])
         pair = AdapterPair(A=Tensor(np.array([[1.0], [0.0]])),
-                           B=Tensor(np.array([[0.0, 2.0]])), r=1, alpha=1.0,
-                           mask=np.array([[True, False]]))
-        np.testing.assert_array_equal(adapted(x, np.eye(2), pair)[0], [[1.0, 0.0]])
+                           B=Tensor(np.array([[0.0, 2.0]]), requires_grad=True),
+                           alpha=1.0, mask=np.array([[True, False]]))
+        out, xa = adapted(x, np.eye(2), pair)
+        np.testing.assert_array_equal(out, [[1.0, 2.0]])
+        grads = {}
+        adapted_backward(np.array([[1.0, 1.0]]), x, pair, xa, False, grads)
+        np.testing.assert_array_equal(grads[id(pair.B)], [[1.0, 1.0]])
 
     def test_zero_b_is_exact_identity(self):
         x = RNG.normal(size=(5, 8))
         W = RNG.normal(size=(8, 6))
         pair = AdapterPair(A=Tensor(RNG.normal(size=(8, 3))),
-                           B=Tensor(np.zeros((3, 6))), r=3, alpha=6.0)
+                           B=Tensor(np.zeros((3, 6))), alpha=6.0)
         assert adapted(x, W, pair)[0].tobytes() == (x @ W).tobytes()
 
     def test_output_linear_in_scale(self):
         x = RNG.normal(size=(4, 8))
         W = RNG.normal(size=(8, 8))
         A, B = RNG.normal(size=(8, 2)), RNG.normal(size=(2, 8))
-        one = AdapterPair(A=Tensor(A), B=Tensor(B), r=2, alpha=2.0)   # s=1
-        two = AdapterPair(A=Tensor(A), B=Tensor(B), r=2, alpha=4.0)   # s=2
+        one = AdapterPair(A=Tensor(A), B=Tensor(B), alpha=2.0)   # s=1
+        two = AdapterPair(A=Tensor(A), B=Tensor(B), alpha=4.0)   # s=2
         base = x @ W
         d1 = adapted(x, W, one)[0] - base
         d2 = adapted(x, W, two)[0] - base
@@ -108,12 +123,13 @@ class TestAdaptedForward:
     @pytest.mark.parametrize("want_in", [True, False])
     def test_backward_matches_tape(self, masked, want_in):
         # the adapter's gradients and input term are the tape's for the
-        # composed projection, bitwise
+        # composed projection, bitwise; a mask, which only the optimizer
+        # reads, changes none of them
         x = Tensor(RNG.normal(size=(5, 8)), requires_grad=True)
         W = Tensor(RNG.normal(size=(8, 6)))
         pair = AdapterPair(A=Tensor(RNG.normal(size=(8, 3)), requires_grad=True),
                            B=Tensor(RNG.normal(size=(3, 6)), requires_grad=True),
-                           r=3, alpha=6.0, mask=RNG.random((3, 6)) < 0.5 if masked else None)
+                           alpha=6.0, mask=RNG.random((3, 6)) < 0.5 if masked else None)
         g = RNG.normal(size=(5, 6))
         out, xa = adapted(x.data, W.data, pair)
         grads = {}
@@ -161,8 +177,7 @@ class TestBuildMask:
 
 
 def adapter_param_count(model):
-    return sum(e.tensor.size for n, e in model.registry.items() if ".adapter." in n
-               and not n.endswith(".adapter.M"))
+    return sum(e.tensor.size for n, e in model.registry.items() if ".adapter." in n)
 
 
 class TestAttach:
@@ -307,6 +322,24 @@ class TestTrainability:
     def test_lori_s_requires_masks(self):
         with pytest.raises(ConfigError):
             self.make_adapted(Scheme("lori_s"))
+
+    def test_lori_s_mask_missing_for_one_target(self):
+        ref = self.make_adapted(Scheme("lori_d"))
+        masks = {name: build_mask(RNG.normal(size=pair.B.shape), 0.1)
+                 for name, pair in ref.adapters.items()}
+        del masks["layer1.router.w"]
+        with pytest.raises(ConfigError, match="lori_s mask missing for target "
+                                              "layer1.router.w"):
+            self.make_adapted(Scheme("lori_s"), masks=masks)
+
+    def test_lori_s_registers_only_a_and_b(self):
+        # the mask is the pair's and the registry entry's, never a tensor
+        ref = self.make_adapted(Scheme("lori_d"))
+        masks = {name: build_mask(RNG.normal(size=pair.B.shape), 0.1)
+                 for name, pair in ref.adapters.items()}
+        model = self.make_adapted(Scheme("lori_s"), masks=masks)
+        assert [n for n, _ in model.registry.items() if ".adapter." in n] == [
+            f"{t}.adapter.{h}" for t in model.adapters for h in "AB"]
 
     def test_base_frozen_under_all_schemes(self):
         for name in ("lora", "lori_d"):

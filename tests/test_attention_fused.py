@@ -169,7 +169,7 @@ def sublayer_registry(scheme, seed=0, d=8, r=2):
         if scheme != "base":
             pair = AdapterPair(A=T.Tensor(rng.normal(0.0, 0.3, size=(d, r))),
                                B=T.Tensor(rng.normal(0.0, 0.3, size=(r, d))),
-                               r=r, alpha=4.0,
+                               alpha=4.0,
                                mask=rng.random((r, d)) < 0.5 if scheme == "lori_s" else None)
             reg.add(f"{p}.A", pair.A, trainable=scheme == "lora")
             reg.add(f"{p}.B", pair.B)

@@ -1,8 +1,10 @@
 """Command-line behavior: artifacts, determinism, error lines, exit codes."""
 
+import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,19 @@ def test_report_desk_scale_closed_forms(capsys):
     assert "scheme=lora placement=plan_k4 trainable=17152" in out
 
 
+def test_report_params_csv_rows_are_the_printed_lines(tmp_path, capsys):
+    assert main(["report", "--config", CFG, "--out-dir", str(tmp_path)]) == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("report ")]
+    with (tmp_path / "params.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [f"report scheme={r['scheme']} placement={r['placement']} "
+            f"trainable={r['trainable']} fraction={r['fraction']}"
+            for r in rows] == printed
+    for r in rows:     # the per-kind columns split the trainable count
+        assert sum(int(v) for k, v in r.items() if k.startswith("target_") and v) \
+            == int(r["trainable"])
+
+
 def test_bad_set_syntax(capsys):
     assert main(["report", "--set", "noequals"]) == 2
     assert "category=ConfigError" in capsys.readouterr().err
@@ -434,6 +449,18 @@ def test_zero_heads_exits_2(capsys):
     code = main(["report", "--config", CFG, "--set", "model.n_heads=0"])
     assert code == 2
     _one_error_line(capsys.readouterr().err, "ConfigError")
+
+
+def test_diverging_pretrain_prints_one_error_line(tmp_path, capsys):
+    # the loss's finite check turns the overflow into exit 4; numpy's
+    # RuntimeWarnings would otherwise print ahead of the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["pretrain", "--config", CFG, "--set", "pretrain.lr=1e300",
+                     "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert [str(w.message) for w in caught] == []
+    _one_error_line(capsys.readouterr().err, "NumericalError")
 
 
 # keys that held one value in every config: vocab and max_seq are now
@@ -565,6 +592,11 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
     ["plan", "--profile", "HEATBIG"],
     ["plan", "--profile", "HEATREP"],
     ["finetune", "--base", "BASE", "--plan", "PLANBOGUS"],
+    ["pretrain", "--set", "pretrain.batch_size=0"],
+    ["pretrain", "--set", "pretrain.until_acc=1.0"],
+    ["pretrain", "--set", "pretrain.check_every=0"],
+    ["pretrain", "--set", "task.mixture="],
+    ["pretrain", "--set", "foo.bar=1"],
 ], ids=["prompt-space", "plan-no-profile", "profile-no-base",
         "finetune-no-base", "ablate-no-base", "crosstask-no-base", "flops-no-base",
         "finetune-no-plan", "flops-no-plan", "finetune-plan-misfit",
@@ -578,7 +610,9 @@ def test_bad_task_value_exits_2_before_artifacts(setting, tmp_path, capsys):
         "lb-mode-unknown", "lb-during-finetune-unknown",
         "profile-base-nan", "flops-base-nan", "run-base-nan", "plan-heatmap-negative",
         "plan-heatmap-beyond-int64", "plan-heatmap-repeated-cell",
-        "finetune-plan-bogus-strategy"])
+        "finetune-plan-bogus-strategy", "pretrain-batch-size-0",
+        "pretrain-until-acc-1", "pretrain-check-every-0", "pretrain-empty-mixture",
+        "pretrain-unknown-section"])
 def test_failed_check_writes_no_file(args, base_dir, tmp_path, capsys):
     # BASE stands for a real base checkpoint of configs/tiny.cfg, so only the
     # named check fails, and BASENAN for it with one router weight NaN;

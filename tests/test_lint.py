@@ -16,10 +16,13 @@ becomes an IoError in one place. python -O strips assert statements, so
 an invariant raises InvariantViolation instead. A **kwargs parameter
 passes on arguments its signature does not name, so every parameter of a
 library function is spelled out. adapters.py registers each adapter's
-tensors as `<target>.adapter.{A,B,M}`; every other module reaches them
+tensors as `<target>.adapter.{A,B}`; every other module reaches them
 through the AdapterPair that owns them, never by parsing names. The
-adapter arithmetic (scale, mask and their backward) lives in adapters.py
-alone: no other module reads an attribute named `scale`.
+adapter arithmetic (the scale and its backward) lives in adapters.py
+alone: no other module reads an attribute named `scale`. That arithmetic
+is one formula for every scheme: adapted_forward and adapted_backward
+read no attribute named `scheme` or holding `mask`, since a scheme
+decides only what trains.
 """
 
 import ast
@@ -237,7 +240,7 @@ def test_adapter_name_checker_hand_case():
     library = {"adapters.py": 'reg.add(f"{target}.adapter.A", A)\n',
                "accounting.py": 'if ".adapter." in name:\n    pass\n',
                "model.py": "from .adapters import adapted_forward\n",
-               "pipeline.py": "# frozen .adapter.M tensors are hashed\n"}
+               "pipeline.py": "# frozen .adapter.A tensors are hashed\n"}
     assert adapter_name_users(library) == ["accounting.py", "pipeline.py"]
 
 
@@ -255,13 +258,54 @@ def scale_readers(library: dict[str, str]) -> list[str]:
 
 
 def test_scale_checker_hand_case():
-    library = {"adapters.py": "out += (xa @ b_eff) * pair.scale\n",
+    library = {"adapters.py": "out += (xa @ pair.B.data) * pair.scale\n",
                "model.py": ('ms, scale, xn = _norm(xd)\n'
                             'g = g_xn * scale  # not pair.scale\n'
-                            '"""adapted as s * (x A)(B * M), s = pair.scale"""\n'),
+                            '"""adapted as s * (x A) B, s = pair.scale"""\n'),
                "accounting.py": "flops = 2 * self.adapters[t].scale\n"}
     assert scale_readers(library) == ["accounting.py"]
 
 
 def test_only_adapters_reads_adapter_scale():
     assert scale_readers(_library()) == []
+
+
+ADAPTER_ARITHMETIC = ("adapted_forward", "adapted_backward")
+
+
+def scheme_reads(source: str, functions: tuple[str, ...]) -> list[str]:
+    """Attributes read inside the named functions whose name is scheme or
+    contains mask (mask, mask_f, ...), and each named function the source
+    does not define."""
+    tree = ast.parse(source)
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name in functions]
+    out = [f"{name}: not defined" for name in functions
+           if name not in {node.name for node in defs}]
+    return out + sorted(f"line {sub.lineno}: {node.name} reads .{sub.attr}"
+                        for node in defs for sub in ast.walk(node)
+                        if isinstance(sub, ast.Attribute)
+                        and (sub.attr == "scheme" or "mask" in sub.attr))
+
+
+def test_scheme_free_checker_hand_case():
+    source = ("def adapted_forward(inp, pair, out):\n"
+              "    xa = inp @ pair.A.data  # no mask here\n"
+              "    out += (xa @ (pair.B.data * pair.mask_f.data)) * pair.scale\n"
+              "    return xa\n"
+              "def set_trainability(model, scheme):\n"
+              "    return pair.mask, scheme.name\n"
+              "def adapted_backward(g, inp, pair, xa, want_in, grads):\n"
+              "    mask = None\n"
+              "    if pair.scheme == 'lora':\n"
+              "        return mask\n")
+    assert scheme_reads(source, ADAPTER_ARITHMETIC) == [
+        "line 3: adapted_forward reads .mask_f", "line 9: adapted_backward reads .scheme"]
+    assert scheme_reads(source, ("set_trainability", "_b_eff")) == [
+        "_b_eff: not defined", "line 6: set_trainability reads .mask"]
+
+
+def test_adapter_arithmetic_is_scheme_free():
+    source = (SRC / "adapters.py").read_text(encoding="utf-8")
+    assert scheme_reads(source, ADAPTER_ARITHMETIC) == []

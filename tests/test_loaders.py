@@ -82,7 +82,8 @@ class TestReproducedFaults:
 
     @pytest.mark.parametrize("old,new", [(b"w f64 2x3 0\n", b"w f64 2x3\n"),
                                          (b"ntensors 3", b"ntensors two"),
-                                         (b"w f64 2x3 0", b"w f64 -1x6 0")])
+                                         (b"w f64 2x3 0", b"w f64 -1x6 0"),
+                                         (b"w f64 2x3 0", b"w f32 2x3 0")])
     def test_checkpoint_bad_manifest(self, tmp_path, old, new):
         path = _checkpoint(tmp_path)
         _rewrite(path, old, new)

@@ -275,7 +275,7 @@ def route_inputs(gate):
     if gate:
         pair = AdapterPair(A=T.Tensor(rng.normal(size=(cfg.d_model, 2))),
                            B=T.Tensor(rng.normal(size=(2, 6)), requires_grad=True),
-                           r=2, alpha=4.0, mask=rng.random((2, 6)) < 0.5)
+                           alpha=4.0, mask=rng.random((2, 6)) < 0.5)
     return xf, (W, pair)
 
 
@@ -339,7 +339,7 @@ def bank_inputs(cfg, seed, idx, adapted_experts=()):
     def pair(d_in, d_out):
         return AdapterPair(A=T.Tensor(rng.normal(size=(d_in, 2)), requires_grad=True),
                            B=T.Tensor(rng.normal(size=(2, d_out)), requires_grad=True),
-                           r=2, alpha=4.0, mask=rng.random((2, d_out)) < 0.5)
+                           alpha=4.0, mask=rng.random((2, d_out)) < 0.5)
 
     xf = T.Tensor(rng.normal(size=(idx.shape[0], cfg.d_model)), requires_grad=True)
     mix_w = T.Tensor(rng.random(idx.shape), requires_grad=True)

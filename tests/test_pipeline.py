@@ -311,12 +311,11 @@ def test_integrity_check_catches_mutation(base):
         check_frozen_integrity(model, before)
 
 
-@pytest.mark.parametrize("scheme, entry", [("lori_d", "A"), ("lori_s", "A"),
-                                           ("lori_s", "M")])
+@pytest.mark.parametrize("scheme, entry", [("lori_d", "A"), ("lori_s", "A")])
 def test_finetune_checks_frozen_adapter_tensors(base, modadd, monkeypatch,
                                                 scheme, entry):
-    # a frozen A and the mask M are frozen registry tensors like the base,
-    # so a step that moves one is caught by the same hash check
+    # a frozen A is a frozen registry tensor like the base, so a step that
+    # moves one is caught by the same hash check
     cfg, state = base
     train, _ = modadd
     plan = plan_for(cfg, state, train)
@@ -334,6 +333,28 @@ def test_finetune_checks_frozen_adapter_tensors(base, modadd, monkeypatch,
     monkeypatch.setattr(Adam, "step", leaky_step)
     with pytest.raises(InvariantViolation, match=f"frozen parameter {target} changed"):
         finetune(cfg, state, train, {}, plan, run, masks=masks)
+
+
+def test_finetune_refuses_b_off_its_mask(base, modadd, monkeypatch):
+    # a lori_s B is trainable, so no hash covers it: off its mask it must
+    # still be the zero it started as, which a step that writes there breaks
+    cfg, state = base
+    train, _ = modadd
+    plan = plan_for(cfg, state, train)
+    run = tiny_run(scheme="lori_s", rho=0.25)
+    name = "layer0.router.w.adapter.B"
+    step = Adam.step
+
+    def leaky_step(self):
+        step(self)
+        entry = self.registry[name]
+        if entry.mask is not None:      # not the lori_d donor's step
+            entry.tensor.data[~entry.mask] += 1e-3
+
+    monkeypatch.setattr(Adam, "step", leaky_step)
+    with pytest.raises(InvariantViolation,
+                       match="adapter B on layer0.router.w moved off its mask"):
+        finetune(cfg, state, train, {}, plan, run)
 
 
 def test_finetune_lori_s_trains_donor_masks(base, modadd):
