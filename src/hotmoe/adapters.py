@@ -147,7 +147,9 @@ def _target_sites(model, targets: TargetSet, plan) -> list[tuple]:
 
 def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float,
            seed: int, masks: dict[str, np.ndarray] | None = None):
-    """Create zero-update adapters on the designated targets.
+    """Create zero-update adapters on the designated targets, or none: every
+    site's pair is built and checked (rank bound, lori_s mask present, bool
+    and of B's shape) before the first one is registered.
 
     masks: required for lori_s — target name -> bool mask over B, normally
     produced by build_mask on a lori_d run's B tensors.
@@ -161,18 +163,21 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
     if scheme.name == "lori_s" and masks is None:
         raise ConfigError("lori_s needs masks built from a prior lori_d run")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA]))
+    pairs: dict[str, AdapterPair] = {}
     for name, kind, layer, expert in _target_sites(model, targets, plan):
-        d_in, d_out = model.registry[name].tensor.shape
-        A = Tensor(rng.normal(0.0, 0.02, size=(d_in, r)))
-        B = Tensor(np.zeros((r, d_out)))
         if scheme.name == "lori_s" and name not in masks:
             raise ConfigError(f"lori_s mask missing for target {name}")
-        mask = masks[name] if scheme.name == "lori_s" else None
-        pair = AdapterPair(A=A, B=B, alpha=alpha, mask=mask, scheme=scheme.name,
-                           kind=kind, layer=layer, expert=expert)
-        model.registry.add(f"{name}.adapter.A", A, trainable=False)
-        model.registry.add(f"{name}.adapter.B", B, trainable=False)
-        model.adapters[name] = pair
+        d_in, d_out = model.registry[name].tensor.shape
+        pairs[name] = AdapterPair(
+            A=Tensor(rng.normal(0.0, 0.02, size=(d_in, r))),
+            B=Tensor(np.zeros((r, d_out))), alpha=alpha,
+            mask=masks[name] if scheme.name == "lori_s" else None,
+            scheme=scheme.name, kind=kind, layer=layer, expert=expert)
+    # every site passed its checks, so a refusal above left the model as it was
+    for name, pair in pairs.items():
+        model.registry.add(f"{name}.adapter.A", pair.A, trainable=False)
+        model.registry.add(f"{name}.adapter.B", pair.B, trainable=False)
+    model.adapters.update(pairs)
     return model
 
 

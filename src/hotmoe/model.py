@@ -695,8 +695,17 @@ class MoEModel:
 
 
 def forward_backward(model: MoEModel, batch: Batch) -> LossResult:
-    model.registry.zero_grads()
+    """The batch's loss and its backward into zeroed gradients. The
+    backward consumes the step's tape, so the result pins its scalar loss
+    and the trace's arrays, not the graph.
+
+    The previous step's gradients are dropped after the forward, not
+    before it: while the new tape is allocated they keep the top of the
+    heap in use, so glibc does not return the consumed tape's pages to the
+    OS only to fault them back in (about 20k minor faults per 10-step desk
+    pretrain_base when they were dropped first)."""
     result = model.loss(batch)
+    model.registry.zero_grads()
     result.loss.backward()
     return result
 

@@ -2,8 +2,14 @@
 
 A Tensor wraps one ndarray plus the tape bookkeeping needed to pull
 gradients back through whatever graph the forward pass built. Everything
-is float64 by contract: it keeps finite-difference checks tight and the
-models here are small enough that memory never matters.
+is float64 by contract: it keeps finite-difference checks tight.
+
+A backward pass consumes its graph: once the gradients are in, every
+node it walked drops its parents, and with them the arrays their backward
+closures saved. A tensor kept after the step (a loss, a trace's P) then
+pins only its own data, so a training step holds one tape, not two. A
+later backward that reaches a consumed node raises InvariantViolation
+instead of leaving every leaf's gradient silently stale.
 
 Determinism contract: all ops are plain numpy calls with a fixed
 reduction order, so repeated runs with identical inputs produce bitwise
@@ -18,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy import special as _special
 
-from .errors import NumericalError
+from .errors import InvariantViolation, NumericalError
 
 Array = np.ndarray
 
@@ -51,8 +57,9 @@ class Tensor:
         self.data: Array = arr
         self.grad: Array | None = None
         self.requires_grad: bool = requires_grad and _GRAD_ENABLED
-        # list of (parent, fn) where fn maps out-grad -> parent-grad contribution
-        self._parents: list[tuple[Tensor, Callable[[Array], Array]]] = []
+        # list of (parent, fn) where fn maps out-grad -> parent-grad
+        # contribution; None once a backward pass has consumed this node
+        self._parents: list[tuple[Tensor, Callable[[Array], Array]]] | None = []
 
     # -- introspection ------------------------------------------------------
 
@@ -109,7 +116,11 @@ class Tensor:
     # -- backward -----------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable leaf."""
+        """Accumulate gradients of this scalar into every reachable leaf,
+        then release the graph: every node walked that has parents drops
+        them. Leaves keep their gradients and stay usable in new graphs;
+        a backward that reaches a released node raises InvariantViolation.
+        """
         if self.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -122,6 +133,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise InvariantViolation(
+                    "backward through a graph that an earlier backward consumed")
             visited.add(id(node))
             stack.append((node, True))
             for parent, _ in node._parents:
@@ -140,6 +154,9 @@ class Tensor:
                     parent.grad = first_grad(contrib, parent.data)
                 else:
                     parent.grad += contrib
+        for node in topo:
+            if node._parents:
+                node._parents = None
 
 
 def first_grad(contrib: Array, like: Array) -> Array:

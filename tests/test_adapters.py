@@ -232,6 +232,34 @@ class TestAttach:
             attach(model, TargetSet(True, False, "none"), None, Scheme("lora"),
                    4, 8.0, 0)
 
+    @pytest.mark.parametrize("fault, error", [
+        ("missing", ConfigError), ("shape", InvariantViolation),
+        ("dtype", InvariantViolation), ("rank", ConfigError)])
+    def test_refusal_registers_nothing(self, fault, error):
+        # layer1.router.w is the 22nd of 34 sites: the 21 before it pass
+        cfg = ModelConfig(n_layers=2, n_experts=4, k_route=2)
+        sites = TargetSet(True, True, "all")
+        ref = MoEModel(cfg, seed=0)
+        attach(ref, sites, None, Scheme("lori_d"), r=4, alpha=8.0, seed=1)
+        masks = {name: build_mask(RNG.normal(size=pair.B.shape), 0.1)
+                 for name, pair in ref.adapters.items()}
+        bad, scheme, r = dict(masks), Scheme("lori_s"), 4
+        if fault == "missing":
+            del bad["layer1.router.w"]
+        elif fault == "shape":
+            bad["layer1.router.w"] = np.ones((3, 4), dtype=bool)
+        elif fault == "dtype":
+            bad["layer1.router.w"] = masks["layer1.router.w"].astype(np.float64)
+        else:   # rank 5 fits every d_model-wide site but not the 4-expert router
+            scheme, r = Scheme("lora"), 5
+        model = MoEModel(cfg, seed=0)
+        with pytest.raises(error):
+            attach(model, sites, None, scheme, r=r, alpha=8.0, seed=1, masks=bad)
+        assert model.adapters == {}
+        assert [n for n, _ in model.registry.items() if ".adapter." in n] == []
+        attach(model, sites, None, Scheme("lori_s"), r=4, alpha=8.0, seed=1, masks=masks)
+        assert list(model.adapters) == list(ref.adapters)
+
     def test_shared_experts_always_adapted_with_plan(self):
         cfg = ModelConfig(n_shared=2, k_route=3)
         model = MoEModel(cfg, seed=0)

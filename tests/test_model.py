@@ -7,6 +7,8 @@ hand-made traces; CE at init vs the maximum-entropy baseline;
 profile_counts' routing passes vs record over full-width full forwards.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -263,6 +265,36 @@ class TestLoadBalancingLoss:
         model.registry.zero_grads()
         lb.backward()
         assert model.registry["layer0.router.w"].tensor.grad is not None
+
+
+class TestTapeRelease:
+    """forward_backward consumes its tape: what a step returns pins no graph."""
+
+    def step(self, model):
+        train, _ = make_task(TaskSpec("mod_add", seed=0, train_size=20, test_size=5))
+        return forward_backward(model, next(iter_batches(train, 8, 1, seed=0)))
+
+    def test_loss_and_p_keep_no_parents(self):
+        model = MoEModel(tiny_config(lb_weight=0.01), seed=6)
+        result = self.step(model)
+        assert result.loss._parents is None
+        assert [lt.p._parents for lt in result.trace.layers] == [None] * 2
+        assert all(e.tensor._parents == [] for _, e in model.registry.items())
+
+    def test_saved_arrays_die_with_the_step(self, monkeypatch):
+        # the bank saves gelu's cdf for its backward; nothing after holds it
+        saved = []
+        real = T.normal_cdf
+
+        def recording(x):
+            out = real(x)
+            saved.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(T, "normal_cdf", recording)
+        result = self.step(MoEModel(tiny_config(lb_weight=0.01), seed=6))
+        assert len(saved) == 2 and result.loss.item() > 0
+        assert [ref() is None for ref in saved] == [True, True]
 
 
 class TestLmLoss:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hotmoe import tensor as T
+from hotmoe.errors import InvariantViolation
 
 
 def fd_grad(scalar_fn, arr, eps=1e-6):
@@ -285,6 +286,28 @@ class TestTapeMechanics:
         a = T.Tensor(rand(3), requires_grad=True)
         with pytest.raises(ValueError):
             (a * 2.0).backward()
+
+    def test_backward_releases_graph_and_keeps_leaves(self):
+        a = T.Tensor(np.array([2.0]), requires_grad=True)
+        h = a * a
+        out = T.tsum(h)
+        out.backward()
+        assert out._parents is None and h._parents is None
+        assert a._parents == [] and h.data[0] == 4.0
+        T.tsum(a * 3.0).backward()   # a leaf joins a new graph as before
+        assert a.grad[0] == 4.0 + 3.0
+
+    def test_second_backward_through_consumed_graph_raises(self):
+        a = T.Tensor(np.array([2.0]), requires_grad=True)
+        h = a * a
+        out = T.tsum(h * 3.0)
+        out.backward()
+        assert a.grad[0] == 12.0
+        with pytest.raises(InvariantViolation, match="consumed"):
+            out.backward()
+        with pytest.raises(InvariantViolation, match="consumed"):
+            T.tsum(h * 1.0).backward()   # a new root over a consumed node
+        assert a.grad[0] == 12.0   # nothing accumulated a second time
 
     def test_no_grad_builds_no_graph(self):
         a = T.Tensor(rand(3), requires_grad=True)
