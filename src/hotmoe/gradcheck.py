@@ -58,8 +58,8 @@ def finite_diff_check(
 
     loss_fn must rebuild the loss from the registry's current tensors on
     every call (the perturbation loop mutates them in place). Masked-out
-    coordinates are skipped: their analytic gradient is zeroed by the
-    optimizer contract, not by the tape.
+    coordinates are skipped and left out of the scale: the tape gives them
+    a gradient like any other, but Adam never writes them.
     """
     if not 0.0 < eps <= 1e-3:
         raise ValueError(f"eps out of range: {eps}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -197,11 +197,11 @@ def rmsnorm(x: Tensor) -> Tensor:
     if not T.grad_enabled():
         return Tensor(xn)
 
-    def backward(g: np.ndarray) -> dict:
+    def backward(g: np.ndarray) -> list[np.ndarray]:
         g_sq_x = _norm_sq_grad(g, xd, ms)
-        return {"x*scale": g * scale, "x*x a": g_sq_x, "x*x b": g_sq_x}
+        return [g * scale, g_sq_x, g_sq_x]
 
-    return _one_node(xn, [(x, "x*scale"), (x, "x*x a"), (x, "x*x b")], backward)
+    return T._make(xn, [x, x, x], backward)
 
 
 def _project(inp: np.ndarray, W: Tensor, pair: AdapterPair | None,
@@ -230,25 +230,6 @@ def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
     return terms if g_in is None else terms + [g_in]
 
 
-def _one_node(out: np.ndarray, parents: list[tuple[Tensor, object]],
-              backward: Callable[[np.ndarray], dict]) -> Tensor:
-    """A tape node over parents, (tensor, key) pairs, whose backward(g)
-    returns every contribution at once, keyed as in parents. A tensor
-    listed under several keys takes one contribution per key, which the
-    tape adds in list order."""
-    state: dict = {}
-
-    def part(key):
-        def fn(g: np.ndarray) -> np.ndarray:
-            # the tape hands every parent the same g: compute all once
-            if state.get("g") is not g or key not in state["grads"]:
-                state["g"], state["grads"] = g, backward(g)
-            return state["grads"].pop(key)
-        return fn
-
-    return T._make(out, [(t, part(key)) for t, key in parents])
-
-
 # A projection: its weight and the weight's adapter or None.
 Projection = tuple[Tensor, AdapterPair | None]
 # An expert: its up and its down projection.
@@ -265,7 +246,7 @@ def route(x: Tensor, router: Projection, k_route: int,
     their mixing weights w, a softmax over the selected logits; w is the
     node's output. With balance, the trace also carries P, the mean
     full-softmax probability per expert, which the load-balancing loss
-    reads: a child node of w whose grad fn hands its gradient to w's
+    reads: a child node of w whose backward hands its gradient to w's
     backward and contributes zeros to w's, so w's backward runs even when
     only P reaches the loss. Without balance, P and its node are not
     built. Every operation runs in the order of the composed tape graph
@@ -290,8 +271,12 @@ def route(x: Tensor, router: Projection, k_route: int,
     if not T.grad_enabled():
         return Tensor(mix), trace
     g_p: list[np.ndarray] = []
+    # x once per term _project_grads gives it: none, the projection's, and
+    # with a gate adapter the adapter's
+    n_x = 0 if not x.requires_grad else 1 if gate is None else 2
+    params = [W] if gate is None else [gate.A, gate.B, W]
 
-    def backward(g: np.ndarray) -> dict:
+    def backward(g: np.ndarray) -> list[np.ndarray | None]:
         grads: dict = {}
         g_sel = mix * (g - (g * mix).sum(axis=-1, keepdims=True))
         # take_along_last's backward added g_sel into zeros, which turned
@@ -302,20 +287,15 @@ def route(x: Tensor, router: Projection, k_route: int,
             gb = g_p[0] * (1.0 / n_tok)
             g_logits += soft * (gb - (gb * soft).sum(axis=-1, keepdims=True))
         terms = _project_grads(g_logits, xd, W, gate, xa, x.requires_grad, grads)
-        for key, term in zip(("x", "x adapter"), terms):
-            grads[key] = term
-        return grads
+        return terms + [grads.get(id(t)) for t in params]
 
-    parents: list[tuple[Tensor, object]] = [(x, "x")]
-    if gate is not None:
-        parents += [(x, "x adapter"), (gate.A, id(gate.A)), (gate.B, id(gate.B))]
-    w = _one_node(mix, parents + [(W, id(W))], backward)
+    w = T._make(mix, [x] * n_x + params, backward)
     if balance:
-        def hand_over(g: np.ndarray) -> np.ndarray:
+        def hand_over(g: np.ndarray) -> list[np.ndarray]:
             g_p[:] = [g]
-            return np.zeros_like(mix)
+            return [np.zeros_like(mix)]
 
-        trace.p = T._make(trace.p.data, [(w, hand_over)])
+        trace.p = T._make(trace.p.data, [w], hand_over)
     return w, trace
 
 
@@ -396,7 +376,7 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray, experts: list[Expe
         for term in _project_grads(*args, out=out)[1:]:
             out += term
 
-    def backward(g: np.ndarray) -> dict[int, np.ndarray]:
+    def backward(g: np.ndarray) -> list[np.ndarray | None]:
         grads: dict[int, np.ndarray] = {}
         gs = g[rows]
         if mix_w.requires_grad:
@@ -423,13 +403,13 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray, experts: list[Expe
                     g_x += term
         if g_x is not None:
             grads[id(x)] = _slot_sum(g_x, g_xs, cols)
-        return grads
+        return [grads.get(id(t)) for t in params]
 
     params = [x, mix_w]
     for e in blocks:
         for W, pair in bank[e]:
             params += [W] if pair is None else [W, pair.A, pair.B]
-    return _one_node(y, [(t, id(t)) for t in params], backward)
+    return T._make(y, params, backward)
 
 
 def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
@@ -481,7 +461,7 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
         """(B,H,S,hd) -> C-contiguous (B,S,D), the layout the tape gave it."""
         return np.ascontiguousarray(g_heads.swapaxes(1, 2)).reshape(bsz, s, d)
 
-    def backward(g: np.ndarray) -> dict[int, np.ndarray]:
+    def backward(g: np.ndarray) -> list[np.ndarray | None]:
         # on the tape, x or the attention's weights and adapters (trained all
         # together or not at all) need the q, k and v gradients; parameters
         # still skip their own gradients, and x's pre-norm is skipped below
@@ -511,14 +491,14 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
             g_x += g_sq_x
             g_x += g_sq_x
             grads[id(x)] = g_x
-        return grads
+        return [grads.get(id(t)) for t in params]
 
     params = [x]
     for W, pair in projs:
         params.append(W)
         if pair is not None:
             params += [pair.A, pair.B]
-    return _one_node(out, [(t, id(t)) for t in params], backward)
+    return T._make(out, params, backward)
 
 
 class MoEModel:

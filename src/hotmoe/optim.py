@@ -6,11 +6,11 @@ buffers for the moments, and `step` updates that buffer in place, one
 cache-sized chunk at a time, with the per-tensor update expression.
 
 Freeze contract: frozen parameters are not in the buffer, and masked-off
-coordinates are never written (the final subtraction runs under the
-mask; their moments are kept but never read). Replacing a trainable tensor's data (as `load_state` does), or
-changing which tensors are trainable or masked, after construction makes
-the next `step` raise InvariantViolation instead of updating a stale
-buffer.
+coordinates are never written: the final subtraction runs under the
+mask, and their moments are kept but never read. After construction,
+replacing a trainable tensor's data (as `load_state` does) or changing
+which tensors are trainable or masked makes the next `step` raise
+InvariantViolation instead of updating a stale buffer.
 """
 
 from __future__ import annotations

@@ -20,8 +20,12 @@ from .tensor import Tensor
 @dataclass
 class ParamEntry:
     tensor: Tensor
-    trainable: bool
     mask: np.ndarray | None = None  # bool, True = coordinate may update
+
+    @property
+    def trainable(self) -> bool:
+        """The tensor's requires_grad: the bit the tape reads."""
+        return self.tensor.requires_grad
 
     @property
     def n_trainable(self) -> int:
@@ -40,8 +44,7 @@ class ParamRegistry:
             raise InvariantViolation(f"duplicate parameter name: {name}")
         if any(ch.isspace() for ch in name):
             raise InvariantViolation(f"parameter name contains whitespace: {name!r}")
-        entry = ParamEntry(tensor=tensor, trainable=trainable)
-        self._entries[name] = entry
+        self._entries[name] = ParamEntry(tensor=tensor)
         tensor.requires_grad = trainable
         return tensor
 
@@ -59,7 +62,6 @@ class ParamRegistry:
 
     def set_trainable(self, name: str, flag: bool) -> None:
         entry = self._entries[name]
-        entry.trainable = flag
         entry.tensor.requires_grad = flag
         if not flag:
             entry.mask = None

@@ -4,12 +4,21 @@ A Tensor wraps one ndarray plus the tape bookkeeping needed to pull
 gradients back through whatever graph the forward pass built. Everything
 is float64 by contract: it keeps finite-difference checks tight.
 
+A tape node has one form: its parents, a list in which a tensor may
+appear more than once, and one backward closure that maps the node's
+gradient to one contribution per parent, in list order, None for none.
+The backward pass calls each node's closure once and adds the i-th
+contribution into the i-th parent, skipping parents that need no
+gradient. An op with several gradient terms into one input (rmsnorm's
+x) lists that input once per term, in the order the terms are added.
+
 A backward pass consumes its graph: once the gradients are in, every
-node it walked drops its parents, and with them the arrays their backward
-closures saved. A tensor kept after the step (a loss, a trace's P) then
-pins only its own data, so a training step holds one tape, not two. A
-later backward that reaches a consumed node raises InvariantViolation
-instead of leaving every leaf's gradient silently stale.
+node it walked drops its parents and its closure, and with them the
+arrays the closure saved. A tensor kept after the step (a loss, a
+trace's P) then pins only its own data, so a training step holds one
+tape, not two. A later backward that reaches a consumed node raises
+InvariantViolation instead of leaving every leaf's gradient silently
+stale.
 
 Determinism contract: all ops are plain numpy calls with a fixed
 reduction order, so repeated runs with identical inputs produce bitwise
@@ -27,6 +36,8 @@ from scipy import special as _special
 from .errors import InvariantViolation, NumericalError
 
 Array = np.ndarray
+# a node's backward: its gradient -> one contribution per parent, or None
+Backward = Callable[[Array], Sequence["Array | None"]]
 
 _GRAD_ENABLED = True
 
@@ -50,16 +61,17 @@ def grad_enabled() -> bool:
 class Tensor:
     """float64 array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data: Array = arr
         self.grad: Array | None = None
         self.requires_grad: bool = requires_grad and _GRAD_ENABLED
-        # list of (parent, fn) where fn maps out-grad -> parent-grad
-        # contribution; None once a backward pass has consumed this node
-        self._parents: list[tuple[Tensor, Callable[[Array], Array]]] | None = []
+        # the node's parents and backward (see _make); both None once a
+        # backward pass has consumed this node
+        self._parents: list[Tensor] | None = []
+        self._backward: Backward | None = None
 
     # -- introspection ------------------------------------------------------
 
@@ -118,8 +130,9 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf,
         then release the graph: every node walked that has parents drops
-        them. Leaves keep their gradients and stay usable in new graphs;
-        a backward that reaches a released node raises InvariantViolation.
+        them and its backward. Leaves keep their gradients and stay usable
+        in new graphs; a backward that reaches a released node raises
+        InvariantViolation.
         """
         if self.size != 1:
             raise ValueError("backward() requires a scalar tensor")
@@ -138,25 +151,25 @@ class Tensor:
                     "backward through a graph that an earlier backward consumed")
             visited.add(id(node))
             stack.append((node, True))
-            for parent, _ in node._parents:
+            for parent in node._parents:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            out_grad = node.grad
-            if out_grad is None:
+            if node.grad is None or node._backward is None:
                 continue
-            for parent, grad_fn in node._parents:
-                if not parent.requires_grad:
+            # zip holds the contributions only while they are added
+            for parent, contrib in zip(node._parents, node._backward(node.grad),
+                                       strict=True):
+                if contrib is None or not parent.requires_grad:
                     continue
-                contrib = grad_fn(out_grad)
                 if parent.grad is None:
                     parent.grad = first_grad(contrib, parent.data)
                 else:
                     parent.grad += contrib
         for node in topo:
             if node._parents:
-                node._parents = None
+                node._parents = node._backward = None
 
 
 def first_grad(contrib: Array, like: Array) -> Array:
@@ -175,11 +188,18 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _make(data: Array, parents: Sequence[tuple[Tensor, Callable[[Array], Array]]]) -> Tensor:
+def _make(data: Array, parents: Sequence[Tensor], backward: Backward) -> Tensor:
+    """The one way to put a node on the tape: a tensor over data whose
+    backward(g) returns one contribution per entry of parents, in order,
+    None where it gives none. A parent listed k times takes its k
+    contributions in list order. The node is built only when the tape is
+    on and some parent requires a gradient; the backward pass adds nothing
+    into a parent that does not."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p, _ in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = [(p, fn) for p, fn in parents if p.requires_grad]
+        out._parents = list(parents)
+        out._backward = backward
     return out
 
 
@@ -200,47 +220,38 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _make(a.data + b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
-    ])
+    return _make(a.data + b.data, [a, b], lambda g: [
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)])
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _make(a.data - b.data, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(-g, b.shape)),
-    ])
+    return _make(a.data - b.data, [a, b], lambda g: [
+        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _make(a.data * b.data, [
-        (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.shape)),
-    ])
+    return _make(a.data * b.data, [a, b], lambda g: [
+        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)])
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _make(a.data / b.data, [
-        (a, lambda g: _unbroadcast(g / b.data, a.shape)),
-        (b, lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)),
-    ])
+    return _make(a.data / b.data, [a, b], lambda g: [
+        _unbroadcast(g / b.data, a.shape),
+        _unbroadcast(-g * a.data / (b.data * b.data), b.shape)])
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     out = a.data ** exponent
-    return _make(out, [
-        (a, lambda g: g * exponent * a.data ** (exponent - 1.0)),
-    ])
+    return _make(out, [a], lambda g: [g * exponent * a.data ** (exponent - 1.0)])
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _make(out, [(a, lambda g: g * out)])
+    return _make(out, [a], lambda g: [g * out])
 
 
 def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), [(a, lambda g: g / a.data)])
+    return _make(np.log(a.data), [a], lambda g: [g / a.data])
 
 
 def normal_cdf(x: Array) -> Array:
@@ -276,7 +287,7 @@ def gelu(a: Tensor) -> Tensor:
     """
     x = a.data
     cdf = normal_cdf(x)
-    return _make(x * cdf, [(a, lambda g: g * (cdf + x * normal_pdf(x)))])
+    return _make(x * cdf, [a], lambda g: [g * (cdf + x * normal_pdf(x))])
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -284,11 +295,11 @@ def gelu(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = a.shape
-    return _make(a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
+    return _make(a.data.reshape(shape), [a], lambda g: [g.reshape(old)])
 
 
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    return _make(a.data.swapaxes(ax1, ax2), [(a, lambda g: g.swapaxes(ax1, ax2))])
+    return _make(a.data.swapaxes(ax1, ax2), [a], lambda g: [g.swapaxes(ax1, ax2)])
 
 
 # -- reductions ---------------------------------------------------------------
@@ -297,13 +308,12 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def grad_fn(g: Array) -> Array:
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.shape).copy()
+    def backward(g: Array) -> list[Array]:
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return [np.broadcast_to(g, a.shape).copy()]
 
-    return _make(out, [(a, grad_fn)])
+    return _make(out, [a], backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -322,13 +332,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul operands must be at least 2-D")
     out = a.data @ b.data
 
-    def grad_a(g: Array) -> Array:
-        return _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
+    def backward(g: Array) -> list[Array | None]:
+        # no product for an operand that needs no gradient (a frozen head.w)
+        g_a = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape) if a.requires_grad else None
+        g_b = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape) if b.requires_grad else None
+        return [g_a, g_b]
 
-    def grad_b(g: Array) -> Array:
-        return _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
-
-    return _make(out, [(a, grad_a), (b, grad_b)])
+    return _make(out, [a, b], backward)
 
 
 # -- softmax family -----------------------------------------------------------
@@ -339,10 +349,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
-    def grad_fn(g: Array) -> Array:
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
-
-    return _make(s, [(a, grad_fn)])
+    return _make(s, [a], lambda g: [s * (g - (g * s).sum(axis=axis, keepdims=True))])
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -350,10 +357,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - lse
 
-    def grad_fn(g: Array) -> Array:
-        return g - np.exp(out) * g.sum(axis=axis, keepdims=True)
-
-    return _make(out, [(a, grad_fn)])
+    return _make(out, [a], lambda g: [g - np.exp(out) * g.sum(axis=axis, keepdims=True)])
 
 
 # -- indexing -----------------------------------------------------------------
@@ -364,12 +368,12 @@ def gather_rows(a: Tensor, idx: Array) -> Tensor:
     idx = np.asarray(idx)
     out = a.data[idx]
 
-    def grad_fn(g: Array) -> Array:
+    def backward(g: Array) -> list[Array]:
         acc = np.zeros_like(a.data)
         np.add.at(acc, idx, g)
-        return acc
+        return [acc]
 
-    return _make(out, [(a, grad_fn)])
+    return _make(out, [a], backward)
 
 
 def take_along_last(a: Tensor, idx: Array) -> Tensor:
@@ -377,14 +381,14 @@ def take_along_last(a: Tensor, idx: Array) -> Tensor:
     idx = np.asarray(idx)
     out = np.take_along_axis(a.data, idx, axis=-1)
 
-    def grad_fn(g: Array) -> Array:
+    def backward(g: Array) -> list[Array]:
         acc = np.zeros_like(a.data)
         grids = np.meshgrid(*[np.arange(n) for n in idx.shape], indexing="ij")
         index = tuple(grids[:-1]) + (idx,)
         np.add.at(acc, index, g)
-        return acc
+        return [acc]
 
-    return _make(out, [(a, grad_fn)])
+    return _make(out, [a], backward)
 
 
 def gather_pairs(a: Tensor, rows: Array, cols: Array) -> Tensor:
@@ -393,12 +397,12 @@ def gather_pairs(a: Tensor, rows: Array, cols: Array) -> Tensor:
     cols = np.asarray(cols)
     out = a.data[rows, cols]
 
-    def grad_fn(g: Array) -> Array:
+    def backward(g: Array) -> list[Array]:
         acc = np.zeros_like(a.data)
         np.add.at(acc, (rows, cols), g)
-        return acc
+        return [acc]
 
-    return _make(out, [(a, grad_fn)])
+    return _make(out, [a], backward)
 
 
 def index_add_rows(a: Tensor, idx: Array, b: Tensor) -> Tensor:
@@ -406,10 +410,7 @@ def index_add_rows(a: Tensor, idx: Array, b: Tensor) -> Tensor:
     idx = np.asarray(idx)
     out = a.data.copy()
     np.add.at(out, idx, b.data)
-    return _make(out, [
-        (a, lambda g: g),
-        (b, lambda g: g[idx]),
-    ])
+    return _make(out, [a, b], lambda g: [g, g[idx]])
 
 
 # -- checks -------------------------------------------------------------------

@@ -134,7 +134,7 @@ def tape_nodes(out, stop):
         if id(node) in seen or node is stop:
             continue
         seen.add(id(node))
-        stack.extend(p for p, _ in node._parents)
+        stack.extend(node._parents)
         ops += bool(node._parents)   # parameters are leaves, not tape nodes
     return ops
 

@@ -261,8 +261,7 @@ def test_rmsnorm_matches_composed(residual):
         outs.append((y.data.tobytes(), x.grad.tobytes()))
     assert outs[0] == outs[1]
     y = rmsnorm(x)
-    assert [p for p, _ in y._parents] == [x, x, x]
-    assert not any(p._parents for p, _ in y._parents)   # one node over x
+    assert y._parents == [x, x, x]   # one node over x, once per gradient term
 
 
 def route_inputs(gate):
@@ -291,7 +290,7 @@ def test_route_no_grad_matches_tape(gate):
     assert lt.p.data.tobytes() == lt_free.p.data.tobytes()
     assert lt.indices.tobytes() == lt_free.indices.tobytes()
     assert lt.weights.tobytes() == lt_free.weights.tobytes()
-    assert lt.p._parents[0][0] is w   # P is a child of the weights
+    assert lt.p._parents == [w]   # P is a child of the weights
 
 
 @pytest.mark.parametrize("grad", [True, False], ids=["taped", "no-grad"])
@@ -300,9 +299,9 @@ def test_route_without_balance_builds_no_p(grad, monkeypatch):
     made = []
     make = T._make
 
-    def counting(data, parents):
+    def counting(data, parents, backward):
         made.append(data)
-        return make(data, parents)
+        return make(data, parents, backward)
 
     monkeypatch.setattr(T, "_make", counting)
     with nullcontext() if grad else T.no_grad():
@@ -449,7 +448,7 @@ def test_layer_adds_same_tape_nodes_for_4_and_16_experts(monkeypatch):
             if id(node) in seen or node is x:
                 continue
             seen.add(id(node))
-            stack.extend(q for q, _ in node._parents)
+            stack.extend(node._parents)
             ops += bool(node._parents)   # parameters are leaves, not tape nodes
         return ops
     # the norm, reshape, route, P, the bank and the reshape back

@@ -28,7 +28,7 @@ SKEW = 1e-3       # planted relative gradient bug, ten times GRAD_TOL
 
 def skewed(loss: Tensor, factor: float) -> Tensor:
     """Identity on a scalar loss whose backward scales the gradient by factor."""
-    return T._make(loss.data.copy(), [(loss, lambda g: g * factor)])
+    return T._make(loss.data.copy(), [loss], lambda g: [g * factor])
 
 
 class TestRegistry:

@@ -362,3 +362,55 @@ class TestTapeMechanics:
         from hotmoe.errors import NumericalError
         with pytest.raises(NumericalError):
             T.check_finite(T.Tensor(np.array([np.nan])), "unit")
+
+
+def node(parents, contribs, calls=None):
+    """A tape node over parents whose backward returns contribs, counting
+    its calls in calls (a one-element list) when given."""
+    def backward(g):
+        if calls is not None:
+            calls[0] += 1
+        return contribs
+    return T._make(np.zeros(()), parents, backward)
+
+
+class TestNodeProtocol:
+    """_make(data, parents, backward): one backward call per pass, and the
+    i-th contribution goes into the i-th parent, in list order."""
+
+    def test_repeated_parent_takes_each_contribution_in_order(self):
+        a = T.Tensor(np.zeros(3), requires_grad=True)
+        b = T.Tensor(np.zeros(3), requires_grad=True)
+        c1, c2, c3 = np.array([-0.0, 1.0, 2.0]), np.array([-0.0, -0.0, 3.0]), rand(3)
+        node([a, a, b], [c1, c2, c3]).backward()
+        assert a.grad.tobytes() == (np.add(c1, 0.0) + c2).tobytes()
+        assert not np.signbit(a.grad[:2]).any()   # the first is -0.0 -> +0.0
+        assert b.grad.tobytes() == c3.tobytes()
+        # in list order: 1e16 + 1 + 1 rounds back to 1e16, 1 + 1 + 1e16 does not
+        big = T.Tensor(np.zeros(1), requires_grad=True)
+        node([big] * 3, [np.array([1e16]), np.ones(1), np.ones(1)]).backward()
+        assert big.grad[0] == 1e16
+
+    def test_none_contribution_leaves_grad_unset(self):
+        a = T.Tensor(np.zeros(2), requires_grad=True)
+        b = T.Tensor(np.zeros(2), requires_grad=True)
+        node([a, b], [None, np.ones(2)]).backward()
+        assert a.grad is None
+        assert b.grad.tolist() == [1.0, 1.0]
+
+    def test_parent_without_grad_is_never_accumulated_into(self):
+        a = T.Tensor(np.zeros(2), requires_grad=True)
+        frozen = T.Tensor(np.zeros(2))
+        node([frozen, a, frozen], [np.ones(2), np.ones(2), np.ones(2)]).backward()
+        assert frozen.grad is None
+        assert a.grad.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("n_parents", [1, 2, 32])
+    def test_backward_runs_once_per_pass(self, n_parents):
+        leaves = [T.Tensor(np.zeros(()), requires_grad=True) for _ in range(n_parents // 2 + 1)]
+        parents = [leaves[i % len(leaves)] for i in range(n_parents)]
+        calls = [0]
+        out = node(parents, [np.ones(())] * n_parents, calls)
+        T.tsum(out * 2.0).backward()
+        assert calls == [1]
+        assert sum(leaf.grad.item() for leaf in leaves) == n_parents

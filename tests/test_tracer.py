@@ -1,9 +1,8 @@
 """The benchmark's span tracer still finds every hotmoe name it wraps.
 
 perfbench/tracing.py wraps hotmoe functions by name: every tape op in
-hotmoe.tensor (index_add_rows and gather_pairs among them, though the
-model no longer calls them), the model, pipeline, optimizer and checkpoint
-entry points. A name renamed or deleted in src/ makes a traced benchmark
+hotmoe.tensor (index_add_rows among them, though the model no longer
+calls it), the model, pipeline, optimizer and checkpoint entry points. A name renamed or deleted in src/ makes a traced benchmark
 run fail with KeyError. This installs the tracer on the live modules, runs
 a two-step pretrain and one adapted fine-tune step under it, derives the
 per-pass statistics, and checks that uninstalling puts every original
