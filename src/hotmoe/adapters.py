@@ -92,19 +92,17 @@ def adapted_forward(inp: np.ndarray, pair: AdapterPair, out: np.ndarray) -> np.n
 
 
 def adapted_backward(g_out: np.ndarray, inp: np.ndarray, pair: AdapterPair,
-                     xa: np.ndarray, want_in: bool, grads: dict) -> np.ndarray | None:
-    """Backward of adapted_forward for out's gradient g_out: put the
-    gradients of A and B that require one into grads, by id, and, if
-    want_in, return the adapter's term of inp's gradient."""
+                     xa: np.ndarray, want_in: bool) -> tuple[np.ndarray | None, list]:
+    """Backward of adapted_forward for out's gradient g_out: (the adapter's
+    term of inp's gradient if want_in, else None; [A's gradient, B's
+    gradient]), None for a tensor that does not require one."""
     g_t = g_out * pair.scale
-    if pair.B.requires_grad:
-        grads[id(pair.B)] = _unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape)
+    g_B = _unbroadcast(xa.swapaxes(-1, -2) @ g_t, pair.B.shape) if pair.B.requires_grad else None
     if not (want_in or pair.A.requires_grad):
-        return None
+        return None, [None, g_B]
     g_xa = g_t @ pair.B.data.swapaxes(-1, -2)
-    if pair.A.requires_grad:
-        grads[id(pair.A)] = _unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape)
-    return g_xa @ pair.A.data.swapaxes(-1, -2) if want_in else None
+    g_A = _unbroadcast(inp.swapaxes(-1, -2) @ g_xa, pair.A.shape) if pair.A.requires_grad else None
+    return (g_xa @ pair.A.data.swapaxes(-1, -2) if want_in else None), [g_A, g_B]
 
 
 def build_mask(b_ref: np.ndarray, rho: float) -> np.ndarray:

@@ -151,6 +151,7 @@ def load_config(path: str | Path | None) -> FullConfig:
         return FullConfig()
     blob = read_file(path)
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str   # keys are case-sensitive, as --set keys are
     try:
         # newline=None reads \r\n and \r line ends as a text-mode file does
         parser.read_file(io.StringIO(blob.decode("utf-8"), newline=None),

@@ -213,27 +213,30 @@ def _project(inp: np.ndarray, W: Tensor, pair: AdapterPair | None,
 
 
 def _project_grads(g_out: np.ndarray, inp: np.ndarray, W: Tensor,
-                   pair: AdapterPair | None, xa: np.ndarray | None,
-                   want_in: bool, grads: dict,
-                   out: np.ndarray | None = None) -> list[np.ndarray]:
-    """Backward of _project: put the gradients of W, A and B that require
-    one into grads (A's and B's by adapted_backward) and, if want_in,
-    return inp's gradient terms, the base term first and the adapter term
-    second, as the tape added them; with out, the base term is written
-    into it. W's gradient is summed over inp's batch axes, as matmul's."""
-    terms = []
-    if W.requires_grad:
-        grads[id(W)] = T._unbroadcast(inp.swapaxes(-1, -2) @ g_out, W.shape)
-    if want_in:
-        terms.append(np.matmul(g_out, W.data.swapaxes(-1, -2), out=out))
-    g_in = None if pair is None else adapted_backward(g_out, inp, pair, xa, want_in, grads)
-    return terms if g_in is None else terms + [g_in]
+                   pair: AdapterPair | None, xa: np.ndarray | None, want_in: bool,
+                   out: np.ndarray | None = None) -> tuple[list[np.ndarray], list]:
+    """Backward of _project: (inp's gradient terms, the gradients of
+    _params((W, pair))). The terms, only if want_in, are the base term
+    first and the adapter term second, as the tape added them; with out,
+    the base term is written into it. A tensor that does not require a
+    gradient gets None; W's is summed over inp's batch axes, as matmul's,
+    and A's and B's come from adapted_backward."""
+    g_W = T._unbroadcast(inp.swapaxes(-1, -2) @ g_out, W.shape) if W.requires_grad else None
+    terms = [np.matmul(g_out, W.data.swapaxes(-1, -2), out=out)] if want_in else []
+    g_in, g_ab = (None, []) if pair is None else adapted_backward(g_out, inp, pair, xa, want_in)
+    return terms if g_in is None else terms + [g_in], [g_W] + g_ab
 
 
 # A projection: its weight and the weight's adapter or None.
 Projection = tuple[Tensor, AdapterPair | None]
 # An expert: its up and its down projection.
 Expert = tuple[Projection, Projection]
+
+
+def _params(proj: Projection) -> list[Tensor]:
+    """[W] or [W, A, B]: a projection's tensors, as _project_grads orders them."""
+    W, pair = proj
+    return [W] if pair is None else [W, pair.A, pair.B]
 
 
 def route(x: Tensor, router: Projection, k_route: int,
@@ -252,10 +255,10 @@ def route(x: Tensor, router: Projection, k_route: int,
     built. Every operation runs in the order of the composed tape graph
     this node replaces (projection, take_along_last, softmax, and softmax
     then tmean for P), and x is listed once per term that graph added into
-    its gradient (the projection, then the gate adapter), so outputs and
-    gradients are bitwise equal to it. The bank that consumes w, shared
-    experts included, is its own node (routed_experts): a routing pass
-    runs the router of the last layer without it.
+    its gradient (the projection, then the gate adapter) before the
+    router's _params, so outputs and gradients are bitwise equal to it.
+    The bank that consumes w, shared experts included, is its own node
+    (routed_experts): a routing pass runs the last layer's router alone.
     """
     W, gate = router
     xd = x.data
@@ -274,10 +277,8 @@ def route(x: Tensor, router: Projection, k_route: int,
     # x once per term _project_grads gives it: none, the projection's, and
     # with a gate adapter the adapter's
     n_x = 0 if not x.requires_grad else 1 if gate is None else 2
-    params = [W] if gate is None else [gate.A, gate.B, W]
 
     def backward(g: np.ndarray) -> list[np.ndarray | None]:
-        grads: dict = {}
         g_sel = mix * (g - (g * mix).sum(axis=-1, keepdims=True))
         # take_along_last's backward added g_sel into zeros, which turned
         # its -0.0s into +0.0
@@ -286,10 +287,10 @@ def route(x: Tensor, router: Projection, k_route: int,
         if g_p:
             gb = g_p[0] * (1.0 / n_tok)
             g_logits += soft * (gb - (gb * soft).sum(axis=-1, keepdims=True))
-        terms = _project_grads(g_logits, xd, W, gate, xa, x.requires_grad, grads)
-        return terms + [grads.get(id(t)) for t in params]
+        terms, grads = _project_grads(g_logits, xd, W, gate, xa, x.requires_grad)
+        return terms + grads
 
-    w = T._make(mix, [x] * n_x + params, backward)
+    w = T._make(mix, [x] * n_x + _params(router), backward)
     if balance:
         def hand_over(g: np.ndarray) -> list[np.ndarray]:
             g_p[:] = [g]
@@ -332,9 +333,10 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray, experts: list[Expe
     graph this node replaces (shared experts added first, then per routed
     expert: gather, adapted projections, gelu, weighted index-add), so
     outputs and gradients are bitwise equal to it, zero signs included.
-    The backward computes every parent's gradient in one pass and skips
-    the gradients of weights that do not require grad; a routed expert
-    without tokens is no parent at all.
+    The backward returns every parent's gradient from one pass, in the
+    order it computes them: x, mix_w, then every block's down projection's
+    _params and every block's up projection's. A tensor that does not
+    require grad gets None; a routed expert without tokens is no parent.
     """
     n_tok, k = idx.shape
     flat = idx.reshape(-1)
@@ -371,22 +373,25 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray, experts: list[Expe
     if not T.grad_enabled():
         return Tensor(y)
 
-    def grad_into(out: np.ndarray, *args) -> None:
-        """_project_grads with inp's gradient (base, then adapter term) in out."""
-        for term in _project_grads(*args, out=out)[1:]:
+    def grad_into(out: np.ndarray, *args) -> list:
+        """_project_grads, summing inp's gradient (base, then adapter term) in out."""
+        terms, grads = _project_grads(*args, out=out)
+        for term in terms[1:]:
             out += term
+        return grads
 
     def backward(g: np.ndarray) -> list[np.ndarray | None]:
-        grads: dict[int, np.ndarray] = {}
         gs = g[rows]
+        g_mix = None
         if mix_w.requires_grad:
             gw = np.zeros(flat.size)
-            gw[order] = ((gs[:flat.size] * he[:flat.size]) if shared else gs * he).sum(axis=1)
-            grads[id(mix_w)] = gw.reshape(n_tok, k)
+            gw[order] = (gs[:flat.size] * he[:flat.size]).sum(axis=1)
+            g_mix = gw.reshape(n_tok, k)
         gs *= ws
         g_pre = np.empty_like(h)   # the gelu output's gradient, then pre's in place
+        g_params = []   # every block's down projection's, then every up projection's
         for e, b in blocks.items():
-            grad_into(g_pre[b], gs[b], h[b], *bank[e][1], xa[e, "down"], True, grads)
+            g_params += grad_into(g_pre[b], gs[b], h[b], *bank[e][1], xa[e, "down"], True)
         g_pre += 0.0   # as a zero-filled accumulator would: -0.0 to +0.0
         # g_h * (cdf + pre * pdf), with the gelu pdf computed only here
         slope = T.normal_pdf(pre)
@@ -395,21 +400,21 @@ def routed_experts(x: Tensor, mix_w: Tensor, idx: np.ndarray, experts: list[Expe
         g_pre *= slope
         g_xs, g_x = (np.empty_like(xs), np.zeros(x.shape)) if x.requires_grad else (None, None)
         for e, b in blocks.items():
-            args = (g_pre[b], xs[b], *bank[e][0], xa[e, "up"], g_x is not None, grads)
+            args = (g_pre[b], xs[b], *bank[e][0], xa[e, "up"], g_x is not None)
             if e < len(experts) or g_x is None:
-                grad_into(None if g_xs is None else g_xs[b], *args)
+                g_params += grad_into(None if g_xs is None else g_xs[b], *args)
             else:   # a shared expert reads x: its terms go in one by one, as on the tape
-                for term in _project_grads(*args):
+                terms, grads = _project_grads(*args)
+                for term in terms:
                     g_x += term
+                g_params += grads
         if g_x is not None:
-            grads[id(x)] = _slot_sum(g_x, g_xs, cols)
-        return [grads.get(id(t)) for t in params]
+            g_x = _slot_sum(g_x, g_xs, cols)
+        return [g_x, g_mix] + g_params
 
-    params = [x, mix_w]
-    for e in blocks:
-        for W, pair in bank[e]:
-            params += [W] if pair is None else [W, pair.A, pair.B]
-    return T._make(y, params, backward)
+    downs = [t for e in blocks for t in _params(bank[e][1])]
+    ups = [t for e in blocks for t in _params(bank[e][0])]
+    return T._make(y, [x, mix_w] + downs + ups, backward)
 
 
 def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
@@ -424,8 +429,9 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
     graph this node replaces (rmsnorm, _proj, split heads, softmax
     attention, merge heads, _proj, residual add), on arrays of the same
     memory layout, so outputs and gradients are bitwise equal to it. The
-    backward computes every parent's gradient in one pass and skips the
-    gradients of tensors that do not require grad.
+    backward returns every parent's gradient from one pass: x's, then each
+    projection's _params in projs order, None for a tensor that does not
+    require grad.
     """
     bsz, s, d = x.shape
     hd = d // n_heads
@@ -465,9 +471,9 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
         # on the tape, x or the attention's weights and adapters (trained all
         # together or not at all) need the q, k and v gradients; parameters
         # still skip their own gradients, and x's pre-norm is skipped below
-        grads: dict[int, np.ndarray] = {}
         g_o_flat = np.zeros_like(o_flat)
-        for term in _project_grads(g, o_flat, wo, ao, xa_o, True, grads):
+        terms, g_wo = _project_grads(g, o_flat, wo, ao, xa_o, True)
+        for term in terms:
             g_o_flat += term
         g_o = T.first_grad(g_o_flat.reshape(bsz, s, n_heads, hd).swapaxes(1, 2), o)
         g_att = g_o @ v.swapaxes(-1, -2)
@@ -479,10 +485,13 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
         g_heads = (g_s @ k, (q.swapaxes(-1, -2) @ g_s).swapaxes(-1, -2),
                    att.swapaxes(-1, -2) @ g_o)
         g_xn = np.zeros_like(xn) if x.requires_grad else None
+        g_params = []   # wq's, wk's and wv's; wo's come last
         for (W, pair), xa, g_h in zip(projs, (xa_q, xa_k, xa_v), g_heads):
-            for term in _project_grads(merged(g_h), xn, W, pair, xa,
-                                       g_xn is not None, grads):
+            terms, grads = _project_grads(merged(g_h), xn, W, pair, xa, g_xn is not None)
+            for term in terms:
                 g_xn += term
+            g_params += grads
+        g_x = None
         if g_xn is not None:
             # the residual, then rmsnorm's terms in the composed norm's order
             g_sq_x = _norm_sq_grad(g_xn, xd, ms)
@@ -490,15 +499,9 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
             g_x += g_xn * scale
             g_x += g_sq_x
             g_x += g_sq_x
-            grads[id(x)] = g_x
-        return [grads.get(id(t)) for t in params]
+        return [g_x] + g_params + g_wo
 
-    params = [x]
-    for W, pair in projs:
-        params.append(W)
-        if pair is not None:
-            params += [pair.A, pair.B]
-    return T._make(out, params, backward)
+    return T._make(out, [x] + [t for proj in projs for t in _params(proj)], backward)
 
 
 class MoEModel:
@@ -509,7 +512,6 @@ class MoEModel:
         self.config = config
         self.registry = ParamRegistry()
         self.adapters: dict = {}
-        self._causal: dict[tuple[int, int], np.ndarray] = {}
         if state is None:
             rng = np.random.default_rng(np.random.SeedSequence([seed]))
 
@@ -538,10 +540,7 @@ class MoEModel:
 
     def _causal_bias(self, s: int, start: int) -> np.ndarray:
         """(s, start + s) bias for queries at positions start..start+s-1."""
-        if (s, start) not in self._causal:
-            bias = np.triu(np.full((s, start + s), -1e9), k=start + 1)
-            self._causal[(s, start)] = bias
-        return self._causal[(s, start)]
+        return np.triu(np.full((s, start + s), -1e9), k=start + 1)
 
     def _projection(self, name: str) -> Projection:
         return self.registry[name].tensor, self.adapters.get(name)

@@ -183,11 +183,14 @@ def load_heatmap(path: str | Path,
         if next(reader, None) != _HEATMAP_HEADER:
             raise ConfigError(f"unexpected heatmap header in {path}")
         for row in reader:
+            if len(row) != len(_HEATMAP_HEADER):
+                raise ValueError(f"{len(row)} fields, not {len(_HEATMAP_HEADER)}")
             cell = (int(row[0]), int(row[1]))
             if cell in cells:
                 raise ConfigError(f"repeated heatmap cell {cell} in {path}")
             cells[cell] = np.int64(row[2])   # the grid's type
-    except (ValueError, IndexError, OverflowError, csv.Error) as exc:
+            float(row[3])   # the ratio is derived from the counts, but must parse
+    except (ValueError, OverflowError, csv.Error) as exc:
         raise ConfigError(f"malformed heatmap row in {path}: {exc}") from exc
     if not cells:
         return ActivationProfile.empty(0, 0, source=str(path))
@@ -228,19 +231,25 @@ def load_plan(path: str | Path) -> PlacementPlan:
         raise ConfigError(f"empty plan file: {path}")
     at = 0   # the index of the line being parsed
     try:
-        fields = dict(part.split("=", 1) for part in lines[0].split())
+        pairs = [part.split("=", 1) for part in lines[0].split()]
+        fields = dict(pairs)
+        # each of the three fields once and nothing else, as save_plan writes it
+        if len(pairs) != 3 or fields.keys() != {"strategy", "k", "seed"}:
+            raise ValueError(lines[0])
         k = int(fields["k"])
         strategy = fields["strategy"]
         seed = None if fields["seed"] == "none" else int(fields["seed"])
         if strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy in plan file {path}: {strategy}")
+        if (seed is None) == (strategy == "random"):   # only random has a seed
+            raise ValueError(fields["seed"])
         hot = []
         for at, line in enumerate(lines[1:], start=1):
             if line.strip():
                 hot.append([int(e) for e in line.split(",")])
         # a row of the wrong size or with a repeated expert is a bad file here
         return PlacementPlan(hot=hot, k=k, strategy=strategy, seed=seed)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"malformed plan file {path}: line {at + 1} does not "
                           f"parse: {lines[at]!r}") from exc
     except InvariantViolation as exc:

@@ -97,9 +97,9 @@ class TestAdaptedForward:
                            alpha=1.0, mask=np.array([[True, False]]))
         out, xa = adapted(x, np.eye(2), pair)
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
-        grads = {}
-        adapted_backward(np.array([[1.0, 1.0]]), x, pair, xa, False, grads)
-        np.testing.assert_array_equal(grads[id(pair.B)], [[1.0, 1.0]])
+        g_in, (g_A, g_B) = adapted_backward(np.array([[1.0, 1.0]]), x, pair, xa, False)
+        np.testing.assert_array_equal(g_B, [[1.0, 1.0]])
+        assert g_in is None and g_A is None
 
     def test_zero_b_is_exact_identity(self):
         x = RNG.normal(size=(5, 8))
@@ -132,18 +132,31 @@ class TestAdaptedForward:
                            alpha=6.0, mask=RNG.random((3, 6)) < 0.5 if masked else None)
         g = RNG.normal(size=(5, 6))
         out, xa = adapted(x.data, W.data, pair)
-        grads = {}
-        g_in = adapted_backward(g, x.data, pair, xa, want_in, grads)
+        g_in, (g_A, g_B) = adapted_backward(g, x.data, pair, xa, want_in)
         taped = project(x, W, pair)
         T.tsum(taped * Tensor(g)).backward()
         assert out.tobytes() == taped.data.tobytes()
         # + 0.0: the tape's first gradient of a leaf turns -0.0 into +0.0
-        assert (grads[id(pair.A)] + 0.0).tobytes() == pair.A.grad.tobytes()
-        assert (grads[id(pair.B)] + 0.0).tobytes() == pair.B.grad.tobytes()
+        assert (g_A + 0.0).tobytes() == pair.A.grad.tobytes()
+        assert (g_B + 0.0).tobytes() == pair.B.grad.tobytes()
         if want_in:   # the tape added the base term first
             assert (g @ W.data.T + g_in).tobytes() == x.grad.tobytes()
         else:
             assert g_in is None
+
+    def test_frozen_a_gets_no_gradient(self):
+        # lori_d: A is frozen, so its slot is None and B's is the tape's
+        x = Tensor(RNG.normal(size=(5, 8)))
+        W = Tensor(RNG.normal(size=(8, 6)))
+        pair = AdapterPair(A=Tensor(RNG.normal(size=(8, 3))),
+                           B=Tensor(RNG.normal(size=(3, 6)), requires_grad=True),
+                           alpha=6.0, scheme="lori_d")
+        g = RNG.normal(size=(5, 6))
+        _, xa = adapted(x.data, W.data, pair)
+        g_in, (g_A, g_B) = adapted_backward(g, x.data, pair, xa, False)
+        T.tsum(project(x, W, pair) * Tensor(g)).backward()
+        assert g_in is None and g_A is None and pair.A.grad is None
+        assert (g_B + 0.0).tobytes() == pair.B.grad.tobytes()
 
 
 class TestBuildMask:

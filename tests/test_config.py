@@ -62,9 +62,10 @@ def test_empty_default_section_sets_nothing(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    p = write(tmp_path, "[model]\nn_layerz = 4\n")
-    with pytest.raises(ConfigError):
-        load_config(p)
+    # keys are case-sensitive in a file as in --set: N_layers is not n_layers
+    for text in ("[model]\nn_layerz = 4\n", "[model]\nN_layers = 4\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(write(tmp_path, text))
 
 
 def test_bad_int_rejected(tmp_path):

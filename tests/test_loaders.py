@@ -118,7 +118,16 @@ class TestReproducedFaults:
     @pytest.mark.parametrize("old,new,where", [
         (b"0,2", b"0,x", "line 2 does not parse: '0,x'"),
         (b"k=2", b"k2", "line 1 does not parse: 'strategy=layer_hot k2 seed=none'"),
-        (b" seed=none", b"", "line 1 does not parse: 'strategy=layer_hot k=2'")])
+        (b" seed=none", b"", "line 1 does not parse: 'strategy=layer_hot k=2'"),
+        # each loaded before: with a seed, random without one, an unknown
+        # field ignored, and the last of two strategies winning
+        (b"seed=none", b"seed=5", "line 1 does not parse: 'strategy=layer_hot k=2 seed=5'"),
+        (b"layer_hot", b"random", "line 1 does not parse: 'strategy=random k=2 seed=none'"),
+        (b"seed=none", b"seed=none bogus=1",
+         "line 1 does not parse: 'strategy=layer_hot k=2 seed=none bogus=1'"),
+        (b"strategy=layer_hot", b"strategy=cold k=2 seed=none strategy=layer_hot",
+         "line 1 does not parse: "
+         "'strategy=cold k=2 seed=none strategy=layer_hot k=2 seed=none'")])
     def test_plan_error_names_the_line(self, tmp_path, old, new, where):
         path = _plan(tmp_path)
         _rewrite(path, old, new)
@@ -156,7 +165,12 @@ class TestReproducedFaults:
                                          (b"0,1,1,", b"0,"),
                                          (None, b""),
                                          (b"1,3,7,", b"-1,3,7,"),
-                                         (b"1,3,7,", b"1000000,3,7,")])
+                                         (b"1,3,7,", b"1000000,3,7,"),
+                                         # each loaded before: a row of five
+                                         # fields, of three, a ratio not a float
+                                         (b"\n0,0,0,0.0", b"\n0,0,1,x,y"),
+                                         (b"\n0,0,0,0.0", b"\n0,0,0"),
+                                         (b"\n0,0,0,0.0", b"\n0,0,0,zero")])
     def test_heatmap_malformed(self, tmp_path, old, new):
         path = _heatmap(tmp_path)
         if old is None:
