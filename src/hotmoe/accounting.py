@@ -51,10 +51,11 @@ def count_params(model) -> ParamReport:
             base_total += entry.tensor.size
     per_target: dict[str, int] = {}
     closed = 0
-    for pair in model.adapters.values():
+    for name, pair in model.adapters.items():
         n = closed_form_pair_params(pair)
         closed += n
-        per_target[pair.kind] = per_target.get(pair.kind, 0) + n
+        kind = model.sites[name][0]
+        per_target[kind] = per_target.get(kind, 0) + n
     if model.adapters and registry_trainable and closed != registry_trainable:
         raise InvariantViolation(
             f"closed-form count {closed} != registry enumeration {registry_trainable}")
@@ -103,25 +104,25 @@ def adapter_flops(routing, model) -> FlopsReport:
 
     attn_gate = 0
     shared = 0
-    routed = []
-    for pair in model.adapters.values():
-        if pair.kind in ("attention", "gate"):
+    routed = []   # ((layer, expert), pair) of each routed expert's adapter
+    for name, pair in model.adapters.items():
+        kind, layer, e = model.sites[name]
+        if kind in ("attention", "gate"):
             attn_gate += tokens * _exec_cost(pair)
-        elif pair.kind == "shared":
+        elif kind == "shared":
             shared += tokens * _exec_cost(pair)
         else:
-            routed.append(pair)
-    expert = sum(int(counts[p.layer, p.expert]) * _exec_cost(p) for p in routed)
+            routed.append(((layer, e), pair))
+    expert = sum(int(counts[site]) * _exec_cost(p) for site, p in routed)
     exec_per_layer = [0] * cfg.n_layers
-    for layer, e in {(p.layer, p.expert) for p in routed}:
+    for layer, e in {site for site, _ in routed}:
         exec_per_layer[layer] += int(counts[layer, e])
     # baseline re-costs every routed selection as if adapted, at the cost of
     # one adapted expert's projections (all experts share dims). No expert
     # adapters at all -> baseline == actual.
     baseline_expert = 0
     if routed:
-        site = (routed[0].layer, routed[0].expert)
-        unit = sum(_exec_cost(p) for p in routed if (p.layer, p.expert) == site)
+        unit = sum(_exec_cost(p) for site, p in routed if site == routed[0][0])
         baseline_expert = int(counts.sum()) * unit
     forward = attn_gate + expert + shared
     baseline_forward = attn_gate + baseline_expert + shared

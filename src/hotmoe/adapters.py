@@ -59,9 +59,6 @@ class AdapterPair:
     alpha: float
     mask: np.ndarray | None = None  # bool r x d_out, fixed for the pair's lifetime
     scheme: str = ""               # lora | lori_d | lori_s, set by attach
-    kind: str = ""                 # attention | gate | experts | shared, set by attach
-    layer: int = -1
-    expert: int | None = None      # routed experts only
 
     def __post_init__(self):
         d_in, d_out = self.A.shape[0], self.B.shape[1]
@@ -117,30 +114,14 @@ def build_mask(b_ref: np.ndarray, rho: float) -> np.ndarray:
     return mask.reshape(np.asarray(b_ref).shape)
 
 
-def _target_sites(model, targets: TargetSet, plan) -> list[tuple]:
-    """(weight name, kind, layer, routed expert or None) of every adapter
-    target, in a fixed deterministic order."""
-    cfg = model.config
-    sites: list[tuple] = []
-    for layer in range(cfg.n_layers):
-        if targets.attention:
-            for proj in ("wq", "wk", "wv", "wo"):
-                sites.append((f"layer{layer}.attn.{proj}", "attention", layer, None))
-        if targets.gate:
-            sites.append((f"layer{layer}.router.w", "gate", layer, None))
-        if targets.experts != "none":
-            if targets.experts == "all":
-                hot = range(cfg.n_experts)
-            else:
-                hot = sorted(plan.hot[layer])
-            for e in hot:
-                for proj in ("w_up", "w_down"):
-                    sites.append((f"layer{layer}.expert{e}.{proj}", "experts", layer, e))
-            # shared experts are always active, so they are always adapted
-            for j in range(cfg.n_shared):
-                for proj in ("w_up", "w_down"):
-                    sites.append((f"layer{layer}.shared{j}.{proj}", "shared", layer, None))
-    return sites
+def _target_sites(model, targets: TargetSet, plan) -> list[str]:
+    """The weight names of every adapter target, in model.sites' order; the
+    shared experts are always active, so they are adapted with any experts."""
+    wanted = {"attention": targets.attention, "gate": targets.gate,
+              "experts": targets.experts != "none", "shared": targets.experts != "none"}
+    return [name for name, (kind, layer, expert) in model.sites.items()
+            if wanted[kind] and (kind != "experts" or targets.experts == "all"
+                                 or expert in plan.hot[layer])]
 
 
 def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float,
@@ -162,7 +143,7 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
         raise ConfigError("lori_s needs masks built from a prior lori_d run")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADA]))
     pairs: dict[str, AdapterPair] = {}
-    for name, kind, layer, expert in _target_sites(model, targets, plan):
+    for name in _target_sites(model, targets, plan):
         if scheme.name == "lori_s" and name not in masks:
             raise ConfigError(f"lori_s mask missing for target {name}")
         d_in, d_out = model.registry[name].tensor.shape
@@ -170,7 +151,7 @@ def attach(model, targets: TargetSet, plan, scheme: Scheme, r: int, alpha: float
             A=Tensor(rng.normal(0.0, 0.02, size=(d_in, r))),
             B=Tensor(np.zeros((r, d_out))), alpha=alpha,
             mask=masks[name] if scheme.name == "lori_s" else None,
-            scheme=scheme.name, kind=kind, layer=layer, expert=expert)
+            scheme=scheme.name)
     # every site passed its checks, so a refusal above left the model as it was
     for name, pair in pairs.items():
         model.registry.add(f"{name}.adapter.A", pair.A, trainable=False)

@@ -426,9 +426,12 @@ def attention_sublayer(x: Tensor, projs: list[Projection], n_heads: int,
     a cache (no-grad forwards only), the keys and values of the positions
     it holds come first and this layer's entry takes the new ones in.
     Every operation and every accumulation runs in the order of the tape
-    graph this node replaces (rmsnorm, _proj, split heads, softmax
-    attention, merge heads, _proj, residual add), on arrays of the same
-    memory layout, so outputs and gradients are bitwise equal to it. The
+    graph this node replaces (rmsnorm, the q/k/v projections, split
+    heads, softmax attention, merge heads, the output projection, residual
+    add), on arrays of the same memory layout, so outputs and gradients
+    are bitwise equal to it: the composed path in
+    tests/test_attention_fused.py, whose adapted projections are
+    tests/composed.py's project. The
     backward returns every parent's gradient from one pass: x's, then each
     projection's _params in projs order, None for a tensor that does not
     require grad.
@@ -522,16 +525,28 @@ class MoEModel:
         c = config
         param("embed.tok", c.vocab, c.d_model)
         param("embed.pos", c.max_seq, c.d_model)
+        # every weight of a layer, name -> (kind, layer, routed expert or None),
+        # in registry order; and per layer, the names the layer loop reads:
+        # (attention wq wk wv wo, router, routed (up, down)s, shared (up, down)s)
+        self.sites: dict[str, tuple[str, int, int | None]] = {}
+        self.layer_names: list[tuple] = []
+
+        def site(name: str, kind: str, layer: int, expert: int | None, *shape: int) -> str:
+            param(name, *shape)
+            self.sites[name] = (kind, layer, expert)
+            return name
+
+        def expert(tag: str, kind: str, l: int, e: int, routed: int | None) -> tuple[str, str]:
+            return (site(f"layer{l}.{tag}{e}.w_up", kind, l, routed, c.d_model, c.d_ff),
+                    site(f"layer{l}.{tag}{e}.w_down", kind, l, routed, c.d_ff, c.d_model))
+
         for l in range(c.n_layers):
-            for proj in ("wq", "wk", "wv", "wo"):
-                param(f"layer{l}.attn.{proj}", c.d_model, c.d_model)
-            param(f"layer{l}.router.w", c.d_model, c.n_experts)
-            for e in range(c.n_experts):
-                param(f"layer{l}.expert{e}.w_up", c.d_model, c.d_ff)
-                param(f"layer{l}.expert{e}.w_down", c.d_ff, c.d_model)
-            for j in range(c.n_shared):
-                param(f"layer{l}.shared{j}.w_up", c.d_model, c.d_ff)
-                param(f"layer{l}.shared{j}.w_down", c.d_ff, c.d_model)
+            self.layer_names.append((
+                [site(f"layer{l}.attn.{p}", "attention", l, None, c.d_model, c.d_model)
+                 for p in ("wq", "wk", "wv", "wo")],
+                site(f"layer{l}.router.w", "gate", l, None, c.d_model, c.n_experts),
+                [expert("expert", "experts", l, e, e) for e in range(c.n_experts)],
+                [expert("shared", "shared", l, j, None) for j in range(c.n_shared)]))
         param("head.w", c.d_model, c.vocab)
         if state is not None:
             self.registry.load_state(state)
@@ -544,13 +559,6 @@ class MoEModel:
 
     def _projection(self, name: str) -> Projection:
         return self.registry[name].tensor, self.adapters.get(name)
-
-    def _bank(self, layer: int) -> tuple[list[Expert], list[Expert]]:
-        """The layer's routed experts and its shared experts."""
-        def experts(tag: str, n: int) -> list[Expert]:
-            return [(self._projection(f"layer{layer}.{tag}{e}.w_up"),
-                     self._projection(f"layer{layer}.{tag}{e}.w_down")) for e in range(n)]
-        return experts("expert", self.config.n_experts), experts("shared", self.config.n_shared)
 
     # -- public surface -----------------------------------------------------
 
@@ -577,16 +585,17 @@ class MoEModel:
         x = T.reshape(tok, (bsz, s, c.d_model)) + pos
         trace = RoutingTrace(c.n_experts, c.k_route, tokens=tokens.reshape(-1).copy())
         bias = self._causal_bias(s, start)
-        for layer in range(c.n_layers):
-            projs = [self._projection(f"layer{layer}.attn.{p}") for p in ("wq", "wk", "wv", "wo")]
-            x = attention_sublayer(x, projs, c.n_heads, bias, cache, layer)
+        proj = self._projection
+        for layer, (attn, router, experts, shared) in enumerate(self.layer_names):
+            x = attention_sublayer(x, [proj(n) for n in attn], c.n_heads, bias, cache, layer)
             xf = T.reshape(rmsnorm(x), (bsz * s, c.d_model))
-            mix_w, lt = route(xf, self._projection(f"layer{layer}.router.w"), c.k_route,
-                              balance)
+            mix_w, lt = route(xf, proj(router), c.k_route, balance)
             trace.layers.append(lt)
             if route_only and layer == c.n_layers - 1:
                 return None, trace
-            yf = routed_experts(xf, mix_w, lt.indices, *self._bank(layer))
+            yf = routed_experts(xf, mix_w, lt.indices,
+                                *[[(proj(up), proj(down)) for up, down in bank]
+                                  for bank in (experts, shared)])
             x = x + T.reshape(yf, (bsz, s, c.d_model))
         if cache is not None:
             cache.length = start + s

@@ -98,32 +98,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
 
     def __neg__(self):
         return mul(self, _wrap(-1.0))
 
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
-
-    def __pow__(self, exponent: float):
-        return power(self, exponent)
 
     # -- backward -----------------------------------------------------------
 

@@ -295,8 +295,8 @@ class TestAttach:
             layer, site = re.fullmatch(r"layer(\d+)\.([a-z]+)\d*\.\w+", name).groups()
             expert = re.fullmatch(r"layer\d+\.expert(\d+)\.w_(up|down)", name)
             want = (kinds[site], int(layer), expert and int(expert.group(1)))
-            assert (pair.kind, pair.layer, pair.expert) == want, name
-            seen.add(pair.kind)
+            assert model.sites[name] == want, name
+            seen.add(model.sites[name][0])
         assert seen == {"attention", "gate", "experts"} | ({"shared"} if n_shared else set())
 
     def test_b_zero_init_and_a_seeded(self):

@@ -1,7 +1,8 @@
 """Static checks on the library source: no unused imports, no dead
 definitions, no test-only definitions, no filesystem access outside
 errors.py, no assert statements, no **kwargs parameters, and no adapter
-registry names and no adapter scale outside adapters.py in src/hotmoe.
+registry names and no adapter scale outside adapters.py, and no weight
+names outside model.py, in src/hotmoe.
 
 Pure stdlib `ast` and `re`, so it runs wherever the tests run. An import
 counts as used when its name appears anywhere in the module body,
@@ -22,7 +23,9 @@ adapter arithmetic (the scale and its backward) lives in adapters.py
 alone: no other module reads an attribute named `scale`. That arithmetic
 is one formula for every scheme: adapted_forward and adapted_backward
 read no attribute named `scheme` or holding `mask`, since a scheme
-decides only what trains.
+decides only what trains. model.py spells each weight's name once, when
+MoEModel registers it, and records its site there (model.sites); every
+other module reads names from the model, never formats one.
 """
 
 import ast
@@ -309,3 +312,39 @@ def test_scheme_free_checker_hand_case():
 def test_adapter_arithmetic_is_scheme_free():
     source = (SRC / "adapters.py").read_text(encoding="utf-8")
     assert scheme_reads(source, ADAPTER_ARITHMETIC) == []
+
+
+def weight_name_spellers(library: dict[str, str]) -> list[str]:
+    """Strings outside model.py that spell a weight name: an f-string whose
+    text starts with "layer" and then a placeholder, or a str constant
+    matching layer<digits>."""
+    out = []
+    for name, source in library.items():
+        if name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.JoinedStr):
+                head = node.values[:2]
+                spells = (len(head) == 2 and isinstance(head[0], ast.Constant)
+                          and head[0].value == "layer"
+                          and isinstance(head[1], ast.FormattedValue))
+            else:
+                spells = (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                          and re.search(r"layer\d+\.", node.value) is not None)
+            if spells:
+                out.append(f"{name}:{node.lineno}")
+    return sorted(out)
+
+
+def test_weight_name_checker_hand_case():
+    library = {"model.py": 'param(f"layer{l}.router.w", d, n)\n',
+               "adapters.py": ('def sites(l, e):\n'
+                               '    return f"layer{l}.expert{e}.w_up"\n'),
+               "accounting.py": ('kind = model.sites["layer0.router.w"][0]\n'
+                                 'raise ConfigError(f"layer {layer} has {n} hot experts")\n'),
+               "profiler.py": 'STRATEGIES = ("layer_hot", "model_hot")\n'}
+    assert weight_name_spellers(library) == ["accounting.py:1", "adapters.py:2"]
+
+
+def test_only_model_spells_weight_names():
+    assert weight_name_spellers(_library()) == []

@@ -7,6 +7,7 @@ hand-made traces; CE at init vs the maximum-entropy baseline;
 profile_counts' routing passes vs record over full-width full forwards.
 """
 
+import re
 import weakref
 
 import numpy as np
@@ -459,6 +460,28 @@ class TestRoutingPass:
         with T.no_grad():
             model.forward(train.tokens[:2])
         assert (calls["bank"], calls["head"]) == (n_layers, 1)
+
+
+class TestSites:
+    @pytest.mark.parametrize("n_shared", [0, 2])
+    def test_sites_are_the_layer_weights_their_names_spell(self, n_shared):
+        model = MoEModel(tiny_config(n_shared=n_shared), seed=0)
+        names = [name for name, _ in model.registry.items()]
+        assert list(model.sites) == [n for n in names
+                                     if n not in ("embed.tok", "embed.pos", "head.w")]
+        kinds = {"attn": "attention", "router": "gate", "expert": "experts",
+                 "shared": "shared"}
+        for name, site in model.sites.items():
+            layer, tag, index = re.fullmatch(r"layer(\d+)\.([a-z]+)(\d*)\.\w+", name).groups()
+            assert site == (kinds[tag], int(layer),
+                            int(index) if tag == "expert" else None), name
+        # the layer loop's table names the same weights, in the same order
+        assert [n for attn, router, experts, shared in model.layer_names
+                for n in attn + [router] + [n for pair in experts + shared for n in pair]
+                ] == list(model.sites)
+        loaded = MoEModel(model.config, seed=1, state=model.registry.state_arrays())
+        assert list(loaded.sites.items()) == list(model.sites.items())
+        assert loaded.layer_names == model.layer_names
 
 
 class TestDeterminism:

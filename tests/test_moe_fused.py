@@ -89,9 +89,12 @@ def moe_half(model, layer, x):
     c = model.config
     bsz, s, d = x.shape
     xf = T.reshape(x, (bsz * s, d))
-    mix_w, lt = model_mod.route(xf, model._projection(f"layer{layer}.router.w"),
-                                c.k_route, c.lb_weight > 0.0)
-    yf = model_mod.routed_experts(xf, mix_w, lt.indices, *model._bank(layer))
+    _, router, experts, shared = model.layer_names[layer]
+    proj = model._projection
+    mix_w, lt = model_mod.route(xf, proj(router), c.k_route, c.lb_weight > 0.0)
+    yf = model_mod.routed_experts(xf, mix_w, lt.indices,
+                                  *[[(proj(up), proj(down)) for up, down in bank]
+                                    for bank in (experts, shared)])
     return T.reshape(yf, (bsz, s, d)), lt
 
 

@@ -331,7 +331,7 @@ class TestGradCheck:
 
         def loss_fn():
             pred = Tensor(X) @ W + b
-            resid = pred - Tensor(y)
+            resid = T.sub(pred, Tensor(y))
             return T.tmean(resid * resid)
 
         report = finite_diff_check(loss_fn, reg, eps=1e-5)
@@ -378,7 +378,7 @@ class TestGradCheck:
         b = reg.add("b", Tensor(RNG.normal(size=2)))
 
         def loss_fn(factor):
-            resid = T.gelu(Tensor(X) @ W + b) - Tensor(y)
+            resid = T.sub(T.gelu(Tensor(X) @ W + b), Tensor(y))
             return skewed(T.tmean(resid * resid), factor)
 
         clean = finite_diff_check(lambda: loss_fn(1.0), reg)
