@@ -141,7 +141,7 @@ def cmd_plan(args) -> int:
     full, applied, _ = _load_full(args)
     if args.profile is None:
         raise ConfigError("plan needs --profile <heatmap.csv>")
-    profile = load_heatmap(args.profile)
+    profile = load_heatmap(args.profile, k_route=full.model.k_route)
     got, want = profile.counts.shape, (full.model.n_layers, full.model.n_experts)
     if got != want:
         raise ConfigError(f"heatmap {args.profile} is {got[0]} layers x {got[1]} "

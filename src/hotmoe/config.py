@@ -68,11 +68,11 @@ class TaskConfig:
 
 @dataclass
 class PretrainConfig:
-    steps: int = 2000
+    steps: int = 3000
     lr: float = 1e-3
     batch_size: int = 16
     seed: int = 0
-    until_acc: float = 0.0         # > 0: steps becomes a cap, training stops
+    until_acc: float = 0.09375     # > 0: steps becomes a cap, training stops
     check_every: int = 500         # once every task's held-out acc beats the bar
 
     def __post_init__(self):

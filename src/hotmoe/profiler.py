@@ -175,7 +175,9 @@ def export_heatmap(profile: ActivationProfile, path: str | Path) -> None:
 def load_heatmap(path: str | Path,
                  k_route: int | None = None) -> ActivationProfile:
     """Rebuild a profile from its CSV. The file stores only counts, so
-    tokens_seen stays 0 unless k_route is supplied to derive it."""
+    tokens_seen stays 0 unless k_route is supplied to derive it; with
+    k_route, every layer's counts must sum to one multiple of it (count
+    conservation), or the file is malformed."""
     blob = read_file(path)
     cells: dict[tuple[int, int], int] = {}
     try:
@@ -207,8 +209,9 @@ def load_heatmap(path: str | Path,
     if k_route is not None:
         sums = counts.sum(axis=1)
         if (sums % k_route).any() or (sums != sums[0]).any():
-            raise InvariantViolation(
-                f"heatmap row sums {sums.tolist()} not a multiple of k={k_route}")
+            raise ConfigError(
+                f"heatmap {path} row sums {sums.tolist()} are not one "
+                f"multiple of k={k_route}")
         tokens = int(sums[0]) // k_route
     return ActivationProfile(counts, tokens_seen=tokens, source=str(path))
 

@@ -410,6 +410,24 @@ def test_malformed_heatmap_exits_2(tmp_path, capsys):
     _one_error_line(capsys.readouterr().err, "ConfigError")
 
 
+@pytest.mark.parametrize("counts", ["2,2,2,2 2,2,2,3", "2,2,2,2 4,2,2,2"],
+                         ids=["not-a-multiple-of-k", "uneven-layers"])
+def test_heatmap_breaking_count_conservation_exits_2(counts, tmp_path, capsys):
+    # tiny.cfg: 2 layers x 4 experts, k_route 2; layer 1 sums to 9, or to
+    # 10 against layer 0's 8. plan used to print a plan from it and exit 0
+    bad = tmp_path / "heatmap.csv"
+    rows = [f"{l},{e},{c},0.0" for l, layer in enumerate(counts.split())
+            for e, c in enumerate(layer.split(","))]
+    bad.write_text("\n".join(["layer,expert,count,ratio", *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["plan", "--config", CFG, "--profile", str(bad),
+                 "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    _one_error_line(captured.err, "ConfigError")
+    assert captured.out == ""
+    assert not (out / "plan.csv").exists()
+
+
 def test_profile_given_as_plan_exits_2(base_dir, capsys):
     # a heatmap CSV is no plan: the error names the file and the line,
     # not a Python exception repr

@@ -250,6 +250,13 @@ def test_default_cfg_lists_every_key():
         assert list(parser[name]) == [f.name for f in fields(cls)], name
 
 
+def test_default_cfg_is_the_built_in_defaults():
+    # `hotmoe pretrain` without --config trained a fixed 2000 steps while
+    # the file stops at competence within a 3000-step cap
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.cfg"
+    assert load_config(path) == load_config(None)
+
+
 def test_model_sizes_fixed_by_the_tasks_are_constants():
     cfg = ModelConfig(n_layers=1)
     assert (cfg.vocab, cfg.max_seq) == (PAD + 1, 16)

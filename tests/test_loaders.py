@@ -180,6 +180,18 @@ class TestReproducedFaults:
         with pytest.raises(ConfigError):
             load_heatmap(path)
 
+    @pytest.mark.parametrize("counts", [[[2, 2, 2, 2], [2, 2, 2, 3]],   # 9 not a multiple
+                                        [[4, 4, 0, 0], [4, 4, 4, 4]]],  # 8 and 16
+                             ids=["not-a-multiple-of-k", "uneven-layers"])
+    def test_heatmap_breaking_count_conservation(self, tmp_path, counts):
+        # checked only when k_route is given; was an InvariantViolation,
+        # which the CLI maps to exit 3 although the file is a bad input
+        path = tmp_path / "heatmap.csv"
+        export_heatmap(ActivationProfile(np.array(counts)), path)
+        assert load_heatmap(path).counts.tolist() == counts
+        with pytest.raises(ConfigError, match="not one multiple of k=4"):
+            load_heatmap(path, k_route=4)
+
 
 @FUZZ
 @given(data=st.data())

@@ -6,6 +6,12 @@ here is deliberately dumb and local so it cannot share a bug with the
 tape implementation.
 """
 
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -164,6 +170,53 @@ class TestNormalCdf:
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         # + 0.0: a leaf's first gradient turns -0.0 into +0.0 (first_grad)
         assert a.grad.tobytes() == (g * (erf_cdf(x) + x * pdf) + 0.0).tobytes()
+
+
+ERF_MODULE = "scipy.special._special_ufuncs"
+# a fresh interpreter: is erf's extension there, and which modules does
+# importing the CLI load; then the erf scipy.special hands out afterwards
+FRESH_IMPORT = f"""
+import sys, scipy
+from importlib.machinery import PathFinder
+found = PathFinder.find_spec({ERF_MODULE!r}, [d + "/special" for d in scipy.__path__])
+import hotmoe.cli
+print(found is not None, {ERF_MODULE!r} in sys.modules, "scipy.special" in sys.modules)
+import scipy.special
+from hotmoe import tensor
+print(tensor._erf is scipy.special.erf)
+"""
+
+
+class TestErfLoader:
+    def test_cli_import_loads_the_extension_not_the_package(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        flags, same = proc.stdout.splitlines()
+        found, loaded, package = flags.split()
+        if found == "False":
+            pytest.skip(f"this SciPy has no {ERF_MODULE}")
+        assert (loaded, package) == ("True", "False")
+        # the later package import reused the loaded extension
+        assert same == "True"
+
+    def test_erf_is_scipy_special_erf(self):
+        import scipy.special
+        assert T._erf is scipy.special.erf
+
+    @pytest.mark.parametrize("registered", [None, types.ModuleType(ERF_MODULE)],
+                             ids=["extension-missing", "extension-without-erf"])
+    def test_fallback_imports_the_package(self, registered, monkeypatch):
+        import scipy.special
+        monkeypatch.setattr(T, "PathFinder",
+                            types.SimpleNamespace(find_spec=lambda name, path: None))
+        if registered is None:
+            monkeypatch.delitem(sys.modules, ERF_MODULE, raising=False)
+        else:
+            monkeypatch.setitem(sys.modules, ERF_MODULE, registered)
+        assert T._load_erf() is scipy.special.erf
 
 
 class TestShapes:
